@@ -1,0 +1,7 @@
+"""Self-tests import the benchmark modules and popgraph from the source tree."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]

@@ -1,17 +1,17 @@
-"""Classifier over the population graph: dense message passing plus a head.
+"""Classifier over the population graph: message passing plus a head.
 
-Each sample is a node of the population graph; message passing mixes the
-graph representations of similar samples, and a per-node fully-connected
-head turns each mixed representation into class probabilities. Gradients
-flow through the adjacency, so the edge-weight parameters learn from the
-classification loss.
+Each sample is a node of the population graph; :class:`~popgraph.nn.GraphConv`
+layers over its dense adjacency mix the graph representations of similar
+samples, and a per-node MLP head turns each mixed representation into class
+probabilities. Gradients flow through a learned adjacency, so the
+edge-weight parameters learn from the classification loss.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Linear, uniform_init
+from .nn import MLP, GraphConv
 from .tensor import Tensor, log_softmax, relu, softmax
 
 
@@ -25,32 +25,6 @@ class ClassifierConfig:
             raise ValueError("head_dims must end in the class count")
 
 
-def dense_graph_conv(h: Tensor, a: Tensor, w_self: Tensor, w_neigh: Tensor,
-                     bias: Tensor) -> Tensor:
-    """out = h @ W_self + A @ (h @ W_neigh) + bias, dense weighted adjacency."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    if a.shape[0] != h.shape[0]:
-        raise ValueError(f"adjacency {a.shape} does not match {h.shape[0]} samples")
-    return h @ w_self + a @ (h @ w_neigh) + bias
-
-
-class DenseGraphConvLayer:
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="pop_conv"):
-        self.w_self = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                             name=f"{name}.w_self")
-        self.w_neigh = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                              name=f"{name}.w_neigh")
-        self.bias = Tensor(uniform_init(rng, (d_out,), d_in), requires_grad=True,
-                           name=f"{name}.bias")
-
-    def forward(self, h: Tensor, a: Tensor) -> Tensor:
-        return dense_graph_conv(h, a, self.w_self, self.w_neigh, self.bias)
-
-    def parameters(self):
-        return [self.w_self, self.w_neigh, self.bias]
-
-
 class PopulationClassifier:
     """GNN layers over the population adjacency, then a per-node head."""
 
@@ -58,24 +32,16 @@ class PopulationClassifier:
         self.config = config
         dims = [input_dim] + list(config.gnn_dims)
         self.gnn_layers = [
-            DenseGraphConvLayer(dims[i], dims[i + 1], rng, name=f"f3.conv{i}")
+            GraphConv(dims[i], dims[i + 1], rng, name=f"f3.conv{i}")
             for i in range(len(dims) - 1)
         ]
-        head_dims = [dims[-1]] + list(config.head_dims)
-        self.head = [
-            Linear(head_dims[i], head_dims[i + 1], rng, name=f"f3.head{i}")
-            for i in range(len(head_dims) - 1)
-        ]
+        self.head = MLP([dims[-1]] + list(config.head_dims), rng, name="f3.head")
 
     def logits(self, h: Tensor, a: Tensor) -> Tensor:
         x = h
         for layer in self.gnn_layers:
             x = relu(layer.forward(x, a))
-        for i, layer in enumerate(self.head):
-            x = layer.forward(x)
-            if i + 1 < len(self.head):
-                x = relu(x)
-        return x
+        return self.head.forward(x)
 
     def forward(self, h: Tensor, a: Tensor):
         """Returns (probabilities, logits); probability rows sum to 1."""
@@ -84,14 +50,7 @@ class PopulationClassifier:
 
     def parameters(self):
         params = [p for layer in self.gnn_layers for p in layer.parameters()]
-        return params + [p for layer in self.head for p in layer.parameters()]
-
-
-def f3_forward(module: PopulationClassifier, h: Tensor, pop) -> Tensor:
-    """Class probabilities per population node (pop: PopulationGraph or Tensor)."""
-    a = pop.a_p if hasattr(pop, "a_p") else pop
-    probs, _ = module.forward(h, a)
-    return probs
+        return params + self.head.parameters()
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class DatasetFormatError(ValueError):
@@ -50,29 +51,36 @@ class Graph:
 class GraphBatch:
     """N graphs stacked for joint processing: the population for one step.
 
-    ``node_offsets`` are prefix indices for block-diagonal stacking;
-    ``src``/``dst`` hold the batch-global directed edge expansion (each
-    undirected edge contributes both directions).
+    ``node_offsets`` are prefix indices for block-diagonal stacking.
+    ``adjacency`` is the batch-global sparse (CSR) adjacency: each undirected
+    edge contributes both directions, a self-loop one entry. ``membership``
+    is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes.
+    Every graph must have at least one node.
     """
 
     def __init__(self, graphs):
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
         self.graphs = list(graphs)
-        counts = [g.node_count for g in self.graphs]
+        counts = np.array([g.node_count for g in self.graphs], dtype=np.intp)
+        empty = np.flatnonzero(counts <= 0)
+        if empty.size:
+            raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
         self.node_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         self.labels = np.array([g.label for g in self.graphs], dtype=np.intp)
         self.features = np.concatenate([g.features for g in self.graphs], axis=0)
-        src, dst = [], []
-        for g, base in zip(self.graphs, self.node_offsets[:-1]):
-            for u, v in g.edges:
-                src.append(base + u)
-                dst.append(base + v)
-                if u != v:
-                    src.append(base + v)
-                    dst.append(base + u)
-        self.src = np.array(src, dtype=np.intp)
-        self.dst = np.array(dst, dtype=np.intp)
+        n = self.total_nodes
+        edges = np.concatenate(
+            [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) + base
+             for g, base in zip(self.graphs, self.node_offsets[:-1])])
+        u, v = edges[:, 0], edges[:, 1]
+        loop = u == v
+        rows = np.concatenate([v, u[~loop]])
+        cols = np.concatenate([u, v[~loop]])
+        self.adjacency = sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.membership = sp.csr_matrix(
+            (np.ones(n), np.arange(n), self.node_offsets), shape=(len(counts), n))
 
     def __len__(self):
         return len(self.graphs)

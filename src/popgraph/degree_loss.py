@@ -36,7 +36,6 @@ class DegreeLossState:
     degrees: Tensor
     assignment: Tensor  # n_bins x N, columns sum to 1
     distribution: Tensor  # length n_bins
-    sigma_assign: float = ASSIGN_SIGMA
 
 
 class TargetDistribution:
@@ -67,12 +66,6 @@ class TargetDistribution:
         centered = bins - self.mu
         inv_two_var = exp(self.sigma_raw * -2.0) * 0.5
         return log_softmax((centered * centered) * -1.0 * inv_two_var, axis=-1)
-
-    def distribution(self, n: int) -> Tensor:
-        bins = Tensor(np.arange(n, dtype=np.float64))
-        centered = bins - self.mu
-        inv_two_var = exp(self.sigma_raw * -2.0) * 0.5
-        return softmax((centered * centered) * -1.0 * inv_two_var, axis=-1)
 
     def parameters(self):
         return [self.mu, self.sigma_raw]
@@ -129,16 +122,14 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     return ce + kl * alpha
 
 
-def degree_loss(a_p: Tensor, target: TargetDistribution, sigma: float = ASSIGN_SIGMA,
-                mask: Tensor = None):
+def degree_loss(a_p: Tensor, target: TargetDistribution, mask: Tensor = None):
     """Full Eq-chain evaluation: returns (kl, DegreeLossState)."""
     a_bar = threshold_adjacency(a_p, mask=mask)
     degrees = node_degrees(a_bar)
     n = a_p.shape[0]
-    assignment = soft_assign(degrees, n, sigma)
+    assignment = soft_assign(degrees, n)
     p = degree_distribution(assignment)
     kl = kl_divergence(p, target)
     return kl, DegreeLossState(
         a_bar=a_bar, degrees=degrees, assignment=assignment, distribution=p,
-        sigma_assign=sigma,
     )

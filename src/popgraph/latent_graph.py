@@ -65,10 +65,3 @@ class LatentGraphParams:
     def parameters(self):
         return self.mlp.parameters() + [self.t_raw, self.theta]
 
-
-def embed(params: LatentGraphParams, h: Tensor) -> Tensor:
-    return params.embed(h)
-
-
-def edge_weights(params: LatentGraphParams, embedded: Tensor) -> PopulationGraph:
-    return params.edge_weights(embedded)

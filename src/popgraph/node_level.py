@@ -1,18 +1,20 @@
 """Per-graph message passing plus global pooling: one vector per input graph.
 
-The convolution rule is x'_i = W_self x_i + W_neigh * sum_{j in N(i)} x_j + b,
-with the neighbor sum taken over the undirected edge list expanded to both
-directions. Pooling (mean or add) then collapses each graph's node rows to a
-single representation, so downstream modules see one row per sample.
+Each layer is a :class:`~popgraph.nn.GraphConv` over the batch's
+block-diagonal sparse adjacency, x'_i = W_self x_i + sum_{j in N(i)} W_neigh x_j
++ b, so no message crosses from one input graph to another. Pooling (mean or
+add) then collapses each graph's node rows to a single representation with
+one sparse product, so downstream modules see one row per sample.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import GraphBatch
-from .nn import uniform_init
-from .tensor import Tensor, neighbor_sum, relu, segment_sum
+from .nn import GraphConv
+from .tensor import Tensor, matmul, relu
 
 
 POOLING_MODES = ("mean", "add")
@@ -20,59 +22,24 @@ POOLING_MODES = ("mean", "add")
 
 @dataclass
 class NodeLevelConfig:
-    layer_dims: list
+    layer_dims: list  # the last entry is the width of the pooled output
     pooling: str = "mean"
-    output_dim: int = 0  # defaults to layer_dims[-1]
 
     def __post_init__(self):
         if not self.layer_dims:
             raise ValueError("layer_dims must be non-empty")
-        if self.output_dim == 0:
-            self.output_dim = self.layer_dims[-1]
-        if self.output_dim != self.layer_dims[-1]:
-            raise ValueError(
-                f"output_dim {self.output_dim} != last layer dim {self.layer_dims[-1]}"
-            )
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}")
 
 
-class GraphConvLayer:
-    """One graph convolution with separate self and neighbor weights."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="conv"):
-        self.w_self = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                             name=f"{name}.w_self")
-        self.w_neigh = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                              name=f"{name}.w_neigh")
-        self.bias = Tensor(uniform_init(rng, (d_out,), d_in), requires_grad=True,
-                           name=f"{name}.bias")
-
-    def forward(self, features: Tensor, batch: GraphBatch) -> Tensor:
-        agg = neighbor_sum(features, batch.src, batch.dst, batch.total_nodes)
-        return features @ self.w_self + agg @ self.w_neigh + self.bias
-
-    def parameters(self):
-        return [self.w_self, self.w_neigh, self.bias]
-
-
-def graph_conv_forward(layer: GraphConvLayer, batch: GraphBatch, features: Tensor) -> Tensor:
-    if features.shape[0] != batch.total_nodes:
-        raise ValueError(
-            f"features have {features.shape[0]} rows for {batch.total_nodes} nodes"
-        )
-    return layer.forward(features, batch)
-
-
 def global_pool(batch: GraphBatch, node_features: Tensor, mode: str) -> Tensor:
-    """Reduce node rows to one row per graph using node_offsets."""
+    """Reduce node rows to one row per graph: sum, or mean for ``"mean"``."""
     if mode not in POOLING_MODES:
         raise ValueError(f"pooling must be one of {POOLING_MODES}")
-    pooled = segment_sum(node_features, batch.node_offsets)
+    pool = batch.membership
     if mode == "mean":
-        counts = np.diff(batch.node_offsets).astype(np.float64)
-        pooled = pooled * Tensor((1.0 / counts)[:, None])
-    return pooled
+        pool = sp.diags(1.0 / np.diff(batch.node_offsets)) @ pool
+    return matmul(pool, node_features)
 
 
 class NodeLevelModule:
@@ -82,19 +49,15 @@ class NodeLevelModule:
         self.config = config
         dims = [input_dim] + list(config.layer_dims)
         self.layers = [
-            GraphConvLayer(dims[i], dims[i + 1], rng, name=f"f1.conv{i}")
+            GraphConv(dims[i], dims[i + 1], rng, name=f"f1.conv{i}")
             for i in range(len(dims) - 1)
         ]
 
     def forward(self, batch: GraphBatch) -> Tensor:
         x = Tensor(batch.features)
         for layer in self.layers:
-            x = relu(graph_conv_forward(layer, batch, x))
+            x = relu(layer.forward(x, batch.adjacency))
         return global_pool(batch, x, self.config.pooling)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
-
-
-def f1_forward(module: NodeLevelModule, batch: GraphBatch) -> Tensor:
-    return module.forward(batch)

@@ -1,16 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation the pipeline needs lives here: elementwise
-arithmetic with numpy-style broadcasting, matmul, activations, reductions,
-row softmax, pairwise Euclidean distances, scatter/segment sums for batched
-graphs, and the finite-difference oracle the test suite leans on.
+arithmetic with numpy-style broadcasting, matmul (whose left operand may also
+be a constant ``scipy.sparse`` matrix, the graph adjacencies and pooling
+matrices of batched graphs), activations, reductions, row softmax, pairwise
+Euclidean distances, and the finite-difference oracle the test suite leans on.
 
 Everything is float64. Tensors produced by an operation record their parents
 and a local gradient rule; ``backward`` replays those rules over the tape in
-reverse topological order.
+reverse topological order, handing each rule its output's gradient. The rules
+never refer to their own output, so a finished step's tensors are freed by
+reference counting alone.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -106,7 +110,7 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         for node in reversed(tape.entries):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 class Tape:
@@ -181,9 +185,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
 
-    def backward():
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad)
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record(out, (a, b), backward)
 
@@ -192,9 +196,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
 
-    def backward():
-        _accumulate(a, out.grad)
-        _accumulate(b, -out.grad)
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
     return _record(out, (a, b), backward)
 
@@ -203,9 +207,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
 
-    def backward():
-        _accumulate(a, out.grad * b.data)
-        _accumulate(b, out.grad * a.data)
+    def backward(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _record(out, (a, b), backward)
 
@@ -213,36 +217,45 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scalar_mul(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s)
 
-    def backward():
-        _accumulate(a, out.grad * s)
+    def backward(g):
+        _accumulate(a, g * s)
 
     return _record(out, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}"
-        )
-    out = Tensor(a.data @ b.data)
+def matmul(a, b: Tensor) -> Tensor:
+    """a @ b; ``a`` is a Tensor or a constant scipy.sparse matrix.
 
-    def backward():
-        _accumulate(a, out.grad @ b.data.T)
-        _accumulate(b, a.data.T @ out.grad)
+    Gradients are formed only for operands that require them, so a constant
+    operand (a sparse adjacency, a fixed dense graph) costs no backward work.
+    """
+    sparse = sp.issparse(a)
+    a_data = a if sparse else a.data
+    if a_data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(
+            f"matmul expects 2-D operands, got {a_data.shape} and {b.data.shape}"
+        )
+    if a_data.shape[1] != b.data.shape[0]:
+        raise ShapeError(
+            f"matmul: inner dimensions differ, {a_data.shape} vs {b.data.shape}"
+        )
+    out = Tensor(a_data @ b.data)
 
-    return _record(out, (a, b), backward)
+    def backward(g):
+        if not sparse and a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a_data.T @ g)
+
+    return _record(out, (b,) if sparse else (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at exactly 0
     out = Tensor(np.where(mask, a.data, 0.0))
 
-    def backward():
-        _accumulate(a, out.grad * mask)
+    def backward(g):
+        _accumulate(a, g * mask)
 
     return _record(out, (a,), backward)
 
@@ -256,8 +269,8 @@ def sigmoid(a: Tensor) -> Tensor:
     y[~pos] = ex / (1.0 + ex)
     out = Tensor(y)
 
-    def backward():
-        _accumulate(a, out.grad * y * (1.0 - y))
+    def backward(g):
+        _accumulate(a, g * y * (1.0 - y))
 
     return _record(out, (a,), backward)
 
@@ -266,8 +279,8 @@ def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     out = Tensor(y)
 
-    def backward():
-        _accumulate(a, out.grad * y)
+    def backward(g):
+        _accumulate(a, g * y)
 
     return _record(out, (a,), backward)
 
@@ -277,8 +290,8 @@ def log(a: Tensor) -> Tensor:
         raise ValueError("log: input contains non-finite values")
     out = Tensor(np.log(a.data))
 
-    def backward():
-        _accumulate(a, out.grad / a.data)
+    def backward(g):
+        _accumulate(a, g / a.data)
 
     return _record(out, (a,), backward)
 
@@ -291,8 +304,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
     return _record(out, (a,), backward)
@@ -306,8 +318,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     y = shifted - lse
     out = Tensor(y)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     return _record(out, (a,), backward)
@@ -316,8 +327,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
@@ -329,8 +339,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g / count, a.data.shape).copy())
@@ -358,8 +367,7 @@ def pairwise_euclidean(a: Tensor) -> Tensor:
     dist = np.sqrt(sq)
     out = Tensor(dist)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(dist > 0.0, (g + g.T) / dist, 0.0)
         _accumulate(a, w.sum(axis=1)[:, None] * x - w @ x)
@@ -372,8 +380,8 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     spans = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
-    def backward():
-        for t, piece in zip(tensors, np.split(out.grad, spans, axis=axis)):
+    def backward(g):
+        for t, piece in zip(tensors, np.split(g, spans, axis=axis)):
             _accumulate(t, piece)
 
     return _record(out, tuple(tensors), backward)
@@ -384,8 +392,8 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose expects a 2-D input, got {a.data.shape}")
     out = Tensor(a.data.T.copy())
 
-    def backward():
-        _accumulate(a, out.grad.T)
+    def backward(g):
+        _accumulate(a, g.T)
 
     return _record(out, (a,), backward)
 
@@ -393,8 +401,8 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy())
 
-    def backward():
-        _accumulate(a, out.grad.reshape(a.data.shape))
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
 
     return _record(out, (a,), backward)
 
@@ -407,40 +415,6 @@ def greater(a: Tensor, threshold: float) -> Tensor:
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity on values; blocks all gradient flow."""
     return Tensor(a.data.copy())
-
-
-def neighbor_sum(a: Tensor, src: np.ndarray, dst: np.ndarray, num_rows: int) -> Tensor:
-    """Scatter-add rows: out[dst[e]] += a[src[e]] for every directed edge e."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"neighbor_sum expects a 2-D input, got {a.data.shape}")
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    result = np.zeros((num_rows, a.data.shape[1]))
-    np.add.at(result, dst, a.data[src])
-    out = Tensor(result)
-
-    def backward():
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, src, out.grad[dst])
-        _accumulate(a, buf)
-
-    return _record(out, (a,), backward)
-
-
-def segment_sum(a: Tensor, offsets: np.ndarray) -> Tensor:
-    """Sum contiguous row segments; segment g covers rows offsets[g]:offsets[g+1]."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"segment_sum expects a 2-D input, got {a.data.shape}")
-    offsets = np.asarray(offsets, dtype=np.intp)
-    counts = np.diff(offsets)
-    if np.any(counts <= 0) or offsets[-1] != a.data.shape[0]:
-        raise ShapeError(f"segment offsets {offsets.tolist()} do not partition {a.data.shape[0]} rows")
-    out = Tensor(np.add.reduceat(a.data, offsets[:-1], axis=0))
-
-    def backward():
-        _accumulate(a, np.repeat(out.grad, counts, axis=0))
-
-    return _record(out, (a,), backward)
 
 
 def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from popgraph.classifier import (
-    ClassifierConfig,
-    PopulationClassifier,
-    cross_entropy,
-    dense_graph_conv,
-    f3_forward,
-)
+from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.nn import GraphConv
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -18,23 +13,27 @@ def make_classifier(rng, input_dim=4, gnn_dims=(3,), head_dims=(3, 2)):
     return PopulationClassifier(config, input_dim, rng)
 
 
+def dense_conv(h, a, w_self, w_neigh, bias):
+    """One GraphConv with the given weights over a dense adjacency."""
+    layer = GraphConv(*w_self.shape, np.random.default_rng(0))
+    layer.w_self.data, layer.w_neigh.data, layer.bias.data = w_self, w_neigh, bias
+    return layer.forward(h, a)
+
+
 def test_dense_conv_isolated_population():
     rng = np.random.default_rng(0)
     h = Tensor(rng.normal(size=(4, 3)))
-    w_self = Tensor(rng.normal(size=(3, 2)))
-    w_neigh = Tensor(rng.normal(size=(3, 2)))
-    bias = Tensor(rng.normal(size=2))
-    out = dense_graph_conv(h, Tensor(np.zeros((4, 4))), w_self, w_neigh, bias)
-    np.testing.assert_allclose(out.data, h.data @ w_self.data + bias.data, atol=1e-12)
+    w_self = rng.normal(size=(3, 2))
+    w_neigh = rng.normal(size=(3, 2))
+    bias = rng.normal(size=2)
+    out = dense_conv(h, Tensor(np.zeros((4, 4))), w_self, w_neigh, bias)
+    np.testing.assert_allclose(out.data, h.data @ w_self + bias, atol=1e-12)
 
 
 def test_dense_conv_all_ones_hand_sum():
     h = Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     a = Tensor(np.ones((3, 3)) - np.eye(3))
-    w_self = Tensor(np.zeros((2, 2)))
-    w_neigh = Tensor(np.eye(2))
-    bias = Tensor(np.zeros(2))
-    out = dense_graph_conv(h, a, w_self, w_neigh, bias)
+    out = dense_conv(h, a, np.zeros((2, 2)), np.eye(2), np.zeros(2))
     expected = np.array([[2.0, 3.0], [3.0, 2.0], [1.0, 1.0]])  # sum of other rows
     np.testing.assert_array_equal(out.data, expected)
 
@@ -45,28 +44,28 @@ def test_dense_conv_matches_dense_multiply_oracle():
     a = rng.random((6, 6))
     np.fill_diagonal(a, 0.0)
     w_self, w_neigh, bias = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    out = dense_graph_conv(Tensor(h), Tensor(a), Tensor(w_self), Tensor(w_neigh), Tensor(bias))
+    out = dense_conv(Tensor(h), Tensor(a), w_self, w_neigh, bias)
     oracle = h @ w_self + a @ h @ w_neigh + bias
     np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
 
 def test_dense_conv_shape_errors():
     h = Tensor(np.zeros((4, 3)))
-    w = Tensor(np.zeros((3, 2)))
-    b = Tensor(np.zeros(2))
-    with pytest.raises(ValueError, match="square"):
-        dense_graph_conv(h, Tensor(np.zeros((4, 5))), w, w, b)
-    with pytest.raises(ValueError, match="samples"):
-        dense_graph_conv(h, Tensor(np.zeros((5, 5))), w, w, b)
+    w = np.zeros((3, 2))
+    b = np.zeros(2)
+    with pytest.raises(ValueError, match=r"\(4, 5\) for 4 node rows"):
+        dense_conv(h, Tensor(np.zeros((4, 5))), w, w, b)
+    with pytest.raises(ValueError, match=r"\(5, 5\) for 4 node rows"):
+        dense_conv(h, Tensor(np.zeros((5, 5))), w, w, b)
 
 
 def test_zero_head_gives_uniform_probabilities():
     rng = np.random.default_rng(2)
     clf = make_classifier(rng)
-    clf.head[-1].weight.data[:] = 0.0
-    clf.head[-1].bias.data[:] = 0.0
+    clf.head.layers[-1].weight.data[:] = 0.0
+    clf.head.layers[-1].bias.data[:] = 0.0
     h = Tensor(rng.normal(size=(5, 4)))
-    probs = f3_forward(clf, h, Tensor(np.zeros((5, 5))))
+    probs = clf.forward(h, Tensor(np.zeros((5, 5))))[0]
     np.testing.assert_allclose(probs.data, np.full((5, 2), 0.5), atol=1e-12)
 
 
@@ -74,7 +73,7 @@ def test_identical_rows_identical_probabilities():
     rng = np.random.default_rng(3)
     clf = make_classifier(rng)
     h = np.tile(rng.normal(size=(1, 4)), (2, 1))
-    probs = f3_forward(clf, Tensor(h), Tensor(np.zeros((2, 2))))
+    probs = clf.forward(Tensor(h), Tensor(np.zeros((2, 2))))[0]
     np.testing.assert_array_equal(probs.data[0], probs.data[1])
 
 
@@ -85,7 +84,7 @@ def test_rows_are_stochastic():
     a = rng.random((7, 7))
     a = (a + a.T) / 2
     np.fill_diagonal(a, 0.0)
-    probs = f3_forward(clf, h, Tensor(a))
+    probs = clf.forward(h, Tensor(a))[0]
     np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(7), atol=1e-9)
 
 
@@ -96,8 +95,8 @@ def test_population_permutation_equivariance():
     a = rng.random((6, 6))
     np.fill_diagonal(a, 0.0)
     perm = rng.permutation(6)
-    base = f3_forward(clf, Tensor(h), Tensor(a)).data
-    permuted = f3_forward(clf, Tensor(h[perm]), Tensor(a[np.ix_(perm, perm)])).data
+    base = clf.forward(Tensor(h), Tensor(a))[0].data
+    permuted = clf.forward(Tensor(h[perm]), Tensor(a[np.ix_(perm, perm)]))[0].data
     np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
 
@@ -107,10 +106,10 @@ def test_neighbor_influence():
     h = rng.normal(size=(3, 4))
     a = np.zeros((3, 3))
     a[0, 1] = a[1, 0] = 0.8  # node 2 isolated
-    base = f3_forward(clf, Tensor(h), Tensor(a)).data
+    base = clf.forward(Tensor(h), Tensor(a))[0].data
     h2 = h.copy()
     h2[1] += 1.0
-    moved = f3_forward(clf, Tensor(h2), Tensor(a)).data
+    moved = clf.forward(Tensor(h2), Tensor(a))[0].data
     assert np.abs(moved[0] - base[0]).max() > 1e-6  # connected node moves
     np.testing.assert_allclose(moved[2], base[2], atol=1e-12)  # isolated does not
 

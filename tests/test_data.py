@@ -143,10 +143,17 @@ def test_batch_preserves_edge_counts_and_offsets():
     )
     graphs = make_synthetic_dataset(spec, seed=9)
     batch = GraphBatch(graphs)
-    assert len(batch.src) == 2 * sum(len(g.edges) for g in graphs)
+    assert batch.adjacency.nnz == 2 * sum(len(g.edges) for g in graphs)
     assert batch.node_offsets[-1] == sum(g.node_count for g in graphs)
     assert np.all(np.diff(batch.node_offsets) > 0)
     assert batch.features.shape[0] == batch.total_nodes
+
+
+def test_batch_rejects_empty_graph():
+    graphs = [Graph(2, [(0, 1)], np.ones((2, 2)), 0), Graph(0, [], np.ones((0, 2)), 1),
+              Graph(2, [], np.ones((2, 2)), 0)]
+    with pytest.raises(ValueError, match="graph 1 .*no nodes"):
+        GraphBatch(graphs)
 
 
 def test_make_splits_small_example():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from popgraph.latent_graph import LatentGraphParams, edge_weights, embed
+from popgraph.latent_graph import LatentGraphParams
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -15,7 +15,7 @@ def test_identity_layer_embeds_identically():
     params.mlp.layers[0].weight.data = np.eye(3)
     params.mlp.layers[0].bias.data = np.zeros(3)
     h = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-    np.testing.assert_array_equal(embed(params, h).data, h.data)
+    np.testing.assert_array_equal(params.embed(h).data, h.data)
 
 
 def test_zero_weights_collapse_distances():
@@ -35,7 +35,7 @@ def test_zero_distance_gives_half_weight():
     params = make_params([2, 2])
     params.theta.data = np.asarray(0.0)
     embedded = Tensor(np.zeros((3, 2)))
-    pop = edge_weights(params, embedded)
+    pop = params.edge_weights(embedded)
     off = pop.a_p.data[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 0.5, atol=1e-12)
 
@@ -44,7 +44,7 @@ def test_weight_vanishes_at_large_distance():
     params = make_params([1, 1])
     params.theta.data = np.asarray(2.0)
     embedded = Tensor([[0.0], [1e6]])
-    pop = edge_weights(params, embedded)
+    pop = params.edge_weights(embedded)
     assert pop.a_p.data[0, 1] < 1e-12
 
 
@@ -54,7 +54,7 @@ def test_weight_value_at_unit_distance():
     params.t_raw.data = np.asarray(math.log(2.0))
     params.theta.data = np.asarray(1.0)
     embedded = Tensor([[0.0], [1.0]])
-    pop = edge_weights(params, embedded)
+    pop = params.edge_weights(embedded)
     np.testing.assert_allclose(pop.a_p.data[0, 1], 1.0 / (1.0 + math.e), atol=1e-12)
     np.testing.assert_allclose(pop.a_p.data[0, 1], 0.2689414213699951, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_ordering_property():
     rng = np.random.default_rng(4)
     params = make_params([2, 2], rng)
     embedded = Tensor(rng.normal(size=(6, 2)) * 3.0)
-    pop = edge_weights(params, embedded)
+    pop = params.edge_weights(embedded)
     d = np.linalg.norm(
         embedded.data[:, None, :] - embedded.data[None, :, :], axis=2
     )
@@ -88,8 +88,8 @@ def test_translation_invariance():
     rng = np.random.default_rng(5)
     params = make_params([2, 2], rng)
     embedded = rng.normal(size=(5, 2))
-    a1 = edge_weights(params, Tensor(embedded)).a_p.data
-    a2 = edge_weights(params, Tensor(embedded + 7.25)).a_p.data
+    a1 = params.edge_weights(Tensor(embedded)).a_p.data
+    a2 = params.edge_weights(Tensor(embedded + 7.25)).a_p.data
     np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 
@@ -98,13 +98,13 @@ def test_weight_derivative_signs():
     params = make_params([2, 2], rng)
     embedded = Tensor(rng.normal(size=(4, 2)), requires_grad=False)
     eps = 1e-6
-    base = edge_weights(params, embedded).a_p.data
+    base = params.edge_weights(embedded).a_p.data
     params.theta.data = params.theta.data + eps
-    up = edge_weights(params, embedded).a_p.data
+    up = params.edge_weights(embedded).a_p.data
     params.theta.data = params.theta.data - eps
     off = ~np.eye(4, dtype=bool)
     assert np.all((up - base)[off] > 0)  # da/dtheta > 0
-    scaled = edge_weights(params, Tensor(embedded.data * (1 + eps))).a_p.data
+    scaled = params.edge_weights(Tensor(embedded.data * (1 + eps))).a_p.data
     assert np.all((scaled - base)[off] < 0)  # da/dd < 0
 
 

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from popgraph.data import Graph, GraphBatch
-from popgraph.node_level import (
-    GraphConvLayer,
-    NodeLevelConfig,
-    NodeLevelModule,
-    f1_forward,
-    global_pool,
-    graph_conv_forward,
-)
+from popgraph.nn import GraphConv
+from popgraph.node_level import NodeLevelConfig, NodeLevelModule, global_pool
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -17,40 +11,44 @@ def single_graph_batch(n, edges, features, label=0):
     return GraphBatch([Graph(node_count=n, edges=edges, features=np.asarray(features, dtype=float), label=label)])
 
 
-def dense_adjacency(batch):
-    n = batch.total_nodes
+def dense_adjacency(n, edges):
     a = np.zeros((n, n))
-    a[batch.src, batch.dst] = 1.0
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
     return a
+
+
+def conv(layer, batch):
+    return layer.forward(Tensor(batch.features), batch.adjacency)
 
 
 def test_edgeless_graph_only_self_term():
     rng = np.random.default_rng(0)
-    layer = GraphConvLayer(3, 2, rng)
+    layer = GraphConv(3, 2, rng)
     batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
-    out = graph_conv_forward(layer, batch, Tensor(batch.features))
+    out = conv(layer, batch)
     expected = batch.features @ layer.w_self.data + layer.bias.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_two_node_identity_hand_sum():
     rng = np.random.default_rng(0)
-    layer = GraphConvLayer(1, 1, rng)
+    layer = GraphConv(1, 1, rng)
     layer.w_self.data = np.eye(1)
     layer.w_neigh.data = np.eye(1)
     layer.bias.data = np.zeros(1)
     batch = single_graph_batch(2, [(0, 1)], [[1.0], [2.0]])
-    out = graph_conv_forward(layer, batch, Tensor(batch.features))
+    out = conv(layer, batch)
     np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
 
 
 def test_graph_conv_matches_dense_oracle():
     rng = np.random.default_rng(1)
-    layer = GraphConvLayer(4, 3, rng)
+    layer = GraphConv(4, 3, rng)
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]
     batch = single_graph_batch(5, edges, rng.normal(size=(5, 4)))
-    out = graph_conv_forward(layer, batch, Tensor(batch.features))
-    a = dense_adjacency(batch)
+    out = conv(layer, batch)
+    a = dense_adjacency(5, edges)
     oracle = (
         batch.features @ layer.w_self.data
         + a @ batch.features @ layer.w_neigh.data
@@ -61,10 +59,26 @@ def test_graph_conv_matches_dense_oracle():
 
 def test_graph_conv_rejects_wrong_rows():
     rng = np.random.default_rng(2)
-    layer = GraphConvLayer(2, 2, rng)
+    layer = GraphConv(2, 2, rng)
     batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="rows"):
-        graph_conv_forward(layer, batch, Tensor(np.zeros((5, 2))))
+        layer.forward(Tensor(np.zeros((5, 2))), batch.adjacency)
+
+
+def test_sparse_and_dense_adjacency_agree():
+    rng = np.random.default_rng(8)
+    layer = GraphConv(3, 2, rng)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)]
+    batch = single_graph_batch(4, edges, rng.normal(size=(4, 3)))
+    mix = rng.normal(size=(4, 2))
+    results = []
+    for adjacency in (batch.adjacency, Tensor(batch.adjacency.toarray())):
+        x = Tensor(batch.features, requires_grad=True)
+        out = layer.forward(x, adjacency)
+        (out * Tensor(mix)).sum().backward()
+        results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
+    for sparse, dense in zip(*results):
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
 
 
 def test_global_pool_singletons_identity():
@@ -115,7 +129,7 @@ def test_zero_final_layer_gives_zero_h():
     module.layers[-1].w_neigh.data[:] = 0.0
     module.layers[-1].bias.data[:] = 0.0
     batch = GraphBatch([random_graph(rng, 5, 3), random_graph(rng, 4, 3)])
-    h = f1_forward(module, batch)
+    h = module.forward(batch)
     np.testing.assert_array_equal(h.data, np.zeros((2, 4)))
 
 
@@ -170,7 +184,5 @@ def test_f1_gradient_check():
 def test_config_validation():
     with pytest.raises(ValueError):
         NodeLevelConfig(layer_dims=[])
-    with pytest.raises(ValueError):
-        NodeLevelConfig(layer_dims=[8], output_dim=4)
     with pytest.raises(ValueError):
         NodeLevelConfig(layer_dims=[8], pooling="median")

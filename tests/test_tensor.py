@@ -1,7 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from popgraph import tensor as T
+from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
+from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
+from popgraph.latent_graph import LatentGraphParams
+from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
 
 
@@ -62,6 +71,8 @@ def test_shape_mismatch_names_both_shapes():
         a + b
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
         a @ b
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+        T.matmul(sp.csr_matrix(a.data), b)
 
 
 def test_log_rejects_nan():
@@ -96,6 +107,36 @@ def test_tape_topological_order_and_unique_visits():
     for node in tape.entries:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_step_tape_is_freed_without_cycle_collector():
+    spec = SyntheticSpec(classes=2, graphs_per_class=3, nodes_min=3, nodes_max=5,
+                         topology="ambiguous_features", feature_dim=2, noise_sigma=0.5)
+    batch = GraphBatch(make_synthetic_dataset(spec, seed=0))
+    rng = np.random.default_rng(0)
+    f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[4]), 2, rng)
+    f2 = LatentGraphParams([4, 3], rng)
+    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[4], head_dims=[2]), 4, rng)
+    target = TargetDistribution.for_support(len(batch))
+
+    def step():
+        h = f1.forward(batch)
+        a = f2.forward(h).a_p
+        _, logits = f3.forward(h, a)
+        kl, _ = degree_loss(a, target)
+        loss = total_loss(cross_entropy(logits, batch.labels), kl, 1.0)
+        loss.backward()
+        return loss, a, weakref.ref(h)
+
+    gc.collect()
+    gc.disable()
+    try:
+        loss, a, intermediate = step()
+        assert intermediate() is not None
+        del loss, a
+        assert intermediate() is None
+    finally:
+        gc.enable()
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariance():
@@ -139,19 +180,12 @@ def test_greater_mask_is_constant():
 
 def test_neighbor_sum_hand_case():
     x = Tensor([[1.0], [2.0], [4.0]], requires_grad=True)
-    src = np.array([0, 1, 1, 2])
-    dst = np.array([1, 0, 2, 1])
-    out = T.neighbor_sum(x, src, dst, 3)
+    adjacency = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    out = T.matmul(adjacency, x)
     np.testing.assert_array_equal(out.data, [[2.0], [5.0], [2.0]])
     out.sum().backward()
     # node 0 feeds node 1, node 1 feeds nodes 0 and 2, node 2 feeds node 1
     np.testing.assert_array_equal(x.grad, [[1.0], [2.0], [1.0]])
-
-
-def test_segment_sum_rejects_bad_offsets():
-    x = Tensor(np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        T.segment_sum(x, np.array([0, 2, 2, 4]))
 
 
 def test_finite_difference_constant_gradient():
@@ -196,10 +230,8 @@ def test_gradient_check_binary_ops(name, fn, rows, cols):
         ("reshape", lambda x: (T.reshape(x, (4, 3)) * T.reshape(x, (4, 3))).sum()),
         ("concat", lambda x: (T.concatenate([x, x * 2.0], axis=0)
                               * T.concatenate([x * 3.0, x], axis=0)).sum()),
-        ("neighbor_sum", lambda x: (T.neighbor_sum(x, _NS_SRC, _NS_DST, 3)
-                                    * T.neighbor_sum(x, _NS_SRC, _NS_DST, 3)).sum()),
-        ("segment_sum", lambda x: (T.segment_sum(x, np.array([0, 1, 3]))
-                                   * T.segment_sum(x, np.array([0, 1, 3]))).sum()),
+        ("sparse_matmul", lambda x: (T.matmul(_SPARSE_ADJ, x) * T.matmul(_SPARSE_ADJ, x)).sum()),
+        ("sparse_pool", lambda x: (T.matmul(_SPARSE_POOL, x) * T.matmul(_SPARSE_POOL, x)).sum()),
     ],
 )
 def test_gradient_check_unary_ops(name, fn):
@@ -210,8 +242,10 @@ def test_gradient_check_unary_ops(name, fn):
 
 
 _PAIR_WEIGHTS = np.random.default_rng(7).normal(size=(3, 3))
-_NS_SRC = np.array([0, 1, 2, 2])
-_NS_DST = np.array([1, 2, 0, 1])
+# directed edges 0->1, 1->2, 2->0, 2->1 as adjacency[dst, src]
+_SPARSE_ADJ = sp.csr_matrix((np.ones(4), ([1, 2, 0, 1], [0, 1, 2, 2])), shape=(3, 3))
+# mean pooling of rows {0} and {1, 2}
+_SPARSE_POOL = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
 
 
 def test_gradient_check_many_seeds():

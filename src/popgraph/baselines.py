@@ -86,14 +86,6 @@ def wl_map_kernel(fa: WLFeatureMap, fb: WLFeatureMap) -> float:
     return sum(_histogram_dot(ha, hb) for ha, hb in zip(fa.histograms, fb.histograms))
 
 
-def wl_kernel(g1: Graph, g2: Graph, iterations: int = WL_DEFAULT_ITERATIONS) -> float:
-    """Sum over refinement rounds of histogram inner products."""
-    shared = {}
-    f1 = wl_feature_map(g1, iterations, shared)
-    f2 = wl_feature_map(g2, iterations, shared)
-    return wl_map_kernel(f1, f2)
-
-
 def wl_gram(graphs, iterations: int = WL_DEFAULT_ITERATIONS) -> np.ndarray:
     """Kernel matrix over a graph list with one shared label dictionary."""
     shared = {}
@@ -123,11 +115,6 @@ def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
     norms = np.sqrt(np.diag(gram))
     sim = gram / np.outer(norms, norms)
     return _knn_from_similarity(sim, k)
-
-
-def knn_population(graphs, k: int, iterations: int = WL_DEFAULT_ITERATIONS) -> np.ndarray:
-    """KNN adjacency on normalized WL kernel similarity between input graphs."""
-    return knn_from_gram(wl_gram(graphs, iterations), k)
 
 
 def dynamic_knn_population(h, k: int) -> np.ndarray:

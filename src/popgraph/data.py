@@ -135,6 +135,18 @@ def _read_lines(path: str):
         return [line.strip() for line in fh]
 
 
+def _numbered(lines):
+    """(1-based line number, text) of every non-blank line."""
+    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
+
+
+def _int(path: str, lineno: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DatasetFormatError(f"{path}:{lineno}: bad {what} {text!r}") from None
+
+
 def _require(directory: str, filename: str) -> str:
     path = os.path.join(directory, filename)
     if not os.path.exists(path):
@@ -142,12 +154,13 @@ def _require(directory: str, filename: str) -> str:
     return path
 
 
-def _optional_rows(directory: str, filename: str):
+def _optional_lines(directory: str, filename: str):
+    """(path, lines) of an optional file; lines is None when it is absent or blank."""
     path = os.path.join(directory, filename)
     if not os.path.exists(path):
-        return None
-    rows = [line for line in _read_lines(path) if line]
-    return rows or None  # an empty file counts as absent
+        return path, None
+    lines = _read_lines(path)
+    return path, lines if any(lines) else None
 
 
 def load_tu_dataset(directory: str, name: str):
@@ -155,22 +168,21 @@ def load_tu_dataset(directory: str, name: str):
 
     Node features are the one-hot of node labels concatenated with raw
     attributes when both files exist, whichever exists otherwise, and a
-    constant-1 single feature when neither does.
+    constant-1 single feature when neither does. Graph ids must run from 1
+    without gaps. A malformed file raises :class:`DatasetFormatError` naming
+    the file and, where one line is at fault, the line.
     """
     indicator_path = _require(directory, f"{name}_graph_indicator.txt")
     edges_path = _require(directory, f"{name}_A.txt")
     labels_path = _require(directory, f"{name}_graph_labels.txt")
 
+    indicator_lines = _read_lines(indicator_path)
     graph_of_node = []  # 0-based graph id per 0-based global node
-    for lineno, line in enumerate(_read_lines(indicator_path), start=1):
-        if not line:
-            continue
-        try:
-            graph_of_node.append(int(line) - 1)
-        except ValueError:
-            raise DatasetFormatError(
-                f"{indicator_path}:{lineno}: bad graph id {line!r}"
-            ) from None
+    for lineno, line in _numbered(indicator_lines):
+        gid = _int(indicator_path, lineno, line, "graph id")
+        if gid < 1:
+            raise DatasetFormatError(f"{indicator_path}:{lineno}: bad graph id {line!r}")
+        graph_of_node.append(gid - 1)
     if not graph_of_node:
         raise DatasetFormatError(f"{indicator_path}: no nodes")
     num_graphs = max(graph_of_node) + 1
@@ -182,12 +194,18 @@ def load_tu_dataset(directory: str, name: str):
     for node, g in enumerate(graph_of_node):
         local_index[node] = node_counts[g]
         node_counts[g] += 1
+    empty = np.flatnonzero(node_counts == 0)
+    if empty.size:
+        missing = int(empty[0])
+        lineno, line = next(row for row, g in zip(_numbered(indicator_lines), graph_of_node)
+                            if g > missing)
+        raise DatasetFormatError(
+            f"{indicator_path}:{lineno}: graph id {line} skips graph {missing + 1}, "
+            "which has no nodes"
+        )
 
-    raw_labels = []
-    for lineno, line in enumerate(_read_lines(labels_path), start=1):
-        if not line:
-            continue
-        raw_labels.append(int(line))
+    raw_labels = [_int(labels_path, lineno, line, "graph label")
+                  for lineno, line in _numbered(_read_lines(labels_path))]
     if len(raw_labels) != num_graphs:
         raise DatasetFormatError(
             f"{labels_path}: {len(raw_labels)} labels for {num_graphs} graphs"
@@ -195,13 +213,14 @@ def load_tu_dataset(directory: str, name: str):
     label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
 
     edge_sets = [set() for _ in range(num_graphs)]
-    for lineno, line in enumerate(_read_lines(edges_path), start=1):
-        if not line:
-            continue
+    for lineno, line in _numbered(_read_lines(edges_path)):
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise DatasetFormatError(f"{edges_path}:{lineno}: expected two node ids")
-        u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError:
+            raise DatasetFormatError(f"{edges_path}:{lineno}: bad node id in {line!r}") from None
         if not (0 <= u < total_nodes and 0 <= v < total_nodes):
             raise DatasetFormatError(
                 f"{edges_path}:{lineno}: node id outside dataset range"
@@ -215,31 +234,39 @@ def load_tu_dataset(directory: str, name: str):
         a, b = int(local_index[u]), int(local_index[v])
         edge_sets[g].add((min(a, b), max(a, b)))
 
-    node_label_rows = _optional_rows(directory, f"{name}_node_labels.txt")
-    attr_rows = _optional_rows(directory, f"{name}_node_attributes.txt")
+    node_labels_path, node_label_lines = _optional_lines(directory, f"{name}_node_labels.txt")
+    attrs_path, attr_lines = _optional_lines(directory, f"{name}_node_attributes.txt")
 
     blocks = []
-    if node_label_rows is not None:
-        if len(node_label_rows) != total_nodes:
+    if node_label_lines is not None:
+        values = [_int(node_labels_path, lineno, row, "node label")
+                  for lineno, row in _numbered(node_label_lines)]
+        if len(values) != total_nodes:
             raise DatasetFormatError(
-                f"{name}_node_labels.txt: {len(node_label_rows)} rows for {total_nodes} nodes"
+                f"{node_labels_path}: {len(values)} rows for {total_nodes} nodes"
             )
-        values = [int(r) for r in node_label_rows]
         classes = sorted(set(values))
         index = {c: i for i, c in enumerate(classes)}
         onehot = np.zeros((total_nodes, len(classes)))
         for node, value in enumerate(values):
             onehot[node, index[value]] = 1.0
         blocks.append(onehot)
-    if attr_rows is not None:
-        if len(attr_rows) != total_nodes:
-            raise DatasetFormatError(
-                f"{name}_node_attributes.txt: {len(attr_rows)} rows for {total_nodes} nodes"
-            )
-        attrs = np.array(
-            [[float(x) for x in row.replace(",", " ").split()] for row in attr_rows]
-        )
-        blocks.append(attrs)
+    if attr_lines is not None:
+        attrs = []
+        for lineno, row in _numbered(attr_lines):
+            try:
+                attrs.append([float(x) for x in row.replace(",", " ").split()])
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{attrs_path}:{lineno}: bad attribute row {row!r}") from None
+            if len(attrs[-1]) != len(attrs[0]):
+                raise DatasetFormatError(
+                    f"{attrs_path}:{lineno}: {len(attrs[-1])} attributes, "
+                    f"the first row has {len(attrs[0])}"
+                )
+        if len(attrs) != total_nodes:
+            raise DatasetFormatError(f"{attrs_path}: {len(attrs)} rows for {total_nodes} nodes")
+        blocks.append(np.array(attrs))
     if blocks:
         all_features = np.concatenate(blocks, axis=1)
     else:

@@ -1,41 +1,23 @@
-"""Degree-distribution regularizer for the learned population graph.
+"""Node-degree-distribution loss (NDDL) on the learned population graph.
 
-Pipeline: threshold the weighted adjacency at 0.5 (mask is constant w.r.t.
-gradients), sum surviving weights into soft node degrees, spread each degree
-over integer bins with a Gaussian kernel, normalize into an empirical
-distribution, and penalize its KL divergence from a learnable discrete
-Gaussian target. Adding the penalty (weighted by alpha) to the cross-entropy
-keeps the classifier loss intact while pressuring node degrees toward the
-target mean.
+``degree_loss`` runs the whole chain in one function. It thresholds the
+weighted adjacency strictly above 0.5 (the mask is a constant, so gradients
+flow only through the surviving entries) and sums each column into a soft
+node degree, a (1, N) row. Against a constant (N, 1) column of integer bins
+0..N-1 a Gaussian kernel scores every (bin, node) pair, a softmax over the
+bins turns each node's column into a soft assignment, and the row mean over
+nodes is the degree histogram ``p``. The loss is D_KL(p || q) to a learnable
+discrete Gaussian target q. Adding it (weighted by alpha) to the
+cross-entropy keeps the classifier loss intact while pressuring node degrees
+toward the target mean.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    exp,
-    greater,
-    log,
-    log_softmax,
-    reshape,
-    softmax,
-    transpose,
-)
+from .tensor import Tensor, exp, log, log_softmax, softmax
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
-
-
-@dataclass
-class DegreeLossState:
-    """Intermediate tensors of one degree-loss evaluation."""
-
-    a_bar: Tensor
-    degrees: Tensor
-    assignment: Tensor  # n_bins x N, columns sum to 1
-    distribution: Tensor  # length n_bins
 
 
 class TargetDistribution:
@@ -71,45 +53,8 @@ class TargetDistribution:
         return [self.mu, self.sigma_raw]
 
 
-def threshold_adjacency(a_p: Tensor, mask: Tensor = None) -> Tensor:
-    """Zero out entries not strictly above 0.5; the mask carries no gradient."""
-    if mask is None:
-        mask = greater(a_p, 0.5)
-    return a_p * mask
-
-
-def node_degrees(a_bar: Tensor) -> Tensor:
-    """Soft degree of node j: sum of column j of the thresholded adjacency."""
-    return a_bar.sum(axis=0)
-
-
-def soft_assign(degrees: Tensor, n: int, sigma: float = ASSIGN_SIGMA) -> Tensor:
-    """Spread each soft degree over integer bins 0..n-1 with a Gaussian kernel.
-
-    Returns an n_bins x N matrix whose columns are distributions; the argmax
-    bin of column j is the integer nearest degrees[j].
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    bins = Tensor(np.arange(n, dtype=np.float64)[None, :])
-    d_col = reshape(degrees, (degrees.size, 1))
-    diff = bins - d_col
-    scores = (diff * diff) * (-1.0 / (sigma * sigma))
-    return transpose(softmax(scores, axis=1))
-
-
-def degree_distribution(assignment: Tensor) -> Tensor:
-    """Normalize the soft assignment into a distribution over degree bins."""
-    n = assignment.shape[1]
-    return assignment.sum(axis=1) * (1.0 / n)
-
-
-def kl_divergence(p: Tensor, q) -> Tensor:
-    """D_KL(p || q); q may be a TargetDistribution or a distribution Tensor."""
-    if isinstance(q, TargetDistribution):
-        log_q = q.log_distribution(p.size)
-    else:
-        log_q = log(q)
+def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
+    """D_KL(p || q) for a distribution ``p`` and the log ``log_q`` of ``q``."""
     return (p * (log(p + KL_EPSILON) - log_q)).sum()
 
 
@@ -122,14 +67,15 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     return ce + kl * alpha
 
 
-def degree_loss(a_p: Tensor, target: TargetDistribution, mask: Tensor = None):
-    """Full Eq-chain evaluation: returns (kl, DegreeLossState)."""
-    a_bar = threshold_adjacency(a_p, mask=mask)
-    degrees = node_degrees(a_bar)
+def degree_loss(a_p: Tensor, target: TargetDistribution):
+    """NDDL of an N x N weighted adjacency: returns (kl, p).
+
+    ``p`` is the length-N histogram of soft node degrees over bins 0..N-1.
+    """
     n = a_p.shape[0]
-    assignment = soft_assign(degrees, n)
-    p = degree_distribution(assignment)
-    kl = kl_divergence(p, target)
-    return kl, DegreeLossState(
-        a_bar=a_bar, degrees=degrees, assignment=assignment, distribution=p,
-    )
+    degrees = (a_p * Tensor(a_p.data > 0.5)).sum(axis=0, keepdims=True)  # (1, N)
+    bins = Tensor(np.arange(n, dtype=np.float64)[:, None])  # (N, 1)
+    diff = bins - degrees  # bins x nodes
+    assignment = softmax((diff * diff) * (-1.0 / (ASSIGN_SIGMA * ASSIGN_SIGMA)), axis=0)
+    p = assignment.sum(axis=1) * (1.0 / n)
+    return kl_divergence(p, target.log_distribution(n)), p

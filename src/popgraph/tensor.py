@@ -1,16 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation the pipeline needs lives here: elementwise
-arithmetic with numpy-style broadcasting, matmul (whose left operand may also
-be a constant ``scipy.sparse`` matrix, the graph adjacencies and pooling
-matrices of batched graphs), activations, reductions, row softmax, pairwise
-Euclidean distances, and the finite-difference oracle the test suite leans on.
+It holds the differentiable operations the model runs, and only those:
+elementwise arithmetic with numpy-style broadcasting, matmul (whose left
+operand may also be a constant ``scipy.sparse`` matrix, the graph adjacencies
+and pooling matrices of batched graphs), relu, sigmoid, exp and log, sums,
+softmax and log-softmax along an axis, and pairwise Euclidean distances; plus
+the finite-difference oracle the test suite leans on.
 
-Everything is float64. Tensors produced by an operation record their parents
-and a local gradient rule; ``backward`` replays those rules over the tape in
-reverse topological order, handing each rule its output's gradient. The rules
-never refer to their own output, so a finished step's tensors are freed by
-reference counting alone.
+Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
+of its input, so a leaf never aliases the caller's array; an operation wraps
+the array it has just computed as its output without copying it again.
+Tensors produced by an operation record their parents and a local gradient
+rule; ``backward`` replays those rules over the tape in reverse topological
+order, handing each rule its output's gradient. The rules never refer to
+their own output tensor, so a finished step's tensors are freed by reference
+counting alone.
 """
 
 import numpy as np
@@ -88,9 +92,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def backward(self) -> None:
         """Populate ``grad`` for every requires_grad ancestor of this scalar.
 
@@ -147,11 +148,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, parents, backward_fn) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+def _record(data, parents, backward_fn) -> Tensor:
+    """Wrap an op's freshly computed result, without a copy, as its output.
+
+    The output joins the tape only when a parent requires a gradient.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.requires_grad = any(p.requires_grad for p in parents)
+    out.grad = None
+    out.name = ""
+    out._parents = tuple(parents) if out.requires_grad else ()
+    out._backward = backward_fn if out.requires_grad else None
     return out
 
 
@@ -183,44 +191,39 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data)
 
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _record(out, (a, b), backward)
+    return _record(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
 
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    return _record(out, (a, b), backward)
+    return _record(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data)
 
     def backward(g):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    return _record(out, (a, b), backward)
+    return _record(a.data * b.data, (a, b), backward)
 
 
 def scalar_mul(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
-
     def backward(g):
         _accumulate(a, g * s)
 
-    return _record(out, (a,), backward)
+    return _record(a.data * s, (a,), backward)
 
 
 def matmul(a, b: Tensor) -> Tensor:
@@ -239,7 +242,6 @@ def matmul(a, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions differ, {a_data.shape} vs {b.data.shape}"
         )
-    out = Tensor(a_data @ b.data)
 
     def backward(g):
         if not sparse and a.requires_grad:
@@ -247,17 +249,16 @@ def matmul(a, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a_data.T @ g)
 
-    return _record(out, (b,) if sparse else (a, b), backward)
+    return _record(a_data @ b.data, (b,) if sparse else (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at exactly 0
-    out = Tensor(np.where(mask, a.data, 0.0))
 
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _record(out, (a,), backward)
+    return _record(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -267,33 +268,30 @@ def sigmoid(a: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
 
     def backward(g):
         _accumulate(a, g * y * (1.0 - y))
 
-    return _record(out, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    out = Tensor(y)
 
     def backward(g):
         _accumulate(a, g * y)
 
-    return _record(out, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
     if not np.all(np.isfinite(a.data)):
         raise ValueError("log: input contains non-finite values")
-    out = Tensor(np.log(a.data))
 
     def backward(g):
         _accumulate(a, g / a.data)
 
-    return _record(out, (a,), backward)
+    return _record(np.log(a.data), (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -302,12 +300,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
 
     def backward(g):
         _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
-    return _record(out, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -316,35 +313,20 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    out = Tensor(y)
 
     def backward(g):
         _accumulate(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    return _record(out, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return _record(out, (a,), backward)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / count, a.data.shape).copy())
-
-    return _record(out, (a,), backward)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def pairwise_euclidean(a: Tensor) -> Tensor:
@@ -365,56 +347,13 @@ def pairwise_euclidean(a: Tensor) -> Tensor:
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     dist = np.sqrt(sq)
-    out = Tensor(dist)
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(dist > 0.0, (g + g.T) / dist, 0.0)
         _accumulate(a, w.sum(axis=1)[:, None] * x - w @ x)
 
-    return _record(out, (a,), backward)
-
-
-def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    spans = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, spans, axis=axis)):
-            _accumulate(t, piece)
-
-    return _record(out, tuple(tensors), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D input, got {a.data.shape}")
-    out = Tensor(a.data.T.copy())
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _record(out, (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape).copy())
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _record(out, (a,), backward)
-
-
-def greater(a: Tensor, threshold: float) -> Tensor:
-    """Elementwise 0/1 mask for ``a > threshold``; non-differentiable."""
-    return Tensor((a.data > threshold).astype(np.float64))
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity on values; blocks all gradient flow."""
-    return Tensor(a.data.copy())
+    return _record(dist, (a,), backward)
 
 
 def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:

@@ -52,6 +52,27 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
         load_tu_dataset(str(tmp_path), "TOY")
 
 
+@pytest.mark.parametrize(
+    "filename,content,message",
+    [
+        ("graph_indicator", "1\n1\n3\n3\n", r"TOY_graph_indicator.txt:3: graph id 3 skips graph 2"),
+        ("graph_indicator", "0\n0\n1\n1\n", r"TOY_graph_indicator.txt:1: bad graph id '0'"),
+        ("graph_labels", "1\nx\n", r"TOY_graph_labels.txt:2: bad graph label 'x'"),
+        ("node_labels", "7\n9\n9.5\n7\n", r"TOY_node_labels.txt:3: bad node label '9.5'"),
+        ("node_attributes", "0.5\n1.5, 2.0\n2.5\n3.5\n", r"TOY_node_attributes.txt:2: 2 attributes"),
+        ("node_attributes", "0.5\n1.5\n\nabc\n3.5\n", r"TOY_node_attributes.txt:4: bad attribute row"),
+        ("A", "1, 2\n2, 1\n3, 4\n4, y\n", r"TOY_A.txt:4: bad node id in '4, y'"),
+    ],
+    ids=["graph_id_gap", "graph_id_zero", "graph_label", "node_label", "ragged_attributes",
+         "non_numeric_attributes", "edge_node_id"],
+)
+def test_malformed_file_reports_file_and_line(tmp_path, filename, content, message):
+    write_fixture(tmp_path)
+    (tmp_path / f"TOY_{filename}.txt").write_text(content)
+    with pytest.raises(DatasetFormatError, match=message):
+        load_tu_dataset(str(tmp_path), "TOY")
+
+
 def test_empty_node_labels_falls_back_to_attributes(tmp_path):
     d = write_fixture(tmp_path, node_labels="", attributes="0.5\n1.5\n2.5\n3.5\n")
     graphs = load_tu_dataset(d, "TOY")

@@ -4,17 +4,14 @@ import numpy as np
 
 from popgraph.degree_loss import (
     ASSIGN_SIGMA,
+    KL_EPSILON,
     TargetDistribution,
-    degree_distribution,
     degree_loss,
     kl_divergence,
-    node_degrees,
-    soft_assign,
-    threshold_adjacency,
     total_loss,
 )
 from popgraph.latent_graph import LatentGraphParams
-from popgraph.tensor import Tensor, exp, finite_difference_check, greater
+from popgraph.tensor import Tensor, exp, finite_difference_check, log
 
 
 def random_population_matrix(rng, n):
@@ -25,96 +22,140 @@ def random_population_matrix(rng, n):
     return sym
 
 
+def circulant(n, weights):
+    """Symmetric n x n matrix joining i and i + k (mod n) with weight weights[k]."""
+    a = np.zeros((n, n))
+    for k, w in weights.items():
+        for i in range(n):
+            a[i, (i + k) % n] = a[(i + k) % n, i] = w
+    return a
+
+
+def histogram_oracle(degrees, n):
+    """Nodes-major numpy NDDL histogram: each degree's Gaussian soft assignment
+    to the bins 0..n-1, averaged over nodes."""
+    degrees = np.asarray(degrees, dtype=np.float64)
+    scores = -((np.arange(n)[None, :] - degrees[:, None]) ** 2) / ASSIGN_SIGMA**2
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return (w / w.sum(axis=1, keepdims=True)).mean(axis=0)
+
+
+def kl_oracle(degrees, target, n):
+    p = histogram_oracle(degrees, n)
+    q = exp(target.log_distribution(n)).data
+    return float(np.sum(p * (np.log(p + KL_EPSILON) - np.log(q))))
+
+
+def histogram(a):
+    """The degree histogram ``p`` that degree_loss returns for adjacency ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    _, p = degree_loss(Tensor(a), TargetDistribution.for_support(a.shape[0]))
+    return p.data
+
+
 def test_threshold_keeps_values_above_half():
-    a = Tensor([[0.0, 0.9], [0.9, 0.0]])
-    np.testing.assert_array_equal(threshold_adjacency(a).data, a.data)
+    a = [[0.0, 0.9], [0.9, 0.0]]
+    np.testing.assert_allclose(histogram(a), histogram_oracle([0.9, 0.9], 2), atol=1e-12)
 
 
 def test_threshold_zeroes_values_below_half():
-    a = Tensor([[0.0, 0.3], [0.3, 0.0]])
-    np.testing.assert_array_equal(threshold_adjacency(a).data, np.zeros((2, 2)))
+    a = [[0.0, 0.3], [0.3, 0.0]]
+    np.testing.assert_allclose(histogram(a), histogram_oracle([0.0, 0.0], 2), atol=1e-12)
 
 
 def test_threshold_boundary_is_strict():
-    a = Tensor([[0.0, 0.5], [0.5, 0.0]])
-    np.testing.assert_array_equal(threshold_adjacency(a).data, np.zeros((2, 2)))
+    a = [[0.0, 0.5, 0.9], [0.5, 0.0, 0.9], [0.9, 0.9, 0.0]]
+    # the entries at exactly 0.5 are zeroed: degrees 0.9, 0.9, 1.8, not 1.4, 1.4, 1.8
+    np.testing.assert_allclose(histogram(a), histogram_oracle([0.9, 0.9, 1.8], 3), atol=1e-12)
 
 
 def test_gradient_only_through_surviving_entries():
     a = Tensor([[0.0, 0.9, 0.3], [0.9, 0.0, 0.3], [0.3, 0.3, 0.0]], requires_grad=True)
-    threshold_adjacency(a).sum().backward()
-    expected = (a.data > 0.5).astype(float)
-    np.testing.assert_array_equal(a.grad, expected)
+    target = TargetDistribution.for_support(3)
+    kl, _ = degree_loss(a, target)
+    kl.backward()
+    survives = a.data > 0.5
+    np.testing.assert_array_equal(a.grad[~survives], 0.0)
+    # a surviving a_ij moves only the degree of node j
+    degrees = (a.data * survives).sum(axis=0)
+    step = 1e-6
+    d_kl = np.array([
+        (kl_oracle(degrees + step * e, target, 3) - kl_oracle(degrees - step * e, target, 3))
+        / (2.0 * step)
+        for e in np.eye(3)
+    ])
+    np.testing.assert_allclose(a.grad[survives], np.broadcast_to(d_kl, (3, 3))[survives],
+                               rtol=1e-6)
+    assert np.all(a.grad[survives] != 0.0)
 
 
 def test_node_degrees_arithmetic():
     a = np.full((4, 4), 0.9)
     np.fill_diagonal(a, 0.0)
-    np.testing.assert_allclose(node_degrees(Tensor(a)).data, np.full(4, 2.7))
-    np.testing.assert_array_equal(node_degrees(Tensor(np.zeros((3, 3)))).data, np.zeros(3))
+    np.testing.assert_allclose(histogram(a), histogram_oracle(np.full(4, 2.7), 4), atol=1e-12)
+    np.testing.assert_allclose(histogram(np.zeros((3, 3))), histogram_oracle(np.zeros(3), 3),
+                               atol=1e-12)
 
 
 def test_node_degrees_match_independent_row_sums():
     rng = np.random.default_rng(0)
-    a = random_population_matrix(rng, 7)
+    a = rng.random((7, 7))  # not symmetric: the degree of node j sums column j
+    np.fill_diagonal(a, 0.0)
     a_bar = a * (a > 0.5)
     oracle = np.array([sum(a_bar[i][j] for i in range(7)) for j in range(7)])
-    np.testing.assert_allclose(node_degrees(Tensor(a_bar)).data, oracle, atol=1e-10)
+    np.testing.assert_allclose(histogram(a), histogram_oracle(oracle, 7), atol=1e-10)
 
 
 def test_soft_assign_integer_degree_neighbor_weight():
-    degrees = Tensor(np.array([3.0]))
-    s = soft_assign(degrees, 8, ASSIGN_SIGMA).data[:, 0]
-    assert np.argmax(s) == 3
+    p = histogram(circulant(8, {1: 1.0, 4: 1.0}))  # every degree is 3
+    assert np.argmax(p) == 3
     expected_ratio = math.exp(-1.0 / 0.36)
-    np.testing.assert_allclose(s[2] / s[3], expected_ratio, atol=1e-6)
-    np.testing.assert_allclose(s[4] / s[3], expected_ratio, atol=1e-6)
+    np.testing.assert_allclose(p[2] / p[3], expected_ratio, atol=1e-6)
+    np.testing.assert_allclose(p[4] / p[3], expected_ratio, atol=1e-6)
 
 
 def test_soft_assign_halfway_degree_splits_evenly():
-    s = soft_assign(Tensor(np.array([2.5])), 6, ASSIGN_SIGMA).data[:, 0]
-    np.testing.assert_allclose(s[2], s[3], atol=1e-12)
-
-
-def test_soft_assign_sharpens_to_one_hot():
-    s = soft_assign(Tensor(np.array([4.0, 1.0])), 8, sigma=0.05).data
-    assert s[4, 0] > 0.999 and s[1, 1] > 0.999
+    p = histogram(circulant(6, {1: 0.75, 3: 1.0}))  # every degree is 2.5
+    np.testing.assert_allclose(p[2], p[3], atol=1e-12)
 
 
 def test_soft_assign_columns_are_distributions():
     rng = np.random.default_rng(1)
-    degrees = Tensor(rng.uniform(0, 9, size=10))
-    s = soft_assign(degrees, 10).data
-    np.testing.assert_allclose(s.sum(axis=0), np.ones(10), atol=1e-10)
+    for _ in range(5):
+        weights = {k: float(rng.uniform(0.51, 1.0)) for k in (1, 2, 5)}
+        degree = 2 * weights[1] + 2 * weights[2] + weights[5]
+        # all ten nodes share one degree, so p is that degree's soft assignment
+        p = histogram(circulant(10, weights))
+        assert np.all(p >= 0)
+        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-10)
+        np.testing.assert_allclose(p, histogram_oracle([degree], 10), atol=1e-10)
 
 
 def test_degree_distribution_concentrates_at_common_degree():
-    s = soft_assign(Tensor(np.full(6, 3.0)), 9)
-    p = degree_distribution(s).data
+    p = histogram(circulant(9, {1: 0.75, 2: 0.75}))  # every degree is 3
     assert np.argmax(p) == 3
     assert p[3] > 0.88  # sigma=0.6 leaks < 0.12 onto neighbors
 
 
 def test_degree_distribution_two_nodes():
-    s = soft_assign(Tensor(np.array([0.0, 1.0])), 2)
-    np.testing.assert_allclose(degree_distribution(s).data, [0.5, 0.5], atol=1e-12)
+    p = histogram([[0.0, 1.0], [0.0, 0.0]])  # degrees 0 and 1
+    np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
 
 def test_degree_distribution_sums_to_one():
-    rng = np.random.default_rng(2)
-    s = soft_assign(Tensor(rng.uniform(0, 5, size=6)), 6)
-    assert abs(degree_distribution(s).data.sum() - 1.0) < 1e-10
+    p = histogram(random_population_matrix(np.random.default_rng(2), 6))
+    assert abs(p.sum() - 1.0) < 1e-10
 
 
 def test_kl_identical_distributions_is_zero():
     p = Tensor(np.array([0.2, 0.3, 0.5]))
-    assert abs(kl_divergence(p, Tensor(p.data.copy())).item()) < 1e-9
+    assert abs(kl_divergence(p, log(Tensor(p.data))).item()) < 1e-9
 
 
 def test_kl_analytic_value():
     p = Tensor(np.array([1.0, 0.0]))
-    q = Tensor(np.array([0.5, 0.5]))
-    np.testing.assert_allclose(kl_divergence(p, q).item(), math.log(2.0), atol=1e-9)
+    log_q = Tensor(np.log([0.5, 0.5]))
+    np.testing.assert_allclose(kl_divergence(p, log_q).item(), math.log(2.0), atol=1e-9)
 
 
 def test_kl_matches_direct_summation_oracle():
@@ -122,9 +163,10 @@ def test_kl_matches_direct_summation_oracle():
     raw = rng.random(12)
     p = raw / raw.sum()
     target = TargetDistribution.for_support(12)
-    q = exp(target.log_distribution(12)).data
+    log_q = target.log_distribution(12)
+    q = exp(log_q).data
     oracle = sum(p[i] * math.log((p[i] + 1e-12) / q[i]) for i in range(12))
-    np.testing.assert_allclose(kl_divergence(Tensor(p), target).item(), oracle, atol=1e-10)
+    np.testing.assert_allclose(kl_divergence(Tensor(p), log_q).item(), oracle, atol=1e-10)
 
 
 def test_target_distribution_is_positive_and_normalized():
@@ -151,7 +193,7 @@ def test_total_loss_gradient_linear_in_alpha():
 
     grads = []
     for alpha in (1.0, 2.5):
-        kl = kl_divergence(p, target)
+        kl = kl_divergence(p, target.log_distribution(6))
         loss = total_loss(Tensor(0.5), kl, alpha)
         loss.backward()
         grads.append(target.mu.grad.copy())
@@ -162,13 +204,14 @@ def test_state_invariants_on_random_matrices():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(4, 33))
-        a_p = Tensor(random_population_matrix(rng, n))
+        a = random_population_matrix(rng, n)
         target = TargetDistribution.for_support(n)
-        kl, state = degree_loss(a_p, target)
-        np.testing.assert_allclose(state.assignment.data.sum(axis=0), np.ones(n), atol=1e-10)
-        np.testing.assert_allclose(state.distribution.data.sum(), 1.0, atol=1e-10)
-        deg = state.degrees.data
-        assert np.all(deg >= 0) and np.all(deg <= n - 1)
+        kl, p = degree_loss(Tensor(a), target)
+        degrees = np.where(a > 0.5, a, 0.0).sum(axis=0)
+        assert p.shape == (n,) and np.all(p.data >= 0)
+        np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-10)
+        np.testing.assert_allclose(p.data, histogram_oracle(degrees, n), atol=1e-10)
+        np.testing.assert_allclose(kl.item(), kl_oracle(degrees, target, n), atol=1e-10)
         assert kl.item() >= -1e-9
 
 
@@ -177,12 +220,18 @@ def test_end_to_end_gradient_check_with_frozen_mask():
     params = LatentGraphParams([3, 2], rng)
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     params.init_threshold(h)
+    # init_threshold puts the median pair exactly at 0.5; step off it so that
+    # no entry sits near the threshold, finite-difference steps leave the mask
+    # unchanged and the loss is smooth in every parameter
+    params.theta.data += 0.02
     target = TargetDistribution.for_support(6)
-    frozen = greater(params.forward(h).a_p, 0.5)
+    a_p = params.forward(h).a_p.data
+    off_diagonal = a_p[~np.eye(6, dtype=bool)]
+    assert np.all(np.abs(off_diagonal - 0.5) > 1e-3)
+    assert 0 < np.count_nonzero(off_diagonal > 0.5) < off_diagonal.size
 
     def f(_):
-        pop = params.forward(h)
-        kl, _ = degree_loss(pop.a_p, target, mask=frozen)
+        kl, _ = degree_loss(params.forward(h).a_p, target)
         return total_loss(Tensor(0.0), kl, alpha=1.0)
 
     for tensor in [h, params.t_raw, params.theta, target.mu, target.sigma_raw] + params.mlp.parameters():

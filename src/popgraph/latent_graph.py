@@ -5,14 +5,76 @@ pairs in the embedding space get weights near 1 and distant pairs near 0.
 The temperature t is kept positive by storing its log; the diagonal is
 forced to zero so self-loops never enter degree statistics or message
 passing.
+
+``logistic_edge_weights`` computes the whole N x N chain as one autograd op:
+its forward takes the distances from ``pairwise_distances``, which
+``init_threshold`` shares, and its hand-derived backward gives the gradients
+of the embedding, ``t_raw`` and ``theta``. The tape holds the weights and,
+inside the rule, the distances: no logit, scaled-distance or mask array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .nn import MLP
-from .tensor import Tensor, exp, pairwise_euclidean, sigmoid
+from .tensor import ShapeError, Tensor, _accumulate, _record
+
+
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance matrix of a 2-D array.
+
+    Uses the expanded form with squared distances clamped at 0 before the
+    square root. The result is exactly symmetric with an exactly-zero
+    diagonal: numpy forms the product of a matrix with its own transpose as
+    one triangle (BLAS syrk) and mirrors it, so the Gram matrix is exactly
+    symmetric, and so is every elementwise step after it.
+    """
+    x = np.ascontiguousarray(x)
+    gram = x @ x.T
+    sq_norms = np.diag(gram).copy()
+    sq = sq_norms[:, None] + sq_norms[None, :]
+    gram *= 2.0
+    sq -= gram
+    np.maximum(sq, 0.0, out=sq)
+    np.fill_diagonal(sq, 0.0)
+    return np.sqrt(sq, out=sq)
+
+
+def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
+    """a_ij = sigmoid(theta - exp(t_raw) * ||z_i - z_j||) off the diagonal, 0 on it.
+
+    The subgradient of a distance at exactly zero is 0, so duplicate rows and
+    the diagonal never produce NaN gradients.
+    """
+    if z.data.ndim != 2:
+        raise ShapeError(f"edge weights expect a 2-D embedding, got {z.data.shape}")
+    x = z.data
+    dist = pairwise_distances(x)
+    t = float(np.exp(t_raw.data))
+    a = dist * -t
+    a += theta.data
+    expit(a, out=a)
+    np.fill_diagonal(a, 0.0)
+
+    def backward(g):
+        # d loss / d logit; a_ii = 0, so the diagonal drops out
+        s = 1.0 - a
+        s *= a
+        s *= g
+        _accumulate(theta, s.sum())
+        _accumulate(t_raw, -t * np.vdot(s, dist))
+        if z.requires_grad:
+            # d loss / d z_i = -t * sum_j (s_ij + s_ji) (z_i - z_j) / d_ij,
+            # with the transposed half as a transposed product, not an N x N copy
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s /= dist
+            s[dist == 0.0] = 0.0
+            grad = (s.sum(axis=1) + s.sum(axis=0))[:, None] * x - s @ x - s.T @ x
+            _accumulate(z, grad * -t)
+
+    return _record(a, (z, t_raw, theta), backward)
 
 
 @dataclass
@@ -39,11 +101,8 @@ class LatentGraphParams:
         return self.mlp.forward(h)
 
     def edge_weights(self, embedded: Tensor) -> PopulationGraph:
-        n = embedded.shape[0]
-        dist = pairwise_euclidean(embedded)
-        logits = self.theta - exp(self.t_raw) * dist
-        off_diagonal = Tensor(1.0 - np.eye(n))
-        return PopulationGraph(a_p=sigmoid(logits) * off_diagonal, embedding=embedded)
+        a_p = logistic_edge_weights(embedded, self.t_raw, self.theta)
+        return PopulationGraph(a_p=a_p, embedding=embedded)
 
     def forward(self, h: Tensor) -> PopulationGraph:
         return self.edge_weights(self.embed(h))
@@ -52,16 +111,21 @@ class LatentGraphParams:
         """Center theta on the median pairwise distance of an initial batch.
 
         Starts the population graph near half density so gradients flow
-        toward both sparser and denser structures.
+        toward both sparser and denser structures. The median is over the
+        n(n-1)/2 distinct pairs. When their count is odd the median is itself
+        a distance, whose pair would get a_ij = 0.5 exactly, on NDDL's strict
+        threshold; theta then takes the midpoint of that distance and the next.
         """
-        embedded = self.embed(h)
-        dist = pairwise_euclidean(embedded).data
-        n = dist.shape[0]
+        n = h.shape[0]
         if n < 2:
             return
-        off = dist[~np.eye(n, dtype=bool)]
-        self.theta.data = np.asarray(float(np.median(off)) * self.temperature)
+        dist = pairwise_distances(self.embed(h).data)
+        pairs = np.concatenate([row[i + 1:] for i, row in enumerate(dist)])
+        k = pairs.size // 2
+        lo, hi = (k - 1, k) if pairs.size % 2 == 0 else (k, min(k + 1, pairs.size - 1))
+        part = np.partition(pairs, (lo, hi))
+        median = 0.5 * (part[lo] + part[hi])
+        self.theta.data = np.asarray(float(median) * self.temperature)
 
     def parameters(self):
         return self.mlp.parameters() + [self.t_raw, self.theta]
-

@@ -3,9 +3,11 @@
 It holds the differentiable operations the model runs, and only those:
 elementwise arithmetic with numpy-style broadcasting, matmul (whose left
 operand may also be a constant ``scipy.sparse`` matrix, the graph adjacencies
-and pooling matrices of batched graphs), relu, sigmoid, exp and log, sums,
-softmax and log-softmax along an axis, and pairwise Euclidean distances; plus
-the finite-difference oracle the test suite leans on.
+and pooling matrices of batched graphs), relu, exp and log, sums, and softmax
+and log-softmax along an axis; plus the finite-difference oracle the test
+suite leans on. The two fused N x N ops of the model, the latent graph's edge
+weights and the NDDL degree histogram, live in ``latent_graph`` and
+``degree_loss`` and are built from the same ``_record`` and ``_accumulate``.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps
@@ -15,6 +17,12 @@ rule; ``backward`` replays those rules over the tape in reverse topological
 order, handing each rule its output's gradient. The rules never refer to
 their own output tensor, so a finished step's tensors are freed by reference
 counting alone.
+
+Gradients are lazy and only leaves keep them. A gradient array is allocated
+by its first accumulation, not zero-filled up front, and an operation
+output's ``grad`` is dropped as soon as its rule has run. A leaf with
+``requires_grad`` that the loss reaches ends ``backward`` with a gradient
+that owns its memory, zero when nothing accumulated into it.
 """
 
 import numpy as np
@@ -30,8 +38,9 @@ class Tensor:
 
     Leaf tensors are created directly; non-leaf tensors are created by the
     operations below and carry a closure implementing their local gradient
-    rule. ``grad`` is populated by ``backward`` for every tensor with
-    ``requires_grad`` reachable from the loss.
+    rule. ``backward`` populates ``grad`` for every leaf with
+    ``requires_grad`` reachable from the loss; a non-leaf holds its gradient
+    only while ``backward`` runs.
     """
 
     def __init__(self, data, requires_grad=False, name=""):
@@ -93,11 +102,11 @@ class Tensor:
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def backward(self) -> None:
-        """Populate ``grad`` for every requires_grad ancestor of this scalar.
+        """Populate ``grad`` for every requires_grad leaf below this scalar.
 
-        Gradients are freshly initialised on each call (no accumulation
-        across separate backward calls); fan-out within one call accumulates
-        additively.
+        Leaf gradients are fresh on each call (no accumulation across
+        separate backward calls); fan-out within one call accumulates
+        additively. Non-leaf gradients are released once their rule has run.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -105,13 +114,16 @@ class Tensor:
             )
         tape = Tape.trace(self)
         for node in tape.entries:
-            if node.requires_grad:
-                node.grad = np.zeros_like(node.data)
+            node.grad = None
         if self.requires_grad:
             self.grad = np.ones_like(self.data)
         for node in reversed(tape.entries):
             if node._backward is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                if g is not None:
+                    node._backward(g)
+            elif node.requires_grad and node.grad is None:
+                node.grad = np.zeros_like(node.data)
 
 
 class Tape:
@@ -176,8 +188,22 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad += _unbroadcast(g, t.data.shape)
+    """Add ``g`` to ``t.grad``, allocating it on the first accumulation.
+
+    ``g`` may be shared: a rule can hand one array to several parents, or pass
+    its own output gradient through. So an operation output borrows ``g`` and
+    later accumulations build a new sum instead of adding in place, while a
+    leaf copies ``g`` once and then owns, and adds into, its gradient.
+    """
+    if not t.requires_grad:
+        return
+    g = _unbroadcast(g, t.data.shape)
+    if t.grad is None:
+        t.grad = g if t._backward is not None else np.array(g, dtype=np.float64)
+    elif t._backward is not None:
+        t.grad = t.grad + g
+    else:
+        t.grad += g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -261,20 +287,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return _record(y, (a,), backward)
-
-
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
 
@@ -324,36 +336,9 @@ def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def pairwise_euclidean(a: Tensor) -> Tensor:
-    """Row-wise pairwise Euclidean distance matrix.
-
-    Uses the expanded form with squared distances clamped at 0 before the
-    square root; the subgradient at exactly-zero distance is 0, so the
-    all-zero diagonal never produces NaN gradients. The result is exactly
-    symmetric with an exactly-zero diagonal.
-    """
-    if a.data.ndim != 2:
-        raise ShapeError(f"pairwise_euclidean expects a 2-D input, got {a.data.shape}")
-    x = a.data
-    gram = x @ x.T
-    sq_norms = np.diag(gram)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
-    sq = 0.5 * (sq + sq.T)
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    dist = np.sqrt(sq)
-
-    def backward(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(dist > 0.0, (g + g.T) / dist, 0.0)
-        _accumulate(a, w.sum(axis=1)[:, None] * x - w @ x)
-
-    return _record(dist, (a,), backward)
 
 
 def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
@@ -371,6 +356,9 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
     if x.grad is None:
         raise ValueError("x does not receive a gradient from f")
     analytic = x.grad.reshape(-1).copy()
+    # a numpy scalar (left by ``t.data = t.data + eps`` on a 0-d parameter)
+    # reshapes to a copy, so perturbing it would never reach ``f``
+    x.data = np.asarray(x.data, dtype=np.float64)
     flat = x.data.reshape(-1)
     numeric = np.zeros_like(analytic)
     for i in range(flat.size):

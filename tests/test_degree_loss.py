@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from popgraph.degree_loss import (
     ASSIGN_SIGMA,
+    ASSIGN_REACH,
     KL_EPSILON,
     TargetDistribution,
+    degree_histogram,
     degree_loss,
     kl_divergence,
     total_loss,
@@ -220,10 +223,9 @@ def test_end_to_end_gradient_check_with_frozen_mask():
     params = LatentGraphParams([3, 2], rng)
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     params.init_threshold(h)
-    # init_threshold puts the median pair exactly at 0.5; step off it so that
-    # no entry sits near the threshold, finite-difference steps leave the mask
-    # unchanged and the loss is smooth in every parameter
-    params.theta.data += 0.02
+    # 15 pairs: init_threshold splits the 8th and 9th distances, so no entry
+    # sits near 0.5, finite-difference steps leave the mask unchanged and the
+    # loss is smooth in every parameter
     target = TargetDistribution.for_support(6)
     a_p = params.forward(h).a_p.data
     off_diagonal = a_p[~np.eye(6, dtype=bool)]
@@ -237,3 +239,44 @@ def test_end_to_end_gradient_check_with_frozen_mask():
     for tensor in [h, params.t_raw, params.theta, target.mu, target.sigma_raw] + params.mlp.parameters():
         err = finite_difference_check(f, tensor)
         assert err < 1e-4, f"{tensor.name}: {err}"
+
+
+def spread_degree_matrix(rng, n):
+    """Zero-diagonal matrix whose column degrees span 0..n-1: near-empty
+    columns, near-full ones and random ones, every entry >= 1e-3 from 0.5."""
+    a = rng.random((n, n))
+    a[:, :4] *= 0.4  # degree 0
+    a[0, 3] = 0.8  # degree 0.8
+    a[:, 4:7] = 0.9995 - 0.002 * rng.random((n, 3))  # degree above n - 2
+    a[:, 7:12] = 0.5 + 0.5 * a[:, 7:12]  # every entry survives
+    a[np.abs(a - 0.5) < 1e-3] += 2e-3
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def test_windowed_histogram_matches_dense_oracle():
+    n = 128  # past the window's width, so its clipping runs at both ends
+    assert n > 2 * ASSIGN_REACH + 1
+    a = spread_degree_matrix(np.random.default_rng(7), n)
+    degrees = np.where(a > 0.5, a, 0.0).sum(axis=0)
+    assert degrees.min() == 0.0 and degrees[3] < 1.0 and degrees.max() > n - 2
+    target = TargetDistribution.for_support(n)
+    kl, p = degree_loss(Tensor(a), target)
+    np.testing.assert_allclose(p.data, histogram_oracle(degrees, n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kl.item(), kl_oracle(degrees, target, n), rtol=0, atol=1e-12)
+
+
+def test_degree_histogram_gradient_check():
+    rng = np.random.default_rng(8)
+    a = Tensor(spread_degree_matrix(rng, 40), requires_grad=True)
+    weights = Tensor(rng.normal(size=40))
+    err = finite_difference_check(lambda t: (degree_histogram(t) * weights).sum(), a)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 2)])
+def test_nan_in_adjacency_raises(entry):
+    a = random_population_matrix(np.random.default_rng(9), 5)
+    a[entry] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        degree_loss(Tensor(a), TargetDistribution.for_support(5))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 
-from popgraph.latent_graph import LatentGraphParams
+import pytest
+
+from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -131,3 +133,48 @@ def test_threshold_initialization_centers_median():
     off = pop.a_p.data[~np.eye(10, dtype=bool)]
     above = (off > 0.5).mean()
     assert 0.3 < above < 0.7  # roughly half density at start
+
+
+def test_edge_weights_gradient_check_with_duplicate_rows():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(6, 3))
+    x[4] = x[1]  # duplicate rows: an off-diagonal distance of exactly 0
+    x[5] = x[2]
+    z = Tensor(x, requires_grad=True)
+    t_raw = Tensor(0.3, requires_grad=True, name="t_raw")
+    theta = Tensor(0.8, requires_grad=True, name="theta")
+    assert pairwise_distances(x)[1, 4] == 0.0 and pairwise_distances(x)[2, 5] == 0.0
+    mix = Tensor(rng.normal(size=(6, 6)))  # not symmetric, like a real upstream gradient
+
+    def f(_):
+        return (logistic_edge_weights(z, t_raw, theta) * mix).sum()
+
+    for target in (z, t_raw, theta):
+        err = finite_difference_check(f, target)
+        assert err < 1e-6, f"{target.name}: {err}"
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_threshold_even_pair_count_keeps_full_matrix_median(n):
+    rng = np.random.default_rng(10)
+    params = make_params([3, 2], rng)
+    params.t_raw.data = np.asarray(0.4)
+    h = Tensor(rng.normal(size=(n, 3)))
+    params.init_threshold(h)
+    dist = pairwise_distances(params.embed(h).data)
+    full_median = float(np.median(dist[~np.eye(n, dtype=bool)]))
+    assert params.theta.item() == full_median * params.temperature
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_threshold_odd_pair_count_keeps_pairs_off_half(n):
+    rng = np.random.default_rng(11)
+    params = make_params([3, 2], rng)
+    h = Tensor(rng.normal(size=(n, 3)))
+    params.init_threshold(h)
+    pairs = np.sort(pairwise_distances(params.embed(h).data)[np.triu_indices(n, k=1)])
+    k = pairs.size // 2
+    assert params.theta.item() == 0.5 * (pairs[k] + pairs[k + 1]) * params.temperature
+    off = params.forward(h).a_p.data[~np.eye(n, dtype=bool)]
+    assert np.all(off != 0.5)
+    assert np.count_nonzero(off > 0.5) == 2 * (k + 1)  # the middle pair joins

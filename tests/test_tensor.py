@@ -10,7 +10,7 @@ from popgraph import tensor as T
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
-from popgraph.latent_graph import LatentGraphParams
+from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
 
@@ -22,12 +22,14 @@ def test_matmul_identity():
 
 
 def test_sigmoid_midpoint():
-    assert T.sigmoid(Tensor(0.0)).item() == 0.5
+    # zero distance and theta = 0: the edge weight is sigmoid(0)
+    a = logistic_edge_weights(Tensor(np.zeros((2, 3))), Tensor(0.0), Tensor(0.0))
+    assert a.data[0, 1] == 0.5
 
 
 def test_pairwise_euclidean_345():
-    d = T.pairwise_euclidean(Tensor([[0.0, 0.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(d.data, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
+    d = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
 
 
 def test_backward_quadratic():
@@ -38,10 +40,11 @@ def test_backward_quadratic():
 
 
 def test_backward_sigmoid_grad_quarter():
-    x = Tensor(0.0, requires_grad=True)
-    loss = T.sigmoid(x) * Tensor(1.0)
+    theta = Tensor(0.0, requires_grad=True)
+    a = logistic_edge_weights(Tensor(np.zeros((2, 3))), Tensor(0.0), theta)
+    loss = (a * Tensor([[0.0, 1.0], [0.0, 0.0]])).sum()  # the one weight a_01
     loss.backward()
-    np.testing.assert_allclose(x.grad, 0.25, rtol=1e-12)
+    np.testing.assert_allclose(theta.grad, 0.25, rtol=1e-12)
 
 
 def test_backward_requires_scalar():
@@ -110,9 +113,12 @@ def test_tape_topological_order_and_unique_visits():
             assert pos[id(parent)] < pos[id(node)]
 
 
-def test_step_tape_is_freed_without_cycle_collector():
-    spec = SyntheticSpec(classes=2, graphs_per_class=3, nodes_min=3, nodes_max=5,
-                         topology="ambiguous_features", feature_dim=2, noise_sigma=0.5)
+def _training_step(graphs_per_class):
+    """Forward half of an f1 -> f2 -> f3 + NDDL step: returns a function that
+    builds (loss, a_p, h) from fixed parameters."""
+    spec = SyntheticSpec(classes=2, graphs_per_class=graphs_per_class, nodes_min=3,
+                         nodes_max=5, topology="ambiguous_features", feature_dim=2,
+                         noise_sigma=0.5)
     batch = GraphBatch(make_synthetic_dataset(spec, seed=0))
     rng = np.random.default_rng(0)
     f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[4]), 2, rng)
@@ -120,12 +126,21 @@ def test_step_tape_is_freed_without_cycle_collector():
     f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[4], head_dims=[2]), 4, rng)
     target = TargetDistribution.for_support(len(batch))
 
-    def step():
+    def forward():
         h = f1.forward(batch)
         a = f2.forward(h).a_p
         _, logits = f3.forward(h, a)
         kl, _ = degree_loss(a, target)
-        loss = total_loss(cross_entropy(logits, batch.labels), kl, 1.0)
+        return total_loss(cross_entropy(logits, batch.labels), kl, 1.0), a, h
+
+    return forward
+
+
+def test_step_tape_is_freed_without_cycle_collector():
+    forward = _training_step(graphs_per_class=3)
+
+    def step():
+        loss, a, h = forward()
         loss.backward()
         return loss, a, weakref.ref(h)
 
@@ -140,6 +155,35 @@ def test_step_tape_is_freed_without_cycle_collector():
         gc.enable()
 
 
+def test_step_tape_holds_one_population_matrix_and_only_leaf_grads():
+    loss, a, _ = _training_step(graphs_per_class=32)()
+    n = a.shape[0]
+    tape = Tape.trace(loss)
+    square = [t for t in tape.entries if t.shape == (n, n)]
+    assert len(square) == 1 and square[0] is a
+    loss.backward()
+    assert [t for t in tape.entries if t._backward is not None and t.grad is not None] == []
+    leaves = [t for t in tape.entries if t._backward is None and t.requires_grad]
+    assert leaves and all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+
+
+def test_leaf_gradients_own_their_memory():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    (a + b).sum().backward()  # add hands one gradient array to both operands
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_leaf_without_accumulation_gets_zero_grad():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T._record(x.data * 2.0, (x,), lambda g: None)  # a rule that accumulates nothing
+    (y * y).sum().backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    assert y.grad is None
+
+
 def test_softmax_rows_sum_to_one_and_shift_invariance():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 7)))
@@ -151,16 +195,18 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 def test_pairwise_symmetric_zero_diagonal():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(6, 4)))
-    d = T.pairwise_euclidean(x).data
-    np.testing.assert_array_equal(d, d.T)
-    np.testing.assert_array_equal(np.diag(d), np.zeros(6))
+    for n in (6, 300):  # 300 rows span several BLAS blocks
+        d = pairwise_distances(rng.normal(size=(n, 16)))
+        np.testing.assert_array_equal(d, d.T)
+        np.testing.assert_array_equal(np.diag(d), np.zeros(n))
 
 
 def test_pairwise_zero_distance_has_finite_gradient():
     x = Tensor(np.zeros((3, 2)), requires_grad=True)
-    T.pairwise_euclidean(x).sum().backward()
+    t_raw = Tensor(0.0, requires_grad=True)
+    logistic_edge_weights(x, t_raw, Tensor(1.0)).sum().backward()
     np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
+    assert t_raw.grad == 0.0
 
 
 def test_stop_gradient_blocks_flow():
@@ -203,6 +249,16 @@ def test_finite_difference_constant_gradient():
     assert err < 1e-10
 
 
+def test_finite_difference_catches_wrong_gradient_of_shifted_scalar():
+    x = Tensor(1.0, requires_grad=True)
+    x.data = x.data + 0.5  # out of place: leaves a numpy scalar, not an array
+
+    def f(t):  # value 3t, but the analytic gradient reads 0
+        return t * 0.0 + Tensor(3.0 * t.data)
+
+    assert finite_difference_check(f, x) > 1.0
+
+
 @pytest.mark.parametrize(
     "name,fn,rows,cols",
     [
@@ -225,14 +281,14 @@ def test_gradient_check_binary_ops(name, fn, rows, cols):
     [
         ("scalar_mul", lambda x: (x * 2.5).sum()),
         ("relu", lambda x: T.relu(x).sum()),
-        ("sigmoid", lambda x: (T.sigmoid(x) * T.sigmoid(x)).sum()),
+        ("sigmoid", lambda x: (_edge_weights(x) * _edge_weights(x)).sum()),
         ("exp", lambda x: T.exp(x).sum()),
         ("log", lambda x: T.log(x + 5.0).sum()),
         ("softmax", lambda x: (T.softmax(x, axis=1) * T.softmax(x, axis=1)).sum()),
         ("log_softmax", lambda x: (T.log_softmax(x, axis=1) * Tensor(np.arange(12.0).reshape(3, 4))).sum()),
         ("sum_axis0", lambda x: (T.tensor_sum(x, axis=0) * T.tensor_sum(x, axis=0)).sum()),
         ("sum_keepdims", lambda x: (x * T.tensor_sum(x, axis=1, keepdims=True)).sum()),
-        ("pairwise", lambda x: (T.pairwise_euclidean(x) * Tensor(_PAIR_WEIGHTS)).sum()),
+        ("pairwise", lambda x: (_edge_weights(x) * Tensor(_PAIR_WEIGHTS)).sum()),
         ("sparse_matmul", lambda x: (T.matmul(_SPARSE_ADJ, x) * T.matmul(_SPARSE_ADJ, x)).sum()),
         ("sparse_pool", lambda x: (T.matmul(_SPARSE_POOL, x) * T.matmul(_SPARSE_POOL, x)).sum()),
     ],
@@ -242,6 +298,10 @@ def test_gradient_check_unary_ops(name, fn):
     x = Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
     err = finite_difference_check(fn, x, step=1e-5)
     assert err < 1e-4, f"{name}: {err}"
+
+
+def _edge_weights(x):
+    return logistic_edge_weights(x, Tensor(-0.5), Tensor(0.3))
 
 
 _PAIR_WEIGHTS = np.random.default_rng(7).normal(size=(3, 3))
@@ -261,7 +321,7 @@ def test_gradient_check_many_seeds():
 
         def f(t):
             z = T.relu(t @ w)
-            d = T.pairwise_euclidean(z)
-            return (T.sigmoid(d) * mix).sum() + T.log(T.exp(t).sum())
+            a = logistic_edge_weights(z, Tensor(0.2), Tensor(0.5))
+            return (a * mix).sum() + T.log(T.exp(t).sum())
 
         assert finite_difference_check(f, x) < 1e-4

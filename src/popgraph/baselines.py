@@ -5,12 +5,16 @@ an Erdos-Renyi graph parameterized by expected node degree, a KNN graph on
 Weisfeiler-Lehman kernel similarities between the input graphs, and a KNN
 graph rebuilt every forward pass on learned representations (no gradient
 flows through neighbor selection).
+
+The WL subtree kernel is computed in its explicit feature-map form
+(Shervashidze et al., JMLR 2011): one sparse count matrix Phi, graphs x
+compressed labels of every refinement round, and the gram ``Phi Phi^T``.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Graph
 
@@ -30,72 +34,51 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     return adj + adj.T
 
 
-@dataclass
-class WLFeatureMap:
-    """Per-iteration histograms of compressed node labels."""
+def _wl_labels(graph: Graph, iterations: int, label_dict: dict) -> list:
+    """Compressed labels of every node in rounds 0..iterations, concatenated.
 
-    histograms: list  # list[Counter], length iterations + 1
-    iterations: int
-
-
-def wl_feature_map(graph: Graph, iterations: int, label_dict: dict,
-                   node_labels=None) -> WLFeatureMap:
-    """Iterated neighborhood-label refinement histograms.
-
-    Initial labels default to node degrees; each round hashes (own label,
-    sorted multiset of neighbor labels) through ``label_dict``, which must
-    be shared across every graph that will be compared.
+    Initial labels are node degrees; each round hashes (own label, sorted
+    multiset of neighbor labels) through ``label_dict``, which must be
+    shared across every graph that will be compared. Every key of a round
+    holds a label of the round before, so no label recurs across rounds.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
     neighbors = [[] for _ in range(graph.node_count)]
     for u, v in graph.edges:
         neighbors[u].append(v)
         if u != v:
             neighbors[v].append(u)
-    if node_labels is None:
-        labels = [len(nbrs) for nbrs in neighbors]
-    else:
-        labels = list(node_labels)
-        if len(labels) != graph.node_count:
-            raise ValueError("node_labels length must equal node count")
 
     def compress(key):
         if key not in label_dict:
             label_dict[key] = len(label_dict)
         return label_dict[key]
 
-    labels = [compress(("init", lab)) for lab in labels]
-    histograms = [Counter(labels)]
+    labels = [compress(("init", len(nbrs))) for nbrs in neighbors]
+    every_round = list(labels)
     for _ in range(iterations):
         labels = [
             compress((labels[v], tuple(sorted(labels[u] for u in neighbors[v]))))
             for v in range(graph.node_count)
         ]
-        histograms.append(Counter(labels))
-    return WLFeatureMap(histograms=histograms, iterations=iterations)
-
-
-def _histogram_dot(a: Counter, b: Counter) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    return float(sum(count * b.get(label, 0) for label, count in a.items()))
-
-
-def wl_map_kernel(fa: WLFeatureMap, fb: WLFeatureMap) -> float:
-    return sum(_histogram_dot(ha, hb) for ha, hb in zip(fa.histograms, fb.histograms))
+        every_round.extend(labels)
+    return every_round
 
 
 def wl_gram(graphs, iterations: int = WL_DEFAULT_ITERATIONS) -> np.ndarray:
-    """Kernel matrix over a graph list with one shared label dictionary."""
+    """WL subtree kernel matrix ``Phi Phi^T`` over a graph list.
+
+    Row g of the sparse Phi counts graph g's nodes under each compressed
+    label, over all rounds. Its entries are integers, so the float64 gram
+    is exact and exactly symmetric.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     shared = {}
-    maps = [wl_feature_map(g, iterations, shared) for g in graphs]
-    n = len(graphs)
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = wl_map_kernel(maps[i], maps[j])
-    return gram
+    labels = [_wl_labels(g, iterations, shared) for g in graphs]
+    rows = np.repeat(np.arange(len(graphs)), [len(lab) for lab in labels])
+    cols = np.fromiter(itertools.chain.from_iterable(labels), dtype=np.intp, count=rows.size)
+    phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(graphs), len(shared)))
+    return (phi @ phi.T).toarray()
 
 
 def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
@@ -103,11 +86,13 @@ def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
     n = sim.shape[0]
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
+    # stable: lower index wins ties. Of each row's first k + 1, drop the row
+    # itself, or the last one when the row itself ranks lower.
+    order = np.argsort(-sim, axis=1, kind="stable")[:, :k + 1]
+    keep = order != np.arange(n)[:, None]
+    keep[keep.all(axis=1), k] = False
     adj = np.zeros((n, n))
-    for i in range(n):
-        order = np.argsort(-sim[i], kind="stable")  # stable: lower index wins ties
-        picked = [j for j in order if j != i][:k]
-        adj[i, picked] = 1.0
+    adj[np.repeat(np.arange(n), k), order[keep]] = 1.0
     return np.maximum(adj, adj.T)
 
 

@@ -6,9 +6,18 @@ gives the 1-based graph id of every node, ``<name>_graph_labels.txt`` one
 label per graph. ``<name>_node_labels.txt`` and ``<name>_node_attributes.txt``
 are optional. The loader deduplicates edges to single undirected storage and
 remaps graph labels to a contiguous [0, C) range.
+
+Each file is parsed as one array, and nodes, edges and features are grouped
+per graph with array operations. A malformed file still raises
+:class:`DatasetFormatError` naming the file and line: when the array parse
+or a check on its result finds a fault, a pass over the lines names it.
 """
 
+import io
+import itertools
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +47,19 @@ class Graph:
             raise DatasetFormatError(
                 f"feature rows {self.features.shape[0]} != node count {self.node_count}"
             )
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise DatasetFormatError(f"edge ({u}, {v}) outside [0, {self.node_count})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DatasetFormatError(f"duplicate undirected edge {key}")
-            seen.add(key)
+        n = self.node_count
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+        if outside.size:
+            u, v = self.edges[outside[0]]
+            raise DatasetFormatError(f"edge ({u}, {v}) outside [0, {n})")
+        ordered = np.sort(edges, axis=1)
+        keys = ordered[:, 0] * n + ordered[:, 1]
+        sorted_keys = np.sort(keys)
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            first = np.unique(keys, return_index=True)[1]  # earliest repeat of a seen key
+            u, v = self.edges[np.setdiff1d(np.arange(keys.size), first)[0]]
+            raise DatasetFormatError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
 
 
 class GraphBatch:
@@ -130,21 +144,110 @@ class SyntheticSpec:
             raise ValueError(f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}")
 
 
-def _read_lines(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh]
+        return fh.read()
 
 
-def _numbered(lines):
-    """(1-based line number, text) of every non-blank line."""
-    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
+def _numbered(text: str):
+    """(1-based line number, stripped text) of every non-blank line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
 
 
-def _int(path: str, lineno: int, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DatasetFormatError(f"{path}:{lineno}: bad {what} {text!r}") from None
+def _line_of_row(text: str, row: int):
+    """(line number, text) of the 0-based ``row``-th non-blank line."""
+    return next(itertools.islice(_numbered(text), row, None))
+
+
+def _int64(text: str) -> int:
+    """``int(text)``; ValueError outside the int64 range the arrays hold."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
+# a line whose first non-blank character is a comma
+_LEADING_COMMA = re.compile(r"\n[^\S\n]*,")
+
+
+def _parse_array(text: str, dtype, width=None, commas=False):
+    """The non-blank lines of ``text`` as a (rows, width) array, or None.
+
+    Fields are separated by blanks, and with ``commas`` by commas too. None
+    when a field does not parse as ``dtype``, the rows are ragged or not
+    ``width`` wide, there is no row, or a line starts with a comma (blanking
+    its commas could blank the line, which the parse would then skip). The
+    caller's line loop then names the line at fault, or parses the few
+    spellings ``int`` and ``float`` accept but this parser does not
+    (``1_000``, non-ASCII digits).
+    """
+    if commas:
+        if _LEADING_COMMA.search("\n" + text):
+            return None
+        text = text.replace(",", " ")
+    with warnings.catch_warnings():
+        # "input contained no data", and int-from-float parsing on numpy
+        # versions that deprecate rather than reject it
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return values if width is None or values.shape[1] == width else None
+
+
+def _int_column(path: str, text: str, what: str) -> np.ndarray:
+    """One integer per non-blank line."""
+    values = _parse_array(text, np.int64, width=1)
+    if values is not None:
+        return values[:, 0]
+    parsed = []
+    for lineno, line in _numbered(text):
+        try:
+            parsed.append(_int64(line))
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: bad {what} {line!r}") from None
+    return np.array(parsed, dtype=np.int64)
+
+
+def _edge_rows(path: str, text: str) -> np.ndarray:
+    """(rows, 2) node ids, one ``u, v`` or ``u v`` pair per non-blank line."""
+    values = _parse_array(text, np.int64, width=2, commas=True)
+    if values is not None:
+        return values
+    parsed = []
+    for lineno, line in _numbered(text):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise DatasetFormatError(f"{path}:{lineno}: expected two node ids")
+        try:
+            parsed.append([_int64(parts[0]), _int64(parts[1])])
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: bad node id in {line!r}") from None
+    return np.array(parsed, dtype=np.int64).reshape(-1, 2)
+
+
+def _attribute_rows(path: str, text: str) -> np.ndarray:
+    """One row of floats per non-blank line, every row as wide as the first."""
+    values = _parse_array(text, np.float64, commas=True)
+    if values is not None:
+        return values
+    parsed = []
+    for lineno, row in _numbered(text):
+        try:
+            parsed.append([float(x) for x in row.replace(",", " ").split()])
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: bad attribute row {row!r}") from None
+        if len(parsed[-1]) != len(parsed[0]):
+            raise DatasetFormatError(
+                f"{path}:{lineno}: {len(parsed[-1])} attributes, "
+                f"the first row has {len(parsed[0])}"
+            )
+    return np.array(parsed)
 
 
 def _require(directory: str, filename: str) -> str:
@@ -154,13 +257,13 @@ def _require(directory: str, filename: str) -> str:
     return path
 
 
-def _optional_lines(directory: str, filename: str):
-    """(path, lines) of an optional file; lines is None when it is absent or blank."""
+def _optional_text(directory: str, filename: str):
+    """(path, text) of an optional file; text is None when it is absent or blank."""
     path = os.path.join(directory, filename)
     if not os.path.exists(path):
         return path, None
-    lines = _read_lines(path)
-    return path, lines if any(lines) else None
+    text = _read_text(path)
+    return path, text if text.strip() else None
 
 
 def load_tu_dataset(directory: str, name: str):
@@ -176,116 +279,98 @@ def load_tu_dataset(directory: str, name: str):
     edges_path = _require(directory, f"{name}_A.txt")
     labels_path = _require(directory, f"{name}_graph_labels.txt")
 
-    indicator_lines = _read_lines(indicator_path)
-    graph_of_node = []  # 0-based graph id per 0-based global node
-    for lineno, line in _numbered(indicator_lines):
-        gid = _int(indicator_path, lineno, line, "graph id")
-        if gid < 1:
-            raise DatasetFormatError(f"{indicator_path}:{lineno}: bad graph id {line!r}")
-        graph_of_node.append(gid - 1)
-    if not graph_of_node:
+    indicator_text = _read_text(indicator_path)
+    graph_ids = _int_column(indicator_path, indicator_text, "graph id")
+    if not graph_ids.size:
         raise DatasetFormatError(f"{indicator_path}: no nodes")
-    num_graphs = max(graph_of_node) + 1
-    total_nodes = len(graph_of_node)
-
-    # global node index -> (graph, local index), preserving file order
-    local_index = np.zeros(total_nodes, dtype=np.intp)
-    node_counts = np.zeros(num_graphs, dtype=np.intp)
-    for node, g in enumerate(graph_of_node):
-        local_index[node] = node_counts[g]
-        node_counts[g] += 1
+    bad = np.flatnonzero(graph_ids < 1)
+    if bad.size:
+        lineno, line = _line_of_row(indicator_text, bad[0])
+        raise DatasetFormatError(f"{indicator_path}:{lineno}: bad graph id {line!r}")
+    graph_of_node = graph_ids - 1
+    num_graphs = int(graph_of_node.max()) + 1
+    total_nodes = graph_of_node.size
+    node_counts = np.bincount(graph_of_node, minlength=num_graphs)
     empty = np.flatnonzero(node_counts == 0)
     if empty.size:
         missing = int(empty[0])
-        lineno, line = next(row for row, g in zip(_numbered(indicator_lines), graph_of_node)
-                            if g > missing)
+        lineno, line = _line_of_row(indicator_text, np.argmax(graph_of_node > missing))
         raise DatasetFormatError(
             f"{indicator_path}:{lineno}: graph id {line} skips graph {missing + 1}, "
             "which has no nodes"
         )
+    # Nodes grouped by graph, in file order within each: node order[r] is
+    # row r of the stacked graphs, and rank is its inverse.
+    order = np.argsort(graph_of_node, kind="stable")
+    rank = np.empty(total_nodes, dtype=np.int64)
+    rank[order] = np.arange(total_nodes)
+    offsets = np.concatenate([[0], np.cumsum(node_counts)])
 
-    raw_labels = [_int(labels_path, lineno, line, "graph label")
-                  for lineno, line in _numbered(_read_lines(labels_path))]
-    if len(raw_labels) != num_graphs:
+    raw_labels = _int_column(labels_path, _read_text(labels_path), "graph label")
+    if raw_labels.size != num_graphs:
         raise DatasetFormatError(
-            f"{labels_path}: {len(raw_labels)} labels for {num_graphs} graphs"
+            f"{labels_path}: {raw_labels.size} labels for {num_graphs} graphs"
         )
-    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
+    labels = np.unique(raw_labels, return_inverse=True)[1].reshape(-1).tolist()
 
-    edge_sets = [set() for _ in range(num_graphs)]
-    for lineno, line in _numbered(_read_lines(edges_path)):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{edges_path}:{lineno}: expected two node ids")
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError:
-            raise DatasetFormatError(f"{edges_path}:{lineno}: bad node id in {line!r}") from None
-        if not (0 <= u < total_nodes and 0 <= v < total_nodes):
-            raise DatasetFormatError(
-                f"{edges_path}:{lineno}: node id outside dataset range"
-            )
-        if graph_of_node[u] != graph_of_node[v]:
-            raise DatasetFormatError(
-                f"{edges_path}:{lineno}: edge crosses graphs "
-                f"{graph_of_node[u] + 1} and {graph_of_node[v] + 1}"
-            )
-        g = graph_of_node[u]
-        a, b = int(local_index[u]), int(local_index[v])
-        edge_sets[g].add((min(a, b), max(a, b)))
+    edges_text = _read_text(edges_path)
+    u, v = (_edge_rows(edges_path, edges_text) - 1).T
+    inside = (0 <= u) & (u < total_nodes) & (0 <= v) & (v < total_nodes)
+    gu = graph_of_node[np.where(inside, u, 0)]
+    gv = graph_of_node[np.where(inside, v, 0)]
+    bad = np.flatnonzero(~inside | (gu != gv))
+    if bad.size:
+        row = bad[0]
+        lineno, _ = _line_of_row(edges_text, row)
+        if not inside[row]:
+            raise DatasetFormatError(f"{edges_path}:{lineno}: node id outside dataset range")
+        raise DatasetFormatError(
+            f"{edges_path}:{lineno}: edge crosses graphs {gu[row] + 1} and {gv[row] + 1}"
+        )
+    # One key per undirected edge on stacked rows; sorted keys put each
+    # graph's edges together, in (lower, higher) order.
+    lo, hi = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
+    keys = np.unique(lo * total_nodes + hi)
+    lo, hi = keys // total_nodes, keys % total_nodes
+    edge_graph = graph_of_node[order[lo]]
+    edge_offsets = np.concatenate([[0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))])
+    base = offsets[edge_graph]
+    pairs = list(zip((lo - base).tolist(), (hi - base).tolist()))
 
-    node_labels_path, node_label_lines = _optional_lines(directory, f"{name}_node_labels.txt")
-    attrs_path, attr_lines = _optional_lines(directory, f"{name}_node_attributes.txt")
+    node_labels_path, node_labels_text = _optional_text(directory, f"{name}_node_labels.txt")
+    attrs_path, attrs_text = _optional_text(directory, f"{name}_node_attributes.txt")
 
     blocks = []
-    if node_label_lines is not None:
-        values = [_int(node_labels_path, lineno, row, "node label")
-                  for lineno, row in _numbered(node_label_lines)]
-        if len(values) != total_nodes:
+    if node_labels_text is not None:
+        values = _int_column(node_labels_path, node_labels_text, "node label")
+        if values.size != total_nodes:
             raise DatasetFormatError(
-                f"{node_labels_path}: {len(values)} rows for {total_nodes} nodes"
+                f"{node_labels_path}: {values.size} rows for {total_nodes} nodes"
             )
-        classes = sorted(set(values))
-        index = {c: i for i, c in enumerate(classes)}
-        onehot = np.zeros((total_nodes, len(classes)))
-        for node, value in enumerate(values):
-            onehot[node, index[value]] = 1.0
+        classes, index = np.unique(values, return_inverse=True)
+        onehot = np.zeros((total_nodes, classes.size))
+        onehot[np.arange(total_nodes), index.reshape(-1)] = 1.0
         blocks.append(onehot)
-    if attr_lines is not None:
-        attrs = []
-        for lineno, row in _numbered(attr_lines):
-            try:
-                attrs.append([float(x) for x in row.replace(",", " ").split()])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{attrs_path}:{lineno}: bad attribute row {row!r}") from None
-            if len(attrs[-1]) != len(attrs[0]):
-                raise DatasetFormatError(
-                    f"{attrs_path}:{lineno}: {len(attrs[-1])} attributes, "
-                    f"the first row has {len(attrs[0])}"
-                )
+    if attrs_text is not None:
+        attrs = _attribute_rows(attrs_path, attrs_text)
         if len(attrs) != total_nodes:
             raise DatasetFormatError(f"{attrs_path}: {len(attrs)} rows for {total_nodes} nodes")
-        blocks.append(np.array(attrs))
+        blocks.append(attrs)
     if blocks:
         all_features = np.concatenate(blocks, axis=1)
     else:
         all_features = np.ones((total_nodes, 1))
+    features = np.split(all_features[order], offsets[1:-1])
 
-    features_per_graph = [np.zeros((int(c), all_features.shape[1])) for c in node_counts]
-    for node in range(total_nodes):
-        features_per_graph[graph_of_node[node]][local_index[node]] = all_features[node]
-
-    graphs = []
-    for g in range(num_graphs):
-        graphs.append(
-            Graph(
-                node_count=int(node_counts[g]),
-                edges=sorted(edge_sets[g]),
-                features=features_per_graph[g],
-                label=label_map[raw_labels[g]],
-            )
+    graphs = [
+        Graph(
+            node_count=int(node_counts[g]),
+            edges=pairs[edge_offsets[g]:edge_offsets[g + 1]],
+            features=features[g],
+            label=labels[g],
         )
+        for g in range(num_graphs)
+    ]
     for graph in graphs:
         graph.validate()
     return graphs

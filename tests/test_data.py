@@ -62,15 +62,60 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
         ("node_attributes", "0.5\n1.5, 2.0\n2.5\n3.5\n", r"TOY_node_attributes.txt:2: 2 attributes"),
         ("node_attributes", "0.5\n1.5\n\nabc\n3.5\n", r"TOY_node_attributes.txt:4: bad attribute row"),
         ("A", "1, 2\n2, 1\n3, 4\n4, y\n", r"TOY_A.txt:4: bad node id in '4, y'"),
+        ("A", "1, 2\n\n2, 1\n3, 4\n4, z\n", r"TOY_A.txt:5: bad node id in '4, z'"),
+        ("A", "1 2\n2 1\n3 4 4\n4 3\n", r"TOY_A.txt:3: expected two node ids"),
+        ("A", "1, 2\n2, 1\n\n3, 5\n", r"TOY_A.txt:4: node id outside dataset range"),
+        ("graph_indicator", "1\n" * 4999 + "q\n" + "2\n" * 10,
+         r"TOY_graph_indicator.txt:5000: bad graph id 'q'"),
+        ("graph_indicator", "1\n\n" * 1000 + "2\n" * 2999 + "0\n",
+         r"TOY_graph_indicator.txt:5000: bad graph id '0'"),
     ],
     ids=["graph_id_gap", "graph_id_zero", "graph_label", "node_label", "ragged_attributes",
-         "non_numeric_attributes", "edge_node_id"],
+         "non_numeric_attributes", "edge_node_id", "edge_node_id_after_blank_line",
+         "edge_three_ids", "edge_node_id_out_of_range", "graph_id_line_5000",
+         "graph_id_zero_line_5000"],
 )
 def test_malformed_file_reports_file_and_line(tmp_path, filename, content, message):
     write_fixture(tmp_path)
     (tmp_path / f"TOY_{filename}.txt").write_text(content)
     with pytest.raises(DatasetFormatError, match=message):
         load_tu_dataset(str(tmp_path), "TOY")
+
+
+@pytest.mark.parametrize("edges", ["1 2\n2 1\n3 4\n4 3\n", "1\t2\n2  1\n\n 3 ,4\n4,3\n"],
+                         ids=["spaces", "mixed"])
+def test_whitespace_separated_edges_load_like_commas(tmp_path, edges):
+    expected = load_tu_dataset(write_fixture(tmp_path), "TOY")
+    (tmp_path / "TOY_A.txt").write_text(edges)
+    for a, b in zip(expected, load_tu_dataset(str(tmp_path), "TOY")):
+        assert a.edges == b.edges and a.node_count == b.node_count and a.label == b.label
+
+
+def test_int_spellings_the_array_parse_rejects_still_load(tmp_path):
+    # "1_0" and full-width digits are valid for int() but not for the array
+    # parser, so the line loop parses these files
+    write_fixture(tmp_path)
+    (tmp_path / "TOY_graph_labels.txt").write_text("1_0\n\uff19\n")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, \uff11\n3, 4\n4, 3\n")
+    graphs = load_tu_dataset(str(tmp_path), "TOY")
+    assert [g.label for g in graphs] == [1, 0]  # 10 and 9
+    assert [g.edges for g in graphs] == [[(0, 1)], [(0, 1)]]
+
+
+def test_interleaved_graph_ids_keep_file_order(tmp_path):
+    # nodes of three graphs interleaved in the indicator file: each graph keeps
+    # its nodes in file order, and its edges follow them
+    graph_ids = np.random.default_rng(3).integers(1, 4, size=300)
+    members = [np.flatnonzero(graph_ids == g) for g in (1, 2, 3)]
+    chains = [(a + 1, b + 1) for nodes in members for a, b in zip(nodes[:-1], nodes[1:])]
+    (tmp_path / "IL_graph_indicator.txt").write_text("".join(f"{g}\n" for g in graph_ids))
+    (tmp_path / "IL_graph_labels.txt").write_text("0\n1\n0\n")
+    (tmp_path / "IL_A.txt").write_text("".join(f"{b}, {a}\n{a}, {b}\n" for a, b in chains))
+    (tmp_path / "IL_node_attributes.txt").write_text("".join(f"{i}.0\n" for i in range(300)))
+    graphs = load_tu_dataset(str(tmp_path), "IL")
+    for g, nodes in zip(graphs, members):
+        np.testing.assert_array_equal(g.features[:, 0], nodes)
+        assert g.edges == [(i, i + 1) for i in range(len(nodes) - 1)]
 
 
 def test_empty_node_labels_falls_back_to_attributes(tmp_path):
@@ -102,6 +147,38 @@ def test_tu_round_trip(tmp_path):
         assert sorted(a.edges) == sorted(b.edges)
         assert a.label == b.label
         np.testing.assert_array_equal(a.features, b.features)
+
+
+@st.composite
+def tu_datasets(draw):
+    """Graphs with self-loops, isolated nodes and one-node graphs, as saved."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    graphs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=6))
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        values = draw(st.lists(st.floats(allow_nan=False, width=64), min_size=n * dim,
+                               max_size=n * dim))
+        label = draw(st.integers(min_value=-3, max_value=3))
+        graphs.append(Graph(n, edges, np.array(values).reshape(n, dim), label))
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs=tu_datasets())
+def test_tu_round_trip_property(tmp_path_factory, graphs):
+    out = tmp_path_factory.mktemp("rt")
+    save_tu_dataset(graphs, str(out), "RT")
+    reloaded = load_tu_dataset(str(out), "RT")
+    classes = sorted({g.label for g in graphs})
+    assert len(reloaded) == len(graphs)
+    for a, b in zip(graphs, reloaded):
+        assert b.node_count == a.node_count
+        assert b.edges == sorted(a.edges)
+        assert b.label == classes.index(a.label)
+        assert b.features.dtype == np.float64
+        assert b.features.tobytes() == a.features.tobytes()  # exact, -0.0 and inf too
 
 
 def test_synthetic_noise_free_classes_are_constant():

@@ -7,16 +7,17 @@ label per graph. ``<name>_node_labels.txt`` and ``<name>_node_attributes.txt``
 are optional. The loader deduplicates edges to single undirected storage and
 remaps graph labels to a contiguous [0, C) range.
 
-Each file is parsed as one array, and nodes, edges and features are grouped
-per graph with array operations. A malformed file still raises
-:class:`DatasetFormatError` naming the file and line: when the array parse
-or a check on its result finds a fault, a pass over the lines names it.
+Each comma-separated file is parsed as one array, and nodes, edges and
+features are grouped per graph with array operations. A file the array parse
+rejects goes through a loop over its lines, which also accepts blank-separated
+fields. A malformed file still raises :class:`DatasetFormatError` naming the
+file and line: when the array parse or a check on its result finds a fault,
+a pass over the lines names it.
 """
 
 import io
 import itertools
 import os
-import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,19 +48,14 @@ class Graph:
             raise DatasetFormatError(
                 f"feature rows {self.features.shape[0]} != node count {self.node_count}"
             )
-        n = self.node_count
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
-        if outside.size:
-            u, v = self.edges[outside[0]]
-            raise DatasetFormatError(f"edge ({u}, {v}) outside [0, {n})")
-        ordered = np.sort(edges, axis=1)
-        keys = ordered[:, 0] * n + ordered[:, 1]
-        sorted_keys = np.sort(keys)
-        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-            first = np.unique(keys, return_index=True)[1]  # earliest repeat of a seen key
-            u, v = self.edges[np.setdiff1d(np.arange(keys.size), first)[0]]
-            raise DatasetFormatError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
+        seen = set()
+        for u, v in self.edges:
+            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+                raise DatasetFormatError(f"edge ({u}, {v}) outside [0, {self.node_count})")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise DatasetFormatError(f"duplicate undirected edge {key}")
+            seen.add(key)
 
 
 class GraphBatch:
@@ -170,31 +166,22 @@ def _int64(text: str) -> int:
     return value
 
 
-# a line whose first non-blank character is a comma
-_LEADING_COMMA = re.compile(r"\n[^\S\n]*,")
+def _parse_array(text: str, dtype, width=None):
+    """The non-blank lines of ``text`` as a comma-separated (rows, width) array, or None.
 
-
-def _parse_array(text: str, dtype, width=None, commas=False):
-    """The non-blank lines of ``text`` as a (rows, width) array, or None.
-
-    Fields are separated by blanks, and with ``commas`` by commas too. None
-    when a field does not parse as ``dtype``, the rows are ragged or not
-    ``width`` wide, there is no row, or a line starts with a comma (blanking
-    its commas could blank the line, which the parse would then skip). The
-    caller's line loop then names the line at fault, or parses the few
-    spellings ``int`` and ``float`` accept but this parser does not
-    (``1_000``, non-ASCII digits).
+    None when a field does not parse as ``dtype``, the rows are ragged or not
+    ``width`` wide, a line is blank but for spaces, or there is no row. The
+    caller's line loop then names the line at fault, or parses the spellings
+    the loop accepts but this parser does not: blank-separated fields,
+    ``1_000`` and non-ASCII digits.
     """
-    if commas:
-        if _LEADING_COMMA.search("\n" + text):
-            return None
-        text = text.replace(",", " ")
     with warnings.catch_warnings():
         # "input contained no data", and int-from-float parsing on numpy
         # versions that deprecate rather than reject it
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
+            values = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+                                comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
     return values if width is None or values.shape[1] == width else None
@@ -216,7 +203,7 @@ def _int_column(path: str, text: str, what: str) -> np.ndarray:
 
 def _edge_rows(path: str, text: str) -> np.ndarray:
     """(rows, 2) node ids, one ``u, v`` or ``u v`` pair per non-blank line."""
-    values = _parse_array(text, np.int64, width=2, commas=True)
+    values = _parse_array(text, np.int64, width=2)
     if values is not None:
         return values
     parsed = []
@@ -233,7 +220,7 @@ def _edge_rows(path: str, text: str) -> np.ndarray:
 
 def _attribute_rows(path: str, text: str) -> np.ndarray:
     """One row of floats per non-blank line, every row as wide as the first."""
-    values = _parse_array(text, np.float64, commas=True)
+    values = _parse_array(text, np.float64)
     if values is not None:
         return values
     parsed = []

@@ -284,7 +284,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _record(np.maximum(a.data, 0.0), (a,), backward)  # a NaN stays NaN
+    return _record(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:

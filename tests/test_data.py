@@ -65,6 +65,7 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
         ("A", "1, 2\n\n2, 1\n3, 4\n4, z\n", r"TOY_A.txt:5: bad node id in '4, z'"),
         ("A", "1 2\n2 1\n3 4 4\n4 3\n", r"TOY_A.txt:3: expected two node ids"),
         ("A", "1, 2\n2, 1\n\n3, 5\n", r"TOY_A.txt:4: node id outside dataset range"),
+        ("A", "1, 2\n2, 1\n ,\n3, 4\n4, 3\n", r"TOY_A.txt:3: expected two node ids"),
         ("graph_indicator", "1\n" * 4999 + "q\n" + "2\n" * 10,
          r"TOY_graph_indicator.txt:5000: bad graph id 'q'"),
         ("graph_indicator", "1\n\n" * 1000 + "2\n" * 2999 + "0\n",
@@ -72,8 +73,8 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
     ],
     ids=["graph_id_gap", "graph_id_zero", "graph_label", "node_label", "ragged_attributes",
          "non_numeric_attributes", "edge_node_id", "edge_node_id_after_blank_line",
-         "edge_three_ids", "edge_node_id_out_of_range", "graph_id_line_5000",
-         "graph_id_zero_line_5000"],
+         "edge_three_ids", "edge_node_id_out_of_range", "edge_line_of_commas",
+         "graph_id_line_5000", "graph_id_zero_line_5000"],
 )
 def test_malformed_file_reports_file_and_line(tmp_path, filename, content, message):
     write_fixture(tmp_path)

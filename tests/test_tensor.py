@@ -184,28 +184,6 @@ def test_leaf_without_accumulation_gets_zero_grad():
     assert y.grad is None
 
 
-def test_relu_keeps_nan():
-    np.testing.assert_array_equal(T.relu(Tensor([np.nan, 1.0])).data, [np.nan, 1.0])
-
-
-def test_nan_input_reaches_the_loss():
-    # a NaN node feature must reach the loss of an f1 -> f3 step instead of
-    # vanishing at f1's relu; the loss then refuses the non-finite logits
-    spec = SyntheticSpec(classes=2, graphs_per_class=3, nodes_min=3, nodes_max=5,
-                         topology="ambiguous_features", feature_dim=2, noise_sigma=0.5)
-    graphs = make_synthetic_dataset(spec, seed=0)
-    graphs[0].features[0, 0] = np.nan
-    batch = GraphBatch(graphs)
-    rng = np.random.default_rng(0)
-    f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[4]), 2, rng)
-    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[4], head_dims=[2]), 4, rng)
-    n = len(batch)
-    logits = f3.logits(f1.forward(batch), Tensor(np.ones((n, n)) - np.eye(n)))
-    assert np.isnan(logits.data).all()
-    with pytest.raises(ValueError, match="non-finite"):
-        cross_entropy(logits, batch.labels)
-
-
 def test_softmax_rows_sum_to_one_and_shift_invariance():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 7)))

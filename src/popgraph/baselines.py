@@ -97,7 +97,11 @@ def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
+    """kNN on cosine similarities of a kernel gram; an all-zero row is rejected."""
     norms = np.sqrt(np.diag(gram))
+    empty = np.flatnonzero(norms == 0.0)
+    if empty.size:
+        raise ValueError(f"gram row {int(empty[0])} is all zero: its graph has no nodes")
     sim = gram / np.outer(norms, norms)
     return _knn_from_similarity(sim, k)
 

@@ -1,10 +1,11 @@
 """Classifier over the population graph: message passing plus a head.
 
 Each sample is a node of the population graph; :class:`~popgraph.nn.GraphConv`
-layers over its dense adjacency mix the graph representations of similar
-samples, and a per-node MLP head turns each mixed representation into class
-probabilities. Gradients flow through a learned adjacency, so the
-edge-weight parameters learn from the classification loss.
+layers over its dense adjacency A, x' = relu(x W_self + (A x) W_neigh + b),
+mix the graph representations of similar samples, and a per-node MLP head
+turns each mixed representation into class probabilities. Gradients flow
+through a learned adjacency, so the edge-weight parameters learn from the
+classification loss.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MLP, GraphConv
-from .tensor import Tensor, log_softmax, relu, softmax
+from .tensor import Tensor, log_softmax, softmax
 
 
 @dataclass
@@ -40,7 +41,7 @@ class PopulationClassifier:
     def logits(self, h: Tensor, a: Tensor) -> Tensor:
         x = h
         for layer in self.gnn_layers:
-            x = relu(layer.forward(x, a))
+            x = layer.forward(x, a)
         return self.head.forward(x)
 
     def forward(self, h: Tensor, a: Tensor):

@@ -64,8 +64,9 @@ class GraphBatch:
     ``node_offsets`` are prefix indices for block-diagonal stacking.
     ``adjacency`` is the batch-global sparse (CSR) adjacency: each undirected
     edge contributes both directions, a self-loop one entry. ``membership``
-    is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes.
-    Every graph must have at least one node.
+    is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes,
+    and ``mean_pool`` is the same matrix with row g scaled by 1 / (graph g's
+    node count). Every graph must have at least one node.
     """
 
     def __init__(self, graphs):
@@ -91,6 +92,7 @@ class GraphBatch:
             (np.ones(rows.size), (rows, cols)), shape=(n, n))
         self.membership = sp.csr_matrix(
             (np.ones(n), np.arange(n), self.node_offsets), shape=(len(counts), n))
+        self.mean_pool = sp.diags(1.0 / counts) @ self.membership
 
     def __len__(self):
         return len(self.graphs)
@@ -349,7 +351,7 @@ def load_tu_dataset(directory: str, name: str):
         all_features = np.ones((total_nodes, 1))
     features = np.split(all_features[order], offsets[1:-1])
 
-    graphs = [
+    return [
         Graph(
             node_count=int(node_counts[g]),
             edges=pairs[edge_offsets[g]:edge_offsets[g + 1]],
@@ -358,9 +360,6 @@ def load_tu_dataset(directory: str, name: str):
         )
         for g in range(num_graphs)
     ]
-    for graph in graphs:
-        graph.validate()
-    return graphs
 
 
 def save_tu_dataset(graphs, directory: str, name: str) -> None:

@@ -1,8 +1,9 @@
 """Small parameter containers shared by the model modules."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from .tensor import ShapeError, Tensor, matmul, relu
+from .tensor import ShapeError, Tensor, _accumulate, _record, relu
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -49,11 +50,17 @@ class MLP:
 
 
 class GraphConv:
-    """x' = x @ W_self + A @ (x @ W_neigh) + b, one layer of message passing.
+    """x' = relu(x @ W_self + (A @ x) @ W_neigh + b), one layer of message passing.
 
     ``adj`` is the n x n adjacency of the graph whose n nodes are the rows of
     ``x``: a constant scipy.sparse matrix for the block-diagonal batch of
     input graphs, or a dense Tensor (learned or fixed) for the population.
+
+    The layer is one autograd op with a hand-derived backward. Aggregating
+    before projecting runs the adjacency product on d_in columns, and the
+    backward takes W_neigh's gradient from the saved A @ x; A^T runs only
+    when ``x`` needs a gradient. relu maps a NaN pre-activation to 0, as
+    ``tensor.relu`` does.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="conv"):
@@ -68,7 +75,33 @@ class GraphConv:
         n = x.shape[0]
         if adj.shape != (n, n):
             raise ShapeError(f"adjacency of shape {adj.shape} for {n} node rows")
-        return x @ self.w_self + matmul(adj, x @ self.w_neigh) + self.bias
+        d_in = self.w_self.shape[0]
+        if x.ndim != 2 or x.shape[1] != d_in:
+            raise ShapeError(f"node rows of shape {x.shape} for input width {d_in}")
+        w_self, w_neigh, bias = self.w_self, self.w_neigh, self.bias
+        dense = not sp.issparse(adj)
+        a = adj.data if dense else adj
+        ax = a @ x.data
+        y = x.data @ w_self.data
+        y += ax @ w_neigh.data
+        y += bias.data
+        np.fmax(y, 0.0, out=y)
+
+        def backward(g):
+            g = g * (y > 0.0)  # relu's subgradient is 0 at exactly 0
+            _accumulate(bias, g.sum(axis=0))
+            _accumulate(w_self, x.data.T @ g)
+            _accumulate(w_neigh, ax.T @ g)
+            adj_grad = dense and adj.requires_grad
+            if x.requires_grad or adj_grad:
+                g_ax = g @ w_neigh.data.T
+                if x.requires_grad:
+                    _accumulate(x, g @ w_self.data.T + a.T @ g_ax)
+                if adj_grad:
+                    _accumulate(adj, g_ax @ x.data.T)
+
+        parents = (x, w_self, w_neigh, bias) + ((adj,) if dense else ())
+        return _record(y, parents, backward)
 
     def parameters(self):
         return [self.w_self, self.w_neigh, self.bias]

@@ -1,20 +1,20 @@
 """Per-graph message passing plus global pooling: one vector per input graph.
 
 Each layer is a :class:`~popgraph.nn.GraphConv` over the batch's
-block-diagonal sparse adjacency, x'_i = W_self x_i + sum_{j in N(i)} W_neigh x_j
-+ b, so no message crosses from one input graph to another. Pooling (mean or
-add) then collapses each graph's node rows to a single representation with
-one sparse product, so downstream modules see one row per sample.
+block-diagonal sparse adjacency,
+x'_i = relu(W_self x_i + W_neigh (sum_{j in N(i)} x_j) + b), so no message
+crosses from one input graph to another. Pooling (mean or add) then
+collapses each graph's node rows to a single representation with one sparse
+product, so downstream modules see one row per sample.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import GraphBatch
 from .nn import GraphConv
-from .tensor import Tensor, matmul, relu
+from .tensor import Tensor, matmul
 
 
 POOLING_MODES = ("mean", "add")
@@ -36,9 +36,7 @@ def global_pool(batch: GraphBatch, node_features: Tensor, mode: str) -> Tensor:
     """Reduce node rows to one row per graph: sum, or mean for ``"mean"``."""
     if mode not in POOLING_MODES:
         raise ValueError(f"pooling must be one of {POOLING_MODES}")
-    pool = batch.membership
-    if mode == "mean":
-        pool = sp.diags(1.0 / np.diff(batch.node_offsets)) @ pool
+    pool = batch.mean_pool if mode == "mean" else batch.membership
     return matmul(pool, node_features)
 
 
@@ -56,7 +54,7 @@ class NodeLevelModule:
     def forward(self, batch: GraphBatch) -> Tensor:
         x = Tensor(batch.features)
         for layer in self.layers:
-            x = relu(layer.forward(x, batch.adjacency))
+            x = layer.forward(x, batch.adjacency)
         return global_pool(batch, x, self.config.pooling)
 
     def parameters(self):

@@ -2,12 +2,13 @@
 
 It holds the differentiable operations the model runs, and only those:
 elementwise arithmetic with numpy-style broadcasting, matmul (whose left
-operand may also be a constant ``scipy.sparse`` matrix, the graph adjacencies
-and pooling matrices of batched graphs), relu, exp and log, sums, and softmax
-and log-softmax along an axis; plus the finite-difference oracle the test
-suite leans on. The two fused N x N ops of the model, the latent graph's edge
-weights and the NDDL degree histogram, live in ``latent_graph`` and
-``degree_loss`` and are built from the same ``_record`` and ``_accumulate``.
+operand may also be a constant ``scipy.sparse`` matrix, the pooling matrices
+of batched graphs), relu, exp and log, sums, and softmax and log-softmax
+along an axis; plus the finite-difference oracle the test suite leans on.
+The model's fused ops are built from the same ``_record`` and
+``_accumulate``: the graph convolution with its relu, ``nn.GraphConv``, and
+the two N x N ops, the latent graph's edge weights and the NDDL degree
+histogram, in ``latent_graph`` and ``degree_loss``.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps
@@ -256,7 +257,7 @@ def matmul(a, b: Tensor) -> Tensor:
     """a @ b; ``a`` is a Tensor or a constant scipy.sparse matrix.
 
     Gradients are formed only for operands that require them, so a constant
-    operand (a sparse adjacency, a fixed dense graph) costs no backward work.
+    operand (a sparse pooling matrix, a constant input) costs no backward work.
     """
     sparse = sp.issparse(a)
     a_data = a if sparse else a.data

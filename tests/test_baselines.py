@@ -116,17 +116,13 @@ def test_knn_from_gram_matches_oracle_on_ties():
                                           knn_oracle(gram / np.outer(norms, norms), k))
 
 
-def test_knn_from_gram_with_zero_norm_row_matches_oracle():
-    # a graph with no nodes has an all-zero gram row: its similarities are NaN
+def test_knn_from_gram_rejects_zero_norm_row():
+    # a graph with no nodes has an all-zero gram row: its similarities would be 0/0
     gram = np.array([[4.0, 2.0, 0.0, 2.0], [2.0, 4.0, 0.0, 2.0],
                      [0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 0.0, 4.0]])
-    norms = np.sqrt(np.diag(gram))
-    with np.errstate(invalid="ignore"):
-        sim = gram / np.outer(norms, norms)
-        for k in (1, 2, 3):
-            adj = knn_from_gram(gram, k)
-            np.testing.assert_array_equal(adj, knn_oracle(sim, k))
-            np.testing.assert_array_equal(np.diag(adj), 0.0)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="gram row 2 is all zero"):
+            knn_from_gram(gram, k)
 
 
 def test_dynamic_knn_matches_oracle_on_ties():

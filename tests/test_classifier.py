@@ -27,7 +27,7 @@ def test_dense_conv_isolated_population():
     w_neigh = rng.normal(size=(3, 2))
     bias = rng.normal(size=2)
     out = dense_conv(h, Tensor(np.zeros((4, 4))), w_self, w_neigh, bias)
-    np.testing.assert_allclose(out.data, h.data @ w_self + bias, atol=1e-12)
+    np.testing.assert_allclose(out.data, np.maximum(h.data @ w_self + bias, 0.0), atol=1e-12)
 
 
 def test_dense_conv_all_ones_hand_sum():
@@ -45,7 +45,7 @@ def test_dense_conv_matches_dense_multiply_oracle():
     np.fill_diagonal(a, 0.0)
     w_self, w_neigh, bias = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=3)
     out = dense_conv(Tensor(h), Tensor(a), w_self, w_neigh, bias)
-    oracle = h @ w_self + a @ h @ w_neigh + bias
+    oracle = np.maximum(h @ w_self + a @ h @ w_neigh + bias, 0.0)
     np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
 

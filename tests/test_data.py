@@ -182,6 +182,14 @@ def test_tu_round_trip_property(tmp_path_factory, graphs):
         assert b.features.tobytes() == a.features.tobytes()  # exact, -0.0 and inf too
 
 
+@given(graphs=tu_datasets())
+def test_tu_round_trip_graphs_pass_validate(tmp_path_factory, graphs):
+    out = tmp_path_factory.mktemp("rt")
+    save_tu_dataset(graphs, str(out), "RT")
+    for graph in load_tu_dataset(str(out), "RT"):
+        graph.validate()
+
+
 def test_synthetic_noise_free_classes_are_constant():
     spec = SyntheticSpec(
         classes=2, graphs_per_class=4, nodes_min=4, nodes_max=6,

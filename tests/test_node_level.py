@@ -4,6 +4,7 @@ import pytest
 from popgraph.data import Graph, GraphBatch
 from popgraph.nn import GraphConv
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule, global_pool
+from popgraph import tensor as T
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -27,7 +28,7 @@ def test_edgeless_graph_only_self_term():
     layer = GraphConv(3, 2, rng)
     batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
     out = conv(layer, batch)
-    expected = batch.features @ layer.w_self.data + layer.bias.data
+    expected = np.maximum(batch.features @ layer.w_self.data + layer.bias.data, 0.0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -49,10 +50,11 @@ def test_graph_conv_matches_dense_oracle():
     batch = single_graph_batch(5, edges, rng.normal(size=(5, 4)))
     out = conv(layer, batch)
     a = dense_adjacency(5, edges)
-    oracle = (
+    oracle = np.maximum(
         batch.features @ layer.w_self.data
         + a @ batch.features @ layer.w_neigh.data
-        + layer.bias.data
+        + layer.bias.data,
+        0.0,
     )
     np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
@@ -79,6 +81,65 @@ def test_sparse_and_dense_adjacency_agree():
         results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
     for sparse, dense in zip(*results):
         np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
+
+
+def unfused_conv(layer, x, adj):
+    """The chain of generic ops the fused layer replaces: the oracle."""
+    return T.relu(x @ layer.w_self + T.matmul(adj, x @ layer.w_neigh) + layer.bias)
+
+
+def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
+    """(x, adjacency, gradient inputs) for one of the layer's input kinds."""
+    edges = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 3.0 / n]
+    adj = single_graph_batch(n, edges, np.zeros((n, 1))).adjacency
+    if adj_kind != "sparse":
+        adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
+    x = Tensor(rng.normal(size=(n, d_in)), requires_grad=x_leaf)
+    inputs = [x] if x_leaf else []
+    return x, adj, inputs + ([adj] if adj_kind == "dense_leaf" else [])
+
+
+CONV_INPUT_KINDS = [(x_leaf, adj_kind) for x_leaf in (False, True)
+                    for adj_kind in ("sparse", "dense_constant", "dense_leaf")]
+
+
+@pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
+def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
+    rng = np.random.default_rng(11)
+    layer = GraphConv(3, 4, rng)
+    x, adj, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
+    mix = Tensor(rng.normal(size=(6, 4)))
+    for t in layer.parameters() + inputs:
+        err = finite_difference_check(lambda _: (layer.forward(x, adj) * mix).sum(), t)
+        assert err < 1e-6, f"{t}: {err}"
+
+
+@pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
+def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
+    rng = np.random.default_rng(12)
+    layer = GraphConv(8, 32, rng)
+    x, adj, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
+    mix = Tensor(rng.normal(size=(320, 32)))
+    results = []
+    for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj)):
+        out = forward(x, adj)
+        (out * mix).sum().backward()
+        results.append([out.data] + [t.grad for t in layer.parameters() + inputs])
+    assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
+    for fused, chain in zip(*results):
+        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
+    assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
+
+
+def test_graph_conv_nan_pre_activation_gives_zero():
+    rng = np.random.default_rng(13)
+    layer = GraphConv(3, 2, rng)
+    layer.bias.data[0] = np.nan
+    batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
+    x = Tensor(batch.features)
+    out = layer.forward(x, batch.adjacency).data
+    np.testing.assert_array_equal(out, unfused_conv(layer, x, batch.adjacency).data)
+    np.testing.assert_array_equal(out[:, 0], 0.0)
 
 
 def test_global_pool_singletons_identity():

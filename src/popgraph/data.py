@@ -7,15 +7,15 @@ label per graph. ``<name>_node_labels.txt`` and ``<name>_node_attributes.txt``
 are optional. The loader deduplicates edges to single undirected storage and
 remaps graph labels to a contiguous [0, C) range.
 
-Each comma-separated file is parsed as one array, and nodes, edges and
-features are grouped per graph with array operations. A file the array parse
-rejects goes through a loop over its lines, which also accepts blank-separated
-fields. A malformed file still raises :class:`DatasetFormatError` naming the
-file and line: when the array parse or a check on its result finds a fault,
-a pass over the lines names it.
+Every file has one grammar: one row per line, fields separated by commas and
+read as ``np.loadtxt`` reads them (an integer is an optional sign and ASCII
+digits), blank lines skipped but counted, and every node attribute finite.
+Each file is parsed as one array, and nodes, edges and features are grouped
+per graph with array operations. A malformed file raises
+:class:`DatasetFormatError` naming the file and, where one line is at fault,
+the first such line: only then are the lines parsed one at a time.
 """
 
-import io
 import itertools
 import os
 import warnings
@@ -43,20 +43,6 @@ class Graph:
     features: np.ndarray
     label: int
 
-    def validate(self) -> None:
-        if self.features.shape[0] != self.node_count:
-            raise DatasetFormatError(
-                f"feature rows {self.features.shape[0]} != node count {self.node_count}"
-            )
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise DatasetFormatError(f"edge ({u}, {v}) outside [0, {self.node_count})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DatasetFormatError(f"duplicate undirected edge {key}")
-            seen.add(key)
-
 
 class GraphBatch:
     """N graphs stacked for joint processing: the population for one step.
@@ -66,7 +52,9 @@ class GraphBatch:
     edge contributes both directions, a self-loop one entry. ``membership``
     is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes,
     and ``mean_pool`` is the same matrix with row g scaled by 1 / (graph g's
-    node count). Every graph must have at least one node.
+    node count). Every graph must have at least one node, one feature row per
+    node, and edges between its own nodes, each undirected edge listed once;
+    a ``ValueError`` names the first graph that does not.
     """
 
     def __init__(self, graphs):
@@ -77,19 +65,38 @@ class GraphBatch:
         empty = np.flatnonzero(counts <= 0)
         if empty.size:
             raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
+        feature_rows = np.array([g.features.shape[0] for g in self.graphs])
+        bad = np.flatnonzero(feature_rows != counts)
+        if bad.size:
+            g = int(bad[0])
+            raise ValueError(
+                f"graph {g} of the batch has {feature_rows[g]} feature rows for {counts[g]} nodes")
         self.node_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         self.labels = np.array([g.label for g in self.graphs], dtype=np.intp)
         self.features = np.concatenate([g.features for g in self.graphs], axis=0)
         n = self.total_nodes
-        edges = np.concatenate(
-            [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) + base
-             for g, base in zip(self.graphs, self.node_offsets[:-1])])
+        local = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) for g in self.graphs]
+        edge_graph = np.repeat(np.arange(len(local)), [e.shape[0] for e in local])
+        edges = np.concatenate(local)
+        bad = np.flatnonzero(((edges < 0) | (edges >= counts[edge_graph, None])).any(axis=1))
+        if bad.size:
+            g, (a, b) = edge_graph[bad[0]], edges[bad[0]]
+            raise ValueError(
+                f"graph {g} of the batch has edge ({a}, {b}) outside [0, {counts[g]})")
+        edges += self.node_offsets[edge_graph, None]
         u, v = edges[:, 0], edges[:, 1]
         loop = u == v
         rows = np.concatenate([v, u[~loop]])
         cols = np.concatenate([u, v[~loop]])
         self.adjacency = sp.csr_matrix(
             (np.ones(rows.size), (rows, cols)), shape=(n, n))
+        if self.adjacency.nnz < rows.size:  # the CSR conversion summed a repeated entry
+            keys = np.minimum(u, v) * n + np.maximum(u, v)
+            order = np.argsort(keys, kind="stable")
+            e = order[1:][np.diff(keys[order]) == 0].min()
+            g, base = edge_graph[e], self.node_offsets[edge_graph[e]]
+            raise ValueError(
+                f"graph {g} of the batch repeats edge ({u[e] - base}, {v[e] - base})")
         self.membership = sp.csr_matrix(
             (np.ones(n), np.arange(n), self.node_offsets), shape=(len(counts), n))
         self.mean_pool = sp.diags(1.0 / counts) @ self.membership
@@ -149,7 +156,7 @@ def _read_text(path: str) -> str:
 
 def _numbered(text: str):
     """(1-based line number, stripped text) of every non-blank line."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
             yield lineno, line
@@ -160,83 +167,45 @@ def _line_of_row(text: str, row: int):
     return next(itertools.islice(_numbered(text), row, None))
 
 
-def _int64(text: str) -> int:
-    """``int(text)``; ValueError outside the int64 range the arrays hold."""
-    value = int(text)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(text)
-    return value
-
-
-def _parse_array(text: str, dtype, width=None):
-    """The non-blank lines of ``text`` as a comma-separated (rows, width) array, or None.
-
-    None when a field does not parse as ``dtype``, the rows are ragged or not
-    ``width`` wide, a line is blank but for spaces, or there is no row. The
-    caller's line loop then names the line at fault, or parses the spellings
-    the loop accepts but this parser does not: blank-separated fields,
-    ``1_000`` and non-ASCII digits.
-    """
+def _loadtxt(lines, dtype) -> np.ndarray:
+    """``lines`` as one comma-separated 2-D array; numpy's warnings raise."""
     with warnings.catch_warnings():
         # "input contained no data", and int-from-float parsing on numpy
         # versions that deprecate rather than reject it
         warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+
+
+def _rows(path: str, text: str, dtype, what: str, width=None) -> np.ndarray:
+    """The non-blank lines of ``text`` as a (lines, fields) array of ``dtype``.
+
+    Each line holds ``width`` comma-separated fields, or as many as the first
+    line when ``width`` is None. The whole text is parsed in one call; only
+    when that fails are the lines parsed one at a time, by the same call, to
+    name the first line whose field does not parse or whose width differs.
+    """
+    try:
+        values = _loadtxt(text.splitlines(), dtype)
+    except (ValueError, Warning):
+        pass
+    else:
+        if width in (None, values.shape[1]):
+            return values
+    rows = []
+    for lineno, line in _numbered(text):
         try:
-            values = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
-                                comments=None, ndmin=2)
+            row = _loadtxt([line], dtype)
         except (ValueError, Warning):
-            return None
-    return values if width is None or values.shape[1] == width else None
-
-
-def _int_column(path: str, text: str, what: str) -> np.ndarray:
-    """One integer per non-blank line."""
-    values = _parse_array(text, np.int64, width=1)
-    if values is not None:
-        return values[:, 0]
-    parsed = []
-    for lineno, line in _numbered(text):
-        try:
-            parsed.append(_int64(line))
-        except ValueError:
             raise DatasetFormatError(f"{path}:{lineno}: bad {what} {line!r}") from None
-    return np.array(parsed, dtype=np.int64)
-
-
-def _edge_rows(path: str, text: str) -> np.ndarray:
-    """(rows, 2) node ids, one ``u, v`` or ``u v`` pair per non-blank line."""
-    values = _parse_array(text, np.int64, width=2)
-    if values is not None:
-        return values
-    parsed = []
-    for lineno, line in _numbered(text):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{path}:{lineno}: expected two node ids")
-        try:
-            parsed.append([_int64(parts[0]), _int64(parts[1])])
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: bad node id in {line!r}") from None
-    return np.array(parsed, dtype=np.int64).reshape(-1, 2)
-
-
-def _attribute_rows(path: str, text: str) -> np.ndarray:
-    """One row of floats per non-blank line, every row as wide as the first."""
-    values = _parse_array(text, np.float64)
-    if values is not None:
-        return values
-    parsed = []
-    for lineno, row in _numbered(text):
-        try:
-            parsed.append([float(x) for x in row.replace(",", " ").split()])
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: bad attribute row {row!r}") from None
-        if len(parsed[-1]) != len(parsed[0]):
+        width = width or row.shape[1]
+        if row.shape[1] != width:
             raise DatasetFormatError(
-                f"{path}:{lineno}: {len(parsed[-1])} attributes, "
-                f"the first row has {len(parsed[0])}"
+                f"{path}:{lineno}: {what} {line!r} has {row.shape[1]} fields, expected {width}"
             )
-    return np.array(parsed)
+        rows.append(row)
+    # no line at fault: the text has no row, or blank lines of spaces, which
+    # the one call rejects
+    return np.concatenate(rows) if rows else np.empty((0, width or 0), dtype=dtype)
 
 
 def _require(directory: str, filename: str) -> str:
@@ -261,15 +230,18 @@ def load_tu_dataset(directory: str, name: str):
     Node features are the one-hot of node labels concatenated with raw
     attributes when both files exist, whichever exists otherwise, and a
     constant-1 single feature when neither does. Graph ids must run from 1
-    without gaps. A malformed file raises :class:`DatasetFormatError` naming
-    the file and, where one line is at fault, the line.
+    without gaps. Every file is comma-separated, one row per line; blank lines
+    are skipped, fields are read as ``np.loadtxt`` reads them, and node
+    attributes must be finite. A malformed file raises
+    :class:`DatasetFormatError` naming the file and, where one line is at
+    fault, the line.
     """
     indicator_path = _require(directory, f"{name}_graph_indicator.txt")
     edges_path = _require(directory, f"{name}_A.txt")
     labels_path = _require(directory, f"{name}_graph_labels.txt")
 
     indicator_text = _read_text(indicator_path)
-    graph_ids = _int_column(indicator_path, indicator_text, "graph id")
+    graph_ids = _rows(indicator_path, indicator_text, np.int64, "graph id", width=1)[:, 0]
     if not graph_ids.size:
         raise DatasetFormatError(f"{indicator_path}: no nodes")
     bad = np.flatnonzero(graph_ids < 1)
@@ -295,7 +267,8 @@ def load_tu_dataset(directory: str, name: str):
     rank[order] = np.arange(total_nodes)
     offsets = np.concatenate([[0], np.cumsum(node_counts)])
 
-    raw_labels = _int_column(labels_path, _read_text(labels_path), "graph label")
+    labels_text = _read_text(labels_path)
+    raw_labels = _rows(labels_path, labels_text, np.int64, "graph label", width=1)[:, 0]
     if raw_labels.size != num_graphs:
         raise DatasetFormatError(
             f"{labels_path}: {raw_labels.size} labels for {num_graphs} graphs"
@@ -303,7 +276,7 @@ def load_tu_dataset(directory: str, name: str):
     labels = np.unique(raw_labels, return_inverse=True)[1].reshape(-1).tolist()
 
     edges_text = _read_text(edges_path)
-    u, v = (_edge_rows(edges_path, edges_text) - 1).T
+    u, v = (_rows(edges_path, edges_text, np.int64, "edge", width=2) - 1).T
     inside = (0 <= u) & (u < total_nodes) & (0 <= v) & (v < total_nodes)
     gu = graph_of_node[np.where(inside, u, 0)]
     gv = graph_of_node[np.where(inside, v, 0)]
@@ -331,7 +304,7 @@ def load_tu_dataset(directory: str, name: str):
 
     blocks = []
     if node_labels_text is not None:
-        values = _int_column(node_labels_path, node_labels_text, "node label")
+        values = _rows(node_labels_path, node_labels_text, np.int64, "node label", width=1)[:, 0]
         if values.size != total_nodes:
             raise DatasetFormatError(
                 f"{node_labels_path}: {values.size} rows for {total_nodes} nodes"
@@ -341,7 +314,11 @@ def load_tu_dataset(directory: str, name: str):
         onehot[np.arange(total_nodes), index.reshape(-1)] = 1.0
         blocks.append(onehot)
     if attrs_text is not None:
-        attrs = _attribute_rows(attrs_path, attrs_text)
+        attrs = _rows(attrs_path, attrs_text, np.float64, "attribute row")
+        bad = np.flatnonzero(~np.isfinite(attrs).all(axis=1))
+        if bad.size:
+            lineno, line = _line_of_row(attrs_text, bad[0])
+            raise DatasetFormatError(f"{attrs_path}:{lineno}: non-finite attribute in {line!r}")
         if len(attrs) != total_nodes:
             raise DatasetFormatError(f"{attrs_path}: {len(attrs)} rows for {total_nodes} nodes")
         blocks.append(attrs)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,22 +61,31 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
         ("graph_indicator", "0\n0\n1\n1\n", r"TOY_graph_indicator.txt:1: bad graph id '0'"),
         ("graph_labels", "1\nx\n", r"TOY_graph_labels.txt:2: bad graph label 'x'"),
         ("node_labels", "7\n9\n9.5\n7\n", r"TOY_node_labels.txt:3: bad node label '9.5'"),
-        ("node_attributes", "0.5\n1.5, 2.0\n2.5\n3.5\n", r"TOY_node_attributes.txt:2: 2 attributes"),
+        ("node_attributes", "0.5\n1.5, 2.0\n2.5\n3.5\n",
+         r"TOY_node_attributes.txt:2: attribute row '1.5, 2.0' has 2 fields, expected 1"),
         ("node_attributes", "0.5\n1.5\n\nabc\n3.5\n", r"TOY_node_attributes.txt:4: bad attribute row"),
-        ("A", "1, 2\n2, 1\n3, 4\n4, y\n", r"TOY_A.txt:4: bad node id in '4, y'"),
-        ("A", "1, 2\n\n2, 1\n3, 4\n4, z\n", r"TOY_A.txt:5: bad node id in '4, z'"),
-        ("A", "1 2\n2 1\n3 4 4\n4 3\n", r"TOY_A.txt:3: expected two node ids"),
+        ("A", "1, 2\n2, 1\n3, 4\n4, y\n", r"TOY_A.txt:4: bad edge '4, y'"),
+        ("A", "1, 2\n\n2, 1\n3, 4\n4, z\n", r"TOY_A.txt:5: bad edge '4, z'"),
+        ("A", "1, 2\n2, 1\n3, 4, 4\n4, 3\n",
+         r"TOY_A.txt:3: edge '3, 4, 4' has 3 fields, expected 2"),
         ("A", "1, 2\n2, 1\n\n3, 5\n", r"TOY_A.txt:4: node id outside dataset range"),
-        ("A", "1, 2\n2, 1\n ,\n3, 4\n4, 3\n", r"TOY_A.txt:3: expected two node ids"),
+        ("A", "1, 2\n2, 1\n ,\n3, 4\n4, 3\n", r"TOY_A.txt:3: bad edge ','"),
         ("graph_indicator", "1\n" * 4999 + "q\n" + "2\n" * 10,
          r"TOY_graph_indicator.txt:5000: bad graph id 'q'"),
         ("graph_indicator", "1\n\n" * 1000 + "2\n" * 2999 + "0\n",
          r"TOY_graph_indicator.txt:5000: bad graph id '0'"),
+        ("node_attributes", "0.5\n1.5\nnan\n3.5\n",
+         r"TOY_node_attributes.txt:3: non-finite attribute in 'nan'"),
+        ("node_attributes", "0.5, 1\n1.5, -inf\n2.5, 1\n3.5, 1\n",
+         r"TOY_node_attributes.txt:2: non-finite attribute in '1.5, -inf'"),
+        ("node_attributes", "0.5\n\n1.5\n2.5\n1e400\n",
+         r"TOY_node_attributes.txt:5: non-finite attribute in '1e400'"),
     ],
     ids=["graph_id_gap", "graph_id_zero", "graph_label", "node_label", "ragged_attributes",
          "non_numeric_attributes", "edge_node_id", "edge_node_id_after_blank_line",
          "edge_three_ids", "edge_node_id_out_of_range", "edge_line_of_commas",
-         "graph_id_line_5000", "graph_id_zero_line_5000"],
+         "graph_id_line_5000", "graph_id_zero_line_5000", "nan_attribute", "infinite_attribute",
+         "overflowing_attribute"],
 )
 def test_malformed_file_reports_file_and_line(tmp_path, filename, content, message):
     write_fixture(tmp_path)
@@ -83,24 +94,33 @@ def test_malformed_file_reports_file_and_line(tmp_path, filename, content, messa
         load_tu_dataset(str(tmp_path), "TOY")
 
 
-@pytest.mark.parametrize("edges", ["1 2\n2 1\n3 4\n4 3\n", "1\t2\n2  1\n\n 3 ,4\n4,3\n"],
-                         ids=["spaces", "mixed"])
-def test_whitespace_separated_edges_load_like_commas(tmp_path, edges):
-    expected = load_tu_dataset(write_fixture(tmp_path), "TOY")
-    (tmp_path / "TOY_A.txt").write_text(edges)
-    for a, b in zip(expected, load_tu_dataset(str(tmp_path), "TOY")):
-        assert a.edges == b.edges and a.node_count == b.node_count and a.label == b.label
-
-
-def test_int_spellings_the_array_parse_rejects_still_load(tmp_path):
-    # "1_0" and full-width digits are valid for int() but not for the array
-    # parser, so the line loop parses these files
+@pytest.mark.parametrize(
+    "filename,content",
+    [
+        ("A", "1 2\n2 1\n3 4\n4 3\n"),
+        ("A", "1\t2\n2  1\n\n 3 ,4\n4,3\n"),
+        ("graph_labels", "1_0\n9\n"),
+        ("A", "1, \uff12\n2, 1\n3, 4\n4, 3\n"),
+    ],
+    ids=["spaces", "mixed", "underscore", "full_width_digit"],
+)
+def test_fields_np_loadtxt_rejects_fail_at_line_1(tmp_path, filename, content):
+    # Python's int() reads each of these lines, the comma-separated grammar does not
     write_fixture(tmp_path)
-    (tmp_path / "TOY_graph_labels.txt").write_text("1_0\n\uff19\n")
-    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, \uff11\n3, 4\n4, 3\n")
-    graphs = load_tu_dataset(str(tmp_path), "TOY")
-    assert [g.label for g in graphs] == [1, 0]  # 10 and 9
-    assert [g.edges for g in graphs] == [[(0, 1)], [(0, 1)]]
+    (tmp_path / f"TOY_{filename}.txt").write_text(content)
+    with pytest.raises(DatasetFormatError, match=rf"TOY_{filename}.txt:1: bad "):
+        load_tu_dataset(str(tmp_path), "TOY")
+
+
+def test_blank_lines_of_spaces_are_skipped_but_counted(tmp_path):
+    expected = load_tu_dataset(write_fixture(tmp_path), "TOY")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n\t\n3, 4\n\xa0\n4, 3\n")
+    assert [g.edges for g in load_tu_dataset(str(tmp_path), "TOY")] == [g.edges for g in expected]
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n3, 4\n4, y\n")
+    with pytest.raises(DatasetFormatError, match=r"TOY_A.txt:5: bad edge '4, y'"):
+        load_tu_dataset(str(tmp_path), "TOY")
+    (tmp_path / "TOY_A.txt").write_text(" \n")
+    assert [g.edges for g in load_tu_dataset(str(tmp_path), "TOY")] == [[], []]
 
 
 def test_interleaved_graph_ids_keep_file_order(tmp_path):
@@ -159,8 +179,8 @@ def tu_datasets(draw):
         n = draw(st.integers(min_value=1, max_value=6))
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-        values = draw(st.lists(st.floats(allow_nan=False, width=64), min_size=n * dim,
-                               max_size=n * dim))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                               min_size=n * dim, max_size=n * dim))
         label = draw(st.integers(min_value=-3, max_value=3))
         graphs.append(Graph(n, edges, np.array(values).reshape(n, dim), label))
     return graphs
@@ -179,15 +199,44 @@ def test_tu_round_trip_property(tmp_path_factory, graphs):
         assert b.edges == sorted(a.edges)
         assert b.label == classes.index(a.label)
         assert b.features.dtype == np.float64
-        assert b.features.tobytes() == a.features.tobytes()  # exact, -0.0 and inf too
+        assert b.features.tobytes() == a.features.tobytes()  # exact, -0.0 too
 
 
 @given(graphs=tu_datasets())
 def test_tu_round_trip_graphs_pass_validate(tmp_path_factory, graphs):
     out = tmp_path_factory.mktemp("rt")
     save_tu_dataset(graphs, str(out), "RT")
-    for graph in load_tu_dataset(str(out), "RT"):
-        graph.validate()
+    batch = GraphBatch(load_tu_dataset(str(out), "RT"))  # raises on a malformed graph
+    loops = sum(u == v for g in graphs for u, v in g.edges)
+    assert batch.adjacency.nnz == 2 * sum(len(g.edges) for g in graphs) - loops
+
+
+TU_FILES = ("graph_indicator", "graph_labels", "A", "node_labels", "node_attributes")
+BAD_TOKENS = ("x", "1x", "--1", "1.5.2", "0x1f", "#", "1_0", "\uff11", "nan")
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs=tu_datasets(), data=st.data())
+def test_bad_token_is_reported_at_its_file_and_line(tmp_path_factory, graphs, data):
+    out = tmp_path_factory.mktemp("bad")
+    save_tu_dataset(graphs, str(out), "RT")
+    nodes = sum(g.node_count for g in graphs)
+    node_labels = data.draw(st.lists(st.integers(-3, 3), min_size=nodes, max_size=nodes))
+    (out / "RT_node_labels.txt").write_text("".join(f"{x}\n" for x in node_labels))
+    load_tu_dataset(str(out), "RT")
+    name = data.draw(st.sampled_from([f for f in TU_FILES if (out / f"RT_{f}.txt").read_text()]))
+    path = out / f"RT_{name}.txt"
+    lines = path.read_text().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split(", ")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(BAD_TOKENS))
+    lines[row] = ", ".join(fields)
+    blank = data.draw(st.integers(0, len(lines)))  # a blank line still counts as a line
+    lines.insert(blank, "")
+    path.write_text("\n".join(lines) + "\n")
+    lineno = row + 1 + (blank <= row)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"RT_{name}.txt:{lineno}: ")):
+        load_tu_dataset(str(out), "RT")
 
 
 def test_synthetic_noise_free_classes_are_constant():
@@ -307,6 +356,31 @@ def test_split_partition_property(n, k, test_fraction, seed):
 
 
 def test_graph_validate_rejects_out_of_range_edge():
-    g = Graph(node_count=2, edges=[(0, 5)], features=np.ones((2, 1)), label=0)
-    with pytest.raises(DatasetFormatError):
-        g.validate()
+    # stacked unchecked, edge (0, 5) would join graph 0 to node 3 of graph 1
+    graphs = [Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)]
+    message = r"graph 0 of the batch has edge \(0, 5\) outside \[0, 2\)"
+    with pytest.raises(ValueError, match=message):
+        GraphBatch(graphs)
+
+
+@pytest.mark.parametrize(
+    "edges,repeat",
+    [([(0, 1), (1, 0)], "(1, 0)"), ([(1, 2), (0, 1), (1, 2)], "(1, 2)"),
+     ([(2, 2), (0, 1), (2, 2)], "(2, 2)")],
+    ids=["reversed", "repeated", "self_loop"],
+)
+def test_batch_rejects_repeated_edge(edges, repeat):
+    # stacked unchecked, the repeat would give its edge weight 2
+    graphs = [Graph(3, [(0, 1)], np.ones((3, 1)), 0), Graph(3, edges, np.ones((3, 1)), 1)]
+    with pytest.raises(ValueError, match="graph 1 of the batch repeats edge " + re.escape(repeat)):
+        GraphBatch(graphs)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_batch_rejects_feature_rows_other_than_node_count(rows):
+    # stacked unchecked, every later graph's features would shift
+    graphs = [Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(2, [(0, 1)], np.ones((rows, 1)), 1),
+              Graph(2, [], np.ones((2, 1)), 0)]
+    message = f"graph 1 of the batch has {rows} feature rows for 2 nodes"
+    with pytest.raises(ValueError, match=message):
+        GraphBatch(graphs)

@@ -52,9 +52,12 @@ class GraphBatch:
     edge contributes both directions, a self-loop one entry. ``membership``
     is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes,
     and ``mean_pool`` is the same matrix with row g scaled by 1 / (graph g's
-    node count). Every graph must have at least one node, one feature row per
-    node, and edges between its own nodes, each undirected edge listed once;
-    a ``ValueError`` names the first graph that does not.
+    node count). ``aggregated_features`` is ``adjacency @ features``, each
+    node's summed neighbour features, built once because both operands are
+    constant; it and ``features`` are read-only, so it cannot go stale.
+    Every graph must have at least one node, one feature row per node, and
+    edges between its own nodes, each undirected edge listed once; a
+    ``ValueError`` names the first graph that does not.
     """
 
     def __init__(self, graphs):
@@ -100,6 +103,9 @@ class GraphBatch:
         self.membership = sp.csr_matrix(
             (np.ones(n), np.arange(n), self.node_offsets), shape=(len(counts), n))
         self.mean_pool = sp.diags(1.0 / counts) @ self.membership
+        self.aggregated_features = self.adjacency @ self.features
+        self.features.setflags(write=False)
+        self.aggregated_features.setflags(write=False)
 
     def __len__(self):
         return len(self.graphs)
@@ -370,8 +376,9 @@ def _star_edges(n: int):
     return [(0, i) for i in range(1, n)]
 
 
-def make_synthetic_dataset(spec: SyntheticSpec, seed: int):
-    """Deterministic synthetic graphs; classes balanced by construction.
+def make_synthetic_dataset(spec: SyntheticSpec, seed=None):
+    """Deterministic synthetic graphs, drawn from ``spec.seed``; classes balanced
+    by construction. ``seed``, when given, must equal ``spec.seed``.
 
     ``cycle_vs_star``: even classes are cycles, odd classes are stars, and
     node features are Gaussian around a class-specific mean, so either the
@@ -384,7 +391,9 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed: int):
     ambiguous. Neighborhoods of similar graphs then disambiguate.
     """
     spec.validate()
-    rng = np.random.default_rng(seed)
+    if seed is not None and seed != spec.seed:
+        raise ValueError(f"seed {seed} differs from the spec's seed {spec.seed}")
+    rng = np.random.default_rng(spec.seed)
     graphs = []
     for c in range(spec.classes):
         for _ in range(spec.graphs_per_class):

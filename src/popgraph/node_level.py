@@ -3,7 +3,9 @@
 Each layer is a :class:`~popgraph.nn.GraphConv` over the batch's
 block-diagonal sparse adjacency,
 x'_i = relu(W_self x_i + W_neigh (sum_{j in N(i)} x_j) + b), so no message
-crosses from one input graph to another. Pooling (mean or add) then
+crosses from one input graph to another. The first layer's neighbour sums
+are a constant of the batch, ``GraphBatch.aggregated_features``, built once
+with the batch and reused by every forward pass. Pooling (mean or add) then
 collapses each graph's node rows to a single representation with one sparse
 product, so downstream modules see one row per sample.
 """
@@ -52,8 +54,10 @@ class NodeLevelModule:
         ]
 
     def forward(self, batch: GraphBatch) -> Tensor:
-        x = Tensor(batch.features)
-        for layer in self.layers:
+        first, *rest = self.layers
+        x = first.forward(Tensor(batch.features), batch.adjacency,
+                          ax=batch.aggregated_features)
+        for layer in rest:
             x = layer.forward(x, batch.adjacency)
         return global_pool(batch, x, self.config.pooling)
 

@@ -8,7 +8,10 @@ along an axis; plus the finite-difference oracle the test suite leans on.
 The model's fused ops are built from the same ``_record`` and
 ``_accumulate``: the graph convolution with its relu, ``nn.GraphConv``, and
 the two N x N ops, the latent graph's edge weights and the NDDL degree
-histogram, in ``latent_graph`` and ``degree_loss``.
+histogram, in ``latent_graph`` and ``degree_loss``. ``nn.GraphConv`` builds
+its output in one buffer, the bias, into which BLAS adds both projections
+with beta 1 (``nn.add_matmul``); on f1's first layer its neighbour sums are
+a per-batch constant, ``GraphBatch.aggregated_features``, computed once.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps

@@ -73,8 +73,8 @@ def test_wl_gram_matches_counter_oracle(topology, iterations):
     for seed in rng.integers(0, 2**31, size=3):
         spec = SyntheticSpec(classes=int(rng.integers(2, 4)), graphs_per_class=int(rng.integers(3, 9)),
                              nodes_min=3, nodes_max=int(rng.integers(3, 12)), topology=topology,
-                             feature_dim=2, noise_sigma=0.5)
-        graphs = make_synthetic_dataset(spec, seed=int(seed))
+                             feature_dim=2, noise_sigma=0.5, seed=int(seed))
+        graphs = make_synthetic_dataset(spec)
         # self-loops, an edgeless graph and a one-node graph beside the generated ones
         graphs += [graph(4, [(0, 0), (0, 1), (2, 2)]), graph(3, []), graph(1, [(0, 0)])]
         gram = wl_gram(graphs, iterations)
@@ -90,7 +90,7 @@ def test_wl_gram_rejects_negative_iterations():
 def test_knn_from_gram_is_symmetric_with_min_degree_k():
     spec = SyntheticSpec(classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
                          topology="cycle_vs_star", feature_dim=2, noise_sigma=0.3)
-    gram = wl_gram(make_synthetic_dataset(spec, seed=0))
+    gram = wl_gram(make_synthetic_dataset(spec))
     for k in (1, 3, 5):
         adj = knn_from_gram(gram, k)
         np.testing.assert_array_equal(adj, adj.T)

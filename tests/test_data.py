@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -156,9 +157,9 @@ def test_label_onehot_concatenated_with_attributes(tmp_path):
 def test_tu_round_trip(tmp_path):
     spec = SyntheticSpec(
         classes=2, graphs_per_class=5, nodes_min=3, nodes_max=7,
-        topology="cycle_vs_star", feature_dim=3, noise_sigma=0.5,
+        topology="cycle_vs_star", feature_dim=3, noise_sigma=0.5, seed=11,
     )
-    graphs = make_synthetic_dataset(spec, seed=11)
+    graphs = make_synthetic_dataset(spec)
     out = tmp_path / "rt"
     save_tu_dataset(graphs, str(out), "RT")
     reloaded = load_tu_dataset(str(out), "RT")
@@ -242,9 +243,9 @@ def test_bad_token_is_reported_at_its_file_and_line(tmp_path_factory, graphs, da
 def test_synthetic_noise_free_classes_are_constant():
     spec = SyntheticSpec(
         classes=2, graphs_per_class=4, nodes_min=4, nodes_max=6,
-        topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0,
+        topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0, seed=3,
     )
-    graphs = make_synthetic_dataset(spec, seed=3)
+    graphs = make_synthetic_dataset(spec)
     for g in graphs:
         expected = np.zeros(2)
         expected[g.label % 2] = 2.0
@@ -264,13 +265,18 @@ def test_synthetic_noise_free_classes_are_constant():
 def test_synthetic_determinism():
     spec = SyntheticSpec(
         classes=2, graphs_per_class=10, nodes_min=4, nodes_max=9,
-        topology="ambiguous_features", feature_dim=4, noise_sigma=1.5,
+        topology="ambiguous_features", feature_dim=4, noise_sigma=1.5, seed=42,
     )
-    a = make_synthetic_dataset(spec, seed=42)
+    a = make_synthetic_dataset(spec)
     b = make_synthetic_dataset(spec, seed=42)
     for ga, gb in zip(a, b):
         assert ga.node_count == gb.node_count and ga.edges == gb.edges
         np.testing.assert_array_equal(ga.features, gb.features)
+    # the graphs come from the spec's seed
+    c = make_synthetic_dataset(dataclasses.replace(spec, seed=43))
+    assert not all(np.array_equal(ga.features, gc.features) for ga, gc in zip(a, c))
+    with pytest.raises(ValueError, match="seed 43 differs from the spec's seed 42"):
+        make_synthetic_dataset(spec, seed=43)
 
 
 def test_synthetic_rejects_degenerate_spec():
@@ -279,15 +285,15 @@ def test_synthetic_rejects_degenerate_spec():
         topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0,
     )
     with pytest.raises(ValueError, match="0 samples"):
-        make_synthetic_dataset(spec, seed=0)
+        make_synthetic_dataset(spec)
 
 
 def test_synthetic_classes_balanced():
     spec = SyntheticSpec(
         classes=3, graphs_per_class=7, nodes_min=4, nodes_max=6,
-        topology="cycle_vs_star", feature_dim=3, noise_sigma=0.1,
+        topology="cycle_vs_star", feature_dim=3, noise_sigma=0.1, seed=5,
     )
-    graphs = make_synthetic_dataset(spec, seed=5)
+    graphs = make_synthetic_dataset(spec)
     counts = np.bincount([g.label for g in graphs])
     assert counts.tolist() == [7, 7, 7]
 
@@ -295,14 +301,27 @@ def test_synthetic_classes_balanced():
 def test_batch_preserves_edge_counts_and_offsets():
     spec = SyntheticSpec(
         classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
-        topology="cycle_vs_star", feature_dim=2, noise_sigma=0.3,
+        topology="cycle_vs_star", feature_dim=2, noise_sigma=0.3, seed=9,
     )
-    graphs = make_synthetic_dataset(spec, seed=9)
+    graphs = make_synthetic_dataset(spec)
     batch = GraphBatch(graphs)
     assert batch.adjacency.nnz == 2 * sum(len(g.edges) for g in graphs)
     assert batch.node_offsets[-1] == sum(g.node_count for g in graphs)
     assert np.all(np.diff(batch.node_offsets) > 0)
     assert batch.features.shape[0] == batch.total_nodes
+
+
+def test_batch_aggregated_features_are_a_read_only_product():
+    spec = SyntheticSpec(
+        classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
+        topology="ambiguous_features", feature_dim=3, noise_sigma=0.3, seed=4,
+    )
+    batch = GraphBatch(make_synthetic_dataset(spec))
+    np.testing.assert_array_equal(batch.aggregated_features, batch.adjacency @ batch.features)
+    for constant in (batch.aggregated_features, batch.features):
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 1.0
 
 
 def test_batch_rejects_empty_graph():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from popgraph.data import Graph, GraphBatch
-from popgraph.nn import GraphConv
+from popgraph.nn import GraphConv, add_matmul
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule, global_pool
 from popgraph import tensor as T
 from popgraph.tensor import Tensor, finite_difference_check
@@ -89,28 +89,33 @@ def unfused_conv(layer, x, adj):
 
 
 def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
-    """(x, adjacency, gradient inputs) for one of the layer's input kinds."""
+    """(x, adjacency, precomputed adjacency @ x or None, gradient inputs) for
+    one of the layer's input kinds. ``"sparse_ax"`` is f1's first layer: the
+    batch's sparse adjacency plus its cached aggregated features."""
     edges = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 3.0 / n]
     adj = single_graph_batch(n, edges, np.zeros((n, 1))).adjacency
-    if adj_kind != "sparse":
+    if adj_kind.startswith("dense"):
         adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
     x = Tensor(rng.normal(size=(n, d_in)), requires_grad=x_leaf)
+    ax = single_graph_batch(n, edges, x.data).aggregated_features if adj_kind == "sparse_ax" else None
     inputs = [x] if x_leaf else []
-    return x, adj, inputs + ([adj] if adj_kind == "dense_leaf" else [])
+    return x, adj, ax, inputs + ([adj] if adj_kind == "dense_leaf" else [])
 
 
+# f1 passes ``ax`` only for its constant input; the finite-difference check
+# perturbs x in place, which a precomputed ``ax`` would not follow
 CONV_INPUT_KINDS = [(x_leaf, adj_kind) for x_leaf in (False, True)
-                    for adj_kind in ("sparse", "dense_constant", "dense_leaf")]
+                    for adj_kind in ("sparse", "dense_constant", "dense_leaf")] + [(False, "sparse_ax")]
 
 
 @pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
 def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
     rng = np.random.default_rng(11)
     layer = GraphConv(3, 4, rng)
-    x, adj, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
+    x, adj, ax, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
     mix = Tensor(rng.normal(size=(6, 4)))
     for t in layer.parameters() + inputs:
-        err = finite_difference_check(lambda _: (layer.forward(x, adj) * mix).sum(), t)
+        err = finite_difference_check(lambda _: (layer.forward(x, adj, ax) * mix).sum(), t)
         assert err < 1e-6, f"{t}: {err}"
 
 
@@ -118,17 +123,71 @@ def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
 def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
     rng = np.random.default_rng(12)
     layer = GraphConv(8, 32, rng)
-    x, adj, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
+    x, adj, ax, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
     mix = Tensor(rng.normal(size=(320, 32)))
     results = []
-    for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj)):
+    for forward in (lambda x, adj: layer.forward(x, adj, ax),
+                    lambda x, adj: unfused_conv(layer, x, adj)):
         out = forward(x, adj)
         (out * mix).sum().backward()
         results.append([out.data] + [t.grad for t in layer.parameters() + inputs])
     assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
     for fused, chain in zip(*results):
         np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
-    assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
+    assert all(p._backward is None for p in layer.forward(x, adj, ax)._parents)  # one tape entry
+
+
+def test_graph_conv_rejects_aggregated_rows_of_another_shape():
+    rng = np.random.default_rng(14)
+    layer = GraphConv(2, 2, rng)
+    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="aggregated rows"):
+        layer.forward(Tensor(batch.features), batch.adjacency, ax=np.zeros((3, 3)))
+
+
+def matmul_operands(rng, layout):
+    """(a, b) of shapes (6, 5) and (5, 4), laid out as ``layout`` says."""
+    if layout == "contiguous":
+        return rng.normal(size=(6, 5)), rng.normal(size=(5, 4))
+    if layout == "transposed":  # Fortran-ordered views, as W.T in the backward
+        return rng.normal(size=(5, 6)).T, rng.normal(size=(4, 5)).T
+    return rng.normal(size=(12, 15))[::2, 1:6], rng.normal(size=(5, 8))[:, ::2]  # sliced
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+def test_add_matmul_accumulates_in_place(layout):
+    rng = np.random.default_rng(15)
+    a, b = matmul_operands(rng, layout)
+    out = rng.normal(size=(6, 4))
+    expected = out + a @ b
+    assert add_matmul(out, a, b) is out
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def test_add_matmul_writes_into_a_row_block():
+    rng = np.random.default_rng(16)
+    base = rng.normal(size=(10, 4))
+    out = base[2:8]  # a C-contiguous view: the sum must land in ``base``
+    a, b = matmul_operands(rng, "contiguous")
+    expected = out + a @ b
+    add_matmul(out, a, b)
+    np.testing.assert_allclose(base[2:8], expected, rtol=0, atol=1e-12)
+
+
+def test_add_matmul_rejects_an_output_it_cannot_update():
+    rng = np.random.default_rng(17)
+    a, b = matmul_operands(rng, "contiguous")
+    with pytest.raises(ValueError, match="C-contiguous"):
+        add_matmul(np.zeros((4, 6)).T, a, b)
+    with pytest.raises(ValueError, match="copied the float32 output"):
+        add_matmul(np.zeros((6, 4), dtype=np.float32), a, b)
+    with pytest.raises(ValueError, match="add_matmul"):
+        add_matmul(np.zeros((6, 3)), a, b)
+
+
+def test_add_matmul_of_no_rows_is_a_no_op():
+    out = np.zeros((0, 4))
+    assert add_matmul(out, np.zeros((0, 5)), np.ones((5, 4))) is out
 
 
 def test_graph_conv_nan_pre_activation_gives_zero():

@@ -119,7 +119,7 @@ def _training_step(graphs_per_class):
     spec = SyntheticSpec(classes=2, graphs_per_class=graphs_per_class, nodes_min=3,
                          nodes_max=5, topology="ambiguous_features", feature_dim=2,
                          noise_sigma=0.5)
-    batch = GraphBatch(make_synthetic_dataset(spec, seed=0))
+    batch = GraphBatch(make_synthetic_dataset(spec))
     rng = np.random.default_rng(0)
     f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[4]), 2, rng)
     f2 = LatentGraphParams([4, 3], rng)

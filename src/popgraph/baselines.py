@@ -11,12 +11,10 @@ The WL subtree kernel is computed in its explicit feature-map form
 compressed labels of every refinement round, and the gram ``Phi Phi^T``.
 """
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Graph
+from .data import GraphBatch
 
 WL_DEFAULT_ITERATIONS = 3
 
@@ -34,50 +32,44 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     return adj + adj.T
 
 
-def _wl_labels(graph: Graph, iterations: int, label_dict: dict) -> list:
-    """Compressed labels of every node in rounds 0..iterations, concatenated.
-
-    Initial labels are node degrees; each round hashes (own label, sorted
-    multiset of neighbor labels) through ``label_dict``, which must be
-    shared across every graph that will be compared. Every key of a round
-    holds a label of the round before, so no label recurs across rounds.
+def _wl_round(labels: np.ndarray, adjacency) -> np.ndarray:
+    """Each node's next WL label: one per class of (own label, sorted multiset
+    of neighbour labels), numbered on from ``labels.max() + 1`` so that no
+    label recurs across rounds. A node's neighbours are its CSR ``adjacency``
+    row; the nodes of one degree are compared as the rows of one matrix.
     """
-    neighbors = [[] for _ in range(graph.node_count)]
-    for u, v in graph.edges:
-        neighbors[u].append(v)
-        if u != v:
-            neighbors[v].append(u)
-
-    def compress(key):
-        if key not in label_dict:
-            label_dict[key] = len(label_dict)
-        return label_dict[key]
-
-    labels = [compress(("init", len(nbrs))) for nbrs in neighbors]
-    every_round = list(labels)
-    for _ in range(iterations):
-        labels = [
-            compress((labels[v], tuple(sorted(labels[u] for u in neighbors[v]))))
-            for v in range(graph.node_count)
-        ]
-        every_round.extend(labels)
-    return every_round
+    indptr = adjacency.indptr
+    degree = np.diff(indptr)
+    row = np.repeat(np.arange(degree.size), degree)
+    neighbour = labels[adjacency.indices]
+    neighbour = neighbour[np.lexsort((neighbour, row))]  # sorted within each row
+    refined = np.empty_like(labels)
+    count = labels.max() + 1
+    for d in np.unique(degree):
+        nodes = np.flatnonzero(degree == d)
+        keys = np.column_stack([labels[nodes], neighbour[indptr[nodes, None] + np.arange(d)]])
+        order = np.lexsort(keys.T)  # equal rows become adjacent
+        first = np.concatenate([[True], (np.diff(keys[order], axis=0) != 0).any(axis=1)])
+        refined[nodes[order]] = count + np.cumsum(first) - 1
+        count += np.count_nonzero(first)
+    return refined
 
 
-def wl_gram(graphs, iterations: int = WL_DEFAULT_ITERATIONS) -> np.ndarray:
-    """WL subtree kernel matrix ``Phi Phi^T`` over a graph list.
+def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.ndarray:
+    """WL subtree kernel matrix ``Phi Phi^T`` over the graphs of a batch.
 
-    Row g of the sparse Phi counts graph g's nodes under each compressed
-    label, over all rounds. Its entries are integers, so the float64 gram
-    is exact and exactly symmetric.
+    Round 0 refines equal labels into degrees; row g of the sparse Phi counts
+    graph g's nodes under each label of every round. Its entries are
+    integers, so the float64 gram is exact and exactly symmetric.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    shared = {}
-    labels = [_wl_labels(g, iterations, shared) for g in graphs]
-    rows = np.repeat(np.arange(len(graphs)), [len(lab) for lab in labels])
-    cols = np.fromiter(itertools.chain.from_iterable(labels), dtype=np.intp, count=rows.size)
-    phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(graphs), len(shared)))
+    rounds = [np.zeros(batch.total_nodes, dtype=np.intp)]
+    for _ in range(iterations + 1):
+        rounds.append(_wl_round(rounds[-1], batch.adjacency))
+    cols = np.concatenate(rounds[1:])
+    rows = np.tile(np.repeat(np.arange(len(batch)), np.diff(batch.node_offsets)), iterations + 1)
+    phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(batch), cols.max() + 1))
     return (phi @ phi.T).toarray()
 
 

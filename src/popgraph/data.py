@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .tensor import Tensor
+
 
 class DatasetFormatError(ValueError):
     """A dataset file is missing or malformed."""
@@ -39,55 +41,70 @@ class Graph:
     """One input sample: undirected topology plus node features and a label."""
 
     node_count: int
-    edges: list
+    edges: list | np.ndarray  # local (u, v), each undirected edge once: pairs or an (e, 2) array
     features: np.ndarray
     label: int
 
 
 class GraphBatch:
-    """N graphs stacked for joint processing: the population for one step.
+    """Graphs stacked as one disconnected graph: the in-memory form of a
+    dataset, and the population of one step.
 
-    ``node_offsets`` are prefix indices for block-diagonal stacking.
-    ``adjacency`` is the batch-global sparse (CSR) adjacency: each undirected
-    edge contributes both directions, a self-loop one entry. ``membership``
-    is the sparse graphs x nodes 0/1 matrix whose row g marks graph g's nodes,
-    and ``mean_pool`` is the same matrix with row g scaled by 1 / (graph g's
-    node count). ``aggregated_features`` is ``adjacency @ features``, each
-    node's summed neighbour features, built once because both operands are
-    constant; it and ``features`` are read-only, so it cannot go stale.
-    Every graph must have at least one node, one feature row per node, and
-    edges between its own nodes, each undirected edge listed once; a
-    ``ValueError`` names the first graph that does not.
+    ``node_offsets`` and ``edge_offsets`` are prefix indices into the stacked
+    node rows and ``edges``, (E, 2) local (u, v) pairs. ``features`` is a
+    constant Tensor of the node rows. ``adjacency`` is the batch-global CSR
+    adjacency: each undirected edge contributes both directions, a self-loop
+    one entry. ``membership`` is the sparse graphs x nodes 0/1 matrix whose
+    row g marks graph g's nodes; ``mean_pool`` scales its row g by 1 / (graph
+    g's node count). ``aggregated_features``, ``adjacency @ features``, is
+    built once: the arrays are read-only, so it cannot go stale. A batch is a
+    sequence of graphs: ``batch[g]`` is a :class:`Graph` of views. Every graph
+    must have at least one node, one finite feature row per node, and edges
+    between its own nodes, each undirected edge once; a ``ValueError`` names
+    the first that does not.
     """
 
     def __init__(self, graphs):
+        graphs = list(graphs)
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
-        self.graphs = list(graphs)
-        counts = np.array([g.node_count for g in self.graphs], dtype=np.intp)
-        empty = np.flatnonzero(counts <= 0)
-        if empty.size:
-            raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
-        feature_rows = np.array([g.features.shape[0] for g in self.graphs])
+        counts = np.array([g.node_count for g in graphs], dtype=np.intp)
+        feature_rows = np.array([g.features.shape[0] for g in graphs])
         bad = np.flatnonzero(feature_rows != counts)
         if bad.size:
             g = int(bad[0])
             raise ValueError(
                 f"graph {g} of the batch has {feature_rows[g]} feature rows for {counts[g]} nodes")
-        self.node_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        self.labels = np.array([g.label for g in self.graphs], dtype=np.intp)
-        self.features = np.concatenate([g.features for g in self.graphs], axis=0)
+        edges = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) for g in graphs]
+        self._stack(counts, np.concatenate(edges), [len(e) for e in edges],
+                    np.concatenate([g.features for g in graphs]), [g.label for g in graphs])
+
+    @classmethod
+    def _stacked(cls, node_counts, edges, edge_counts, features, labels):
+        """A batch of arrays stacked graph by graph, checked as ``__init__`` checks."""
+        batch = cls.__new__(cls)
+        batch._stack(node_counts, edges, edge_counts, features, labels)
+        return batch
+
+    def _stack(self, node_counts, edges, edge_counts, features, labels):
+        empty = np.flatnonzero(node_counts <= 0)
+        if empty.size:
+            raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
+        self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.intp)
+        self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.intp)
+        self.labels = np.asarray(labels, dtype=np.intp)
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if bad.size:  # the loader rejects it; f1 would carry it to every parameter
+            g = np.searchsorted(self.node_offsets, bad[0], side="right") - 1
+            raise ValueError(f"graph {g} of the batch has a non-finite feature")
         n = self.total_nodes
-        local = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) for g in self.graphs]
-        edge_graph = np.repeat(np.arange(len(local)), [e.shape[0] for e in local])
-        edges = np.concatenate(local)
-        bad = np.flatnonzero(((edges < 0) | (edges >= counts[edge_graph, None])).any(axis=1))
+        edge_graph = np.repeat(np.arange(len(node_counts)), edge_counts)
+        bad = np.flatnonzero(((edges < 0) | (edges >= node_counts[edge_graph, None])).any(axis=1))
         if bad.size:
             g, (a, b) = edge_graph[bad[0]], edges[bad[0]]
             raise ValueError(
-                f"graph {g} of the batch has edge ({a}, {b}) outside [0, {counts[g]})")
-        edges += self.node_offsets[edge_graph, None]
-        u, v = edges[:, 0], edges[:, 1]
+                f"graph {g} of the batch has edge ({a}, {b}) outside [0, {node_counts[g]})")
+        u, v = (edges + self.node_offsets[edge_graph, None]).T
         loop = u == v
         rows = np.concatenate([v, u[~loop]])
         cols = np.concatenate([u, v[~loop]])
@@ -97,18 +114,31 @@ class GraphBatch:
             keys = np.minimum(u, v) * n + np.maximum(u, v)
             order = np.argsort(keys, kind="stable")
             e = order[1:][np.diff(keys[order]) == 0].min()
-            g, base = edge_graph[e], self.node_offsets[edge_graph[e]]
-            raise ValueError(
-                f"graph {g} of the batch repeats edge ({u[e] - base}, {v[e] - base})")
+            g, (a, b) = edge_graph[e], edges[e]
+            raise ValueError(f"graph {g} of the batch repeats edge ({a}, {b})")
+        self.edges = edges
+        self.features = Tensor(features)
         self.membership = sp.csr_matrix(
-            (np.ones(n), np.arange(n), self.node_offsets), shape=(len(counts), n))
-        self.mean_pool = sp.diags(1.0 / counts) @ self.membership
-        self.aggregated_features = self.adjacency @ self.features
-        self.features.setflags(write=False)
-        self.aggregated_features.setflags(write=False)
+            (np.ones(n), np.arange(n), self.node_offsets), shape=(len(node_counts), n))
+        self.mean_pool = sp.diags(1.0 / node_counts) @ self.membership
+        self.aggregated_features = self.adjacency @ self.features.data
+        for constant in (self.edges, self.features.data, self.aggregated_features):
+            constant.setflags(write=False)
 
     def __len__(self):
-        return len(self.graphs)
+        return self.labels.size
+
+    def __getitem__(self, g):
+        g = range(len(self))[g]  # a negative g counts from the end; IndexError ends iteration
+        start, stop = self.node_offsets[g:g + 2]
+        return Graph(node_count=int(stop - start),
+                     edges=self.edges[self.edge_offsets[g]:self.edge_offsets[g + 1]],
+                     features=self.features.data[start:stop], label=int(self.labels[g]))
+
+    @property
+    def graphs(self):
+        """The batch itself: kept only for ``perfbench/`` until a benchmark-only change drops it."""
+        return self
 
     @property
     def total_nodes(self) -> int:
@@ -231,7 +261,7 @@ def _optional_text(directory: str, filename: str):
 
 
 def load_tu_dataset(directory: str, name: str):
-    """Load a TU-format dataset into a list of :class:`Graph`.
+    """Load a TU-format dataset into a :class:`GraphBatch`.
 
     Node features are the one-hot of node labels concatenated with raw
     attributes when both files exist, whichever exists otherwise, and a
@@ -279,7 +309,7 @@ def load_tu_dataset(directory: str, name: str):
         raise DatasetFormatError(
             f"{labels_path}: {raw_labels.size} labels for {num_graphs} graphs"
         )
-    labels = np.unique(raw_labels, return_inverse=True)[1].reshape(-1).tolist()
+    labels = np.unique(raw_labels, return_inverse=True)[1].reshape(-1)
 
     edges_text = _read_text(edges_path)
     u, v = (_rows(edges_path, edges_text, np.int64, "edge", width=2) - 1).T
@@ -301,9 +331,7 @@ def load_tu_dataset(directory: str, name: str):
     keys = np.unique(lo * total_nodes + hi)
     lo, hi = keys // total_nodes, keys % total_nodes
     edge_graph = graph_of_node[order[lo]]
-    edge_offsets = np.concatenate([[0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))])
-    base = offsets[edge_graph]
-    pairs = list(zip((lo - base).tolist(), (hi - base).tolist()))
+    edges = np.column_stack([lo, hi]) - offsets[edge_graph, None]
 
     node_labels_path, node_labels_text = _optional_text(directory, f"{name}_node_labels.txt")
     attrs_path, attrs_text = _optional_text(directory, f"{name}_node_attributes.txt")
@@ -329,56 +357,38 @@ def load_tu_dataset(directory: str, name: str):
             raise DatasetFormatError(f"{attrs_path}: {len(attrs)} rows for {total_nodes} nodes")
         blocks.append(attrs)
     if blocks:
-        all_features = np.concatenate(blocks, axis=1)
+        features = np.concatenate(blocks, axis=1)
     else:
-        all_features = np.ones((total_nodes, 1))
-    features = np.split(all_features[order], offsets[1:-1])
-
-    return [
-        Graph(
-            node_count=int(node_counts[g]),
-            edges=pairs[edge_offsets[g]:edge_offsets[g + 1]],
-            features=features[g],
-            label=labels[g],
-        )
-        for g in range(num_graphs)
-    ]
+        features = np.ones((total_nodes, 1))
+    return GraphBatch._stacked(node_counts, edges, np.bincount(edge_graph, minlength=num_graphs),
+                               features[order], labels)
 
 
-def save_tu_dataset(graphs, directory: str, name: str) -> None:
-    """Serialize graphs back to TU files (features stored as attributes)."""
+def save_tu_dataset(batch: GraphBatch, directory: str, name: str) -> None:
+    """Write a batch as TU files, its features as node attributes in ``repr``.
+
+    Each graph's edges go in sorted (u, v) order, both ways, a self-loop once.
+    A batch holds only graphs the loader accepts, so the files load back.
+    """
+    edge_graph = np.repeat(np.arange(len(batch)), np.diff(batch.edge_offsets))
+    edges = batch.edges + batch.node_offsets[edge_graph, None] + 1
+    edges = edges[np.lexsort(edges.T[::-1])]  # ids ascend by graph: graph by graph, then (u, v)
+    both_ways = np.column_stack([np.ones(len(edges), dtype=bool), edges[:, 0] != edges[:, 1]])
+    pairs = np.stack([edges, edges[:, ::-1]], axis=1)[both_ways]
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, f"{name}_graph_indicator.txt"), "w") as fh:
-        for gid, graph in enumerate(graphs, start=1):
-            for _ in range(graph.node_count):
-                fh.write(f"{gid}\n")
-    with open(os.path.join(directory, f"{name}_graph_labels.txt"), "w") as fh:
-        for graph in graphs:
-            fh.write(f"{graph.label}\n")
-    offsets = np.concatenate([[0], np.cumsum([g.node_count for g in graphs])])
-    with open(os.path.join(directory, f"{name}_A.txt"), "w") as fh:
-        for graph, base in zip(graphs, offsets):
-            for u, v in sorted(graph.edges):
-                fh.write(f"{base + u + 1}, {base + v + 1}\n")
-                if u != v:
-                    fh.write(f"{base + v + 1}, {base + u + 1}\n")
-    with open(os.path.join(directory, f"{name}_node_attributes.txt"), "w") as fh:
-        for graph in graphs:
-            for row in graph.features:
-                fh.write(", ".join(repr(float(x)) for x in row) + "\n")
+    prefix = os.path.join(directory, name)
+    np.savetxt(f"{prefix}_graph_indicator.txt",
+               np.repeat(np.arange(1, len(batch) + 1), np.diff(batch.node_offsets)), fmt="%d")
+    np.savetxt(f"{prefix}_graph_labels.txt", batch.labels, fmt="%d")
+    np.savetxt(f"{prefix}_A.txt", pairs, fmt="%d", delimiter=", ")
+    with open(f"{prefix}_node_attributes.txt", "w") as fh:
+        fh.writelines(", ".join(map(repr, row)) + "\n" for row in batch.features.data.tolist())
 
 
-def _cycle_edges(n: int):
-    return [(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)]
-
-
-def _star_edges(n: int):
-    return [(0, i) for i in range(1, n)]
-
-
-def make_synthetic_dataset(spec: SyntheticSpec, seed=None):
-    """Deterministic synthetic graphs, drawn from ``spec.seed``; classes balanced
-    by construction. ``seed``, when given, must equal ``spec.seed``.
+def make_synthetic_dataset(spec: SyntheticSpec, seed=None) -> GraphBatch:
+    """Deterministic synthetic graphs, drawn from ``spec.seed`` one at a time
+    and stacked; classes balanced by construction. ``seed``, when given, must
+    equal ``spec.seed``.
 
     ``cycle_vs_star``: even classes are cycles, odd classes are stars, and
     node features are Gaussian around a class-specific mean, so either the
@@ -398,26 +408,23 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed=None):
     for c in range(spec.classes):
         for _ in range(spec.graphs_per_class):
             n = int(rng.integers(spec.nodes_min, spec.nodes_max + 1))
+            i = np.arange(n)
+            edges = np.sort(np.column_stack([i, (i + 1) % n]), axis=1)  # a ring
+            mean = np.zeros(spec.feature_dim)
             if spec.topology == "cycle_vs_star":
-                edges = _cycle_edges(n) if c % 2 == 0 else _star_edges(n)
-                mean = np.zeros(spec.feature_dim)
+                if c % 2:
+                    edges = np.column_stack([np.zeros_like(i[1:]), i[1:]])  # a star
                 mean[c % spec.feature_dim] = 2.0
                 feats = mean + spec.noise_sigma * rng.normal(size=(n, spec.feature_dim))
             else:  # ambiguous_features
-                edges = _cycle_edges(n)
-                mean = np.zeros(spec.feature_dim)
                 if spec.classes == 2:
                     mean[0] = 1.0 if c == 0 else -1.0
                 else:
                     mean[c % spec.feature_dim] = 1.0
                 offset = spec.noise_sigma * rng.normal(size=spec.feature_dim)
-                feats = (
-                    mean
-                    + offset
-                    + NODE_JITTER_SIGMA * rng.normal(size=(n, spec.feature_dim))
-                )
+                feats = mean + offset + NODE_JITTER_SIGMA * rng.normal(size=(n, spec.feature_dim))
             graphs.append(Graph(node_count=n, edges=edges, features=feats, label=c))
-    return graphs
+    return GraphBatch(graphs)
 
 
 def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) -> SplitPlan:

@@ -55,8 +55,7 @@ class NodeLevelModule:
 
     def forward(self, batch: GraphBatch) -> Tensor:
         first, *rest = self.layers
-        x = first.forward(Tensor(batch.features), batch.adjacency,
-                          ax=batch.aggregated_features)
+        x = first.forward(batch.features, batch.adjacency, ax=batch.aggregated_features)
         for layer in rest:
             x = layer.forward(x, batch.adjacency)
         return global_pool(batch, x, self.config.pooling)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from popgraph.baselines import dynamic_knn_population, knn_from_gram, wl_gram
-from popgraph.data import Graph, SyntheticSpec, make_synthetic_dataset
+from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
 
 
 def graph(node_count, edges):
-    return Graph(node_count=node_count, edges=edges, features=np.ones((node_count, 1)), label=0)
+    # two features, as many as the generated graphs below, so both stack in one batch
+    return Graph(node_count=node_count, edges=edges, features=np.ones((node_count, 2)), label=0)
 
 
 TRIANGLE = graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -61,9 +62,9 @@ def test_wl_gram_hand_computed():
     # histogram products are 9, 3 and 2*2 + 1*1 = 5. Each refinement round
     # keeps one label for the triangle's nodes (9) and two for the path's
     # (5), and the two graphs share none of them (0).
-    np.testing.assert_array_equal(wl_gram([TRIANGLE, PATH3], iterations=1),
-                                  [[18.0, 3.0], [3.0, 10.0]])
-    np.testing.assert_array_equal(wl_gram([TRIANGLE, PATH3]), [[36.0, 3.0], [3.0, 20.0]])
+    batch = GraphBatch([TRIANGLE, PATH3])
+    np.testing.assert_array_equal(wl_gram(batch, iterations=1), [[18.0, 3.0], [3.0, 10.0]])
+    np.testing.assert_array_equal(wl_gram(batch), [[36.0, 3.0], [3.0, 20.0]])
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 3])
@@ -74,17 +75,17 @@ def test_wl_gram_matches_counter_oracle(topology, iterations):
         spec = SyntheticSpec(classes=int(rng.integers(2, 4)), graphs_per_class=int(rng.integers(3, 9)),
                              nodes_min=3, nodes_max=int(rng.integers(3, 12)), topology=topology,
                              feature_dim=2, noise_sigma=0.5, seed=int(seed))
-        graphs = make_synthetic_dataset(spec)
         # self-loops, an edgeless graph and a one-node graph beside the generated ones
-        graphs += [graph(4, [(0, 0), (0, 1), (2, 2)]), graph(3, []), graph(1, [(0, 0)])]
-        gram = wl_gram(graphs, iterations)
+        graphs = list(make_synthetic_dataset(spec)) + [
+            graph(4, [(0, 0), (0, 1), (2, 2)]), graph(3, []), graph(1, [(0, 0)])]
+        gram = wl_gram(GraphBatch(graphs), iterations)
         np.testing.assert_array_equal(gram, counter_gram_oracle(graphs, iterations))
         np.testing.assert_array_equal(gram, gram.T)
 
 
 def test_wl_gram_rejects_negative_iterations():
     with pytest.raises(ValueError, match="iterations must be >= 0"):
-        wl_gram([TRIANGLE], iterations=-1)
+        wl_gram(GraphBatch([TRIANGLE]), iterations=-1)
 
 
 def test_knn_from_gram_is_symmetric_with_min_degree_k():

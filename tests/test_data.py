@@ -29,12 +29,16 @@ def write_fixture(tmp_path, name="TOY", node_labels=None, attributes=None):
     return str(tmp_path)
 
 
+def edge_lists(graphs):
+    return [g.edges.tolist() for g in graphs]
+
+
 def test_load_minimal_fixture(tmp_path):
     graphs = load_tu_dataset(write_fixture(tmp_path), "TOY")
     assert len(graphs) == 2
+    assert edge_lists(graphs) == [[[0, 1]], [[0, 1]]]
     for g in graphs:
         assert g.node_count == 2
-        assert g.edges == [(0, 1)]
         np.testing.assert_array_equal(g.features, np.ones((2, 1)))
     assert sorted(g.label for g in graphs) == [0, 1]
     # original label 1 sorts after -1, so graph 0 (label 1) remaps to 1
@@ -116,12 +120,12 @@ def test_fields_np_loadtxt_rejects_fail_at_line_1(tmp_path, filename, content):
 def test_blank_lines_of_spaces_are_skipped_but_counted(tmp_path):
     expected = load_tu_dataset(write_fixture(tmp_path), "TOY")
     (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n\t\n3, 4\n\xa0\n4, 3\n")
-    assert [g.edges for g in load_tu_dataset(str(tmp_path), "TOY")] == [g.edges for g in expected]
+    assert edge_lists(load_tu_dataset(str(tmp_path), "TOY")) == edge_lists(expected)
     (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n3, 4\n4, y\n")
     with pytest.raises(DatasetFormatError, match=r"TOY_A.txt:5: bad edge '4, y'"):
         load_tu_dataset(str(tmp_path), "TOY")
     (tmp_path / "TOY_A.txt").write_text(" \n")
-    assert [g.edges for g in load_tu_dataset(str(tmp_path), "TOY")] == [[], []]
+    assert edge_lists(load_tu_dataset(str(tmp_path), "TOY")) == [[], []]
 
 
 def test_interleaved_graph_ids_keep_file_order(tmp_path):
@@ -137,7 +141,7 @@ def test_interleaved_graph_ids_keep_file_order(tmp_path):
     graphs = load_tu_dataset(str(tmp_path), "IL")
     for g, nodes in zip(graphs, members):
         np.testing.assert_array_equal(g.features[:, 0], nodes)
-        assert g.edges == [(i, i + 1) for i in range(len(nodes) - 1)]
+        assert g.edges.tolist() == [[i, i + 1] for i in range(len(nodes) - 1)]
 
 
 def test_empty_node_labels_falls_back_to_attributes(tmp_path):
@@ -166,7 +170,7 @@ def test_tu_round_trip(tmp_path):
     assert len(reloaded) == len(graphs)
     for a, b in zip(graphs, reloaded):
         assert a.node_count == b.node_count
-        assert sorted(a.edges) == sorted(b.edges)
+        assert sorted(a.edges.tolist()) == sorted(b.edges.tolist())
         assert a.label == b.label
         np.testing.assert_array_equal(a.features, b.features)
 
@@ -191,23 +195,23 @@ def tu_datasets(draw):
 @given(graphs=tu_datasets())
 def test_tu_round_trip_property(tmp_path_factory, graphs):
     out = tmp_path_factory.mktemp("rt")
-    save_tu_dataset(graphs, str(out), "RT")
+    save_tu_dataset(GraphBatch(graphs), str(out), "RT")
     reloaded = load_tu_dataset(str(out), "RT")
     classes = sorted({g.label for g in graphs})
     assert len(reloaded) == len(graphs)
     for a, b in zip(graphs, reloaded):
         assert b.node_count == a.node_count
-        assert b.edges == sorted(a.edges)
+        assert b.edges.tolist() == [list(e) for e in sorted(a.edges)]
         assert b.label == classes.index(a.label)
         assert b.features.dtype == np.float64
         assert b.features.tobytes() == a.features.tobytes()  # exact, -0.0 too
 
 
 @given(graphs=tu_datasets())
-def test_tu_round_trip_graphs_pass_validate(tmp_path_factory, graphs):
+def test_tu_round_trip_builds_a_batch(tmp_path_factory, graphs):
     out = tmp_path_factory.mktemp("rt")
-    save_tu_dataset(graphs, str(out), "RT")
-    batch = GraphBatch(load_tu_dataset(str(out), "RT"))  # raises on a malformed graph
+    save_tu_dataset(GraphBatch(graphs), str(out), "RT")
+    batch = load_tu_dataset(str(out), "RT")  # a GraphBatch: raises on a malformed graph
     loops = sum(u == v for g in graphs for u, v in g.edges)
     assert batch.adjacency.nnz == 2 * sum(len(g.edges) for g in graphs) - loops
 
@@ -220,7 +224,7 @@ BAD_TOKENS = ("x", "1x", "--1", "1.5.2", "0x1f", "#", "1_0", "\uff11", "nan")
 @given(graphs=tu_datasets(), data=st.data())
 def test_bad_token_is_reported_at_its_file_and_line(tmp_path_factory, graphs, data):
     out = tmp_path_factory.mktemp("bad")
-    save_tu_dataset(graphs, str(out), "RT")
+    save_tu_dataset(GraphBatch(graphs), str(out), "RT")
     nodes = sum(g.node_count for g in graphs)
     node_labels = data.draw(st.lists(st.integers(-3, 3), min_size=nodes, max_size=nodes))
     (out / "RT_node_labels.txt").write_text("".join(f"{x}\n" for x in node_labels))
@@ -270,7 +274,7 @@ def test_synthetic_determinism():
     a = make_synthetic_dataset(spec)
     b = make_synthetic_dataset(spec, seed=42)
     for ga, gb in zip(a, b):
-        assert ga.node_count == gb.node_count and ga.edges == gb.edges
+        assert ga.node_count == gb.node_count and np.array_equal(ga.edges, gb.edges)
         np.testing.assert_array_equal(ga.features, gb.features)
     # the graphs come from the spec's seed
     c = make_synthetic_dataset(dataclasses.replace(spec, seed=43))
@@ -317,8 +321,9 @@ def test_batch_aggregated_features_are_a_read_only_product():
         topology="ambiguous_features", feature_dim=3, noise_sigma=0.3, seed=4,
     )
     batch = GraphBatch(make_synthetic_dataset(spec))
-    np.testing.assert_array_equal(batch.aggregated_features, batch.adjacency @ batch.features)
-    for constant in (batch.aggregated_features, batch.features):
+    np.testing.assert_array_equal(batch.aggregated_features,
+                                  batch.adjacency @ batch.features.data)
+    for constant in (batch.aggregated_features, batch.features.data, batch.edges):
         assert not constant.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             constant[0, 0] = 1.0
@@ -374,7 +379,7 @@ def test_split_partition_property(n, k, test_fraction, seed):
         assert sorted(train + val) == non_test
 
 
-def test_graph_validate_rejects_out_of_range_edge():
+def test_batch_rejects_out_of_range_edge():
     # stacked unchecked, edge (0, 5) would join graph 0 to node 3 of graph 1
     graphs = [Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)]
     message = r"graph 0 of the batch has edge \(0, 5\) outside \[0, 2\)"
@@ -403,3 +408,69 @@ def test_batch_rejects_feature_rows_other_than_node_count(rows):
     message = f"graph 1 of the batch has {rows} feature rows for 2 nodes"
     with pytest.raises(ValueError, match=message):
         GraphBatch(graphs)
+
+
+@pytest.mark.parametrize(
+    "graphs,message",
+    [([Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(0, [], np.ones((0, 1)), 1),
+       Graph(2, [], np.ones((2, 1)), 0)], "graph 1 of the batch has no nodes"),
+     ([Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)],
+      r"graph 0 of the batch has edge \(0, 5\) outside"),
+     ([Graph(1, [], np.ones((1, 1)), 0), Graph(2, [], np.array([[0.5], [np.inf]]), 1)],
+      "graph 1 of the batch has a non-finite feature")],
+    ids=["zero_node_graph", "edge_past_its_graph", "infinite_feature"],
+)
+def test_save_writes_no_file_for_graphs_the_loader_rejects(tmp_path, graphs, message):
+    # each would load back as a DatasetFormatError: "graph id 3 skips graph 2",
+    # "edge crosses graphs 1 and 2", "non-finite attribute"
+    with pytest.raises(ValueError, match=message):
+        save_tu_dataset(GraphBatch(graphs), str(tmp_path), "RT")
+    assert not any(tmp_path.iterdir())
+
+
+def assert_same_arrays(a, b):
+    """Equal stacked and derived arrays, dtypes included."""
+    pairs = [(a.node_offsets, b.node_offsets), (a.labels, b.labels),
+             (a.features.data, b.features.data), (a.aggregated_features, b.aggregated_features)]
+    for name in ("adjacency", "membership", "mean_pool"):
+        x, y = getattr(a, name), getattr(b, name)
+        pairs += [(x.indptr, y.indptr), (x.indices, y.indices), (x.data, y.data)]
+    for x, y in pairs:
+        np.testing.assert_array_equal(x, y)
+        assert x.dtype == y.dtype
+
+
+@pytest.mark.parametrize("topology", ["cycle_vs_star", "ambiguous_features"])
+def test_loaded_batch_equals_the_saved_graphs_stacked(tmp_path, topology):
+    spec = SyntheticSpec(classes=3, graphs_per_class=5, nodes_min=3, nodes_max=9,
+                         topology=topology, feature_dim=3, noise_sigma=0.5, seed=2)
+    batch = make_synthetic_dataset(spec)
+    save_tu_dataset(batch, str(tmp_path), "EQ")
+    assert_same_arrays(load_tu_dataset(str(tmp_path), "EQ"), GraphBatch(list(batch)))
+
+
+def test_batch_of_a_batch_reproduces_it(tmp_path):
+    batch = load_tu_dataset(write_fixture(tmp_path, attributes="0.5\n1.5\n2.5\n3.5\n"), "TOY")
+    again = GraphBatch(batch)
+    assert_same_arrays(again, batch)
+    np.testing.assert_array_equal(again.edge_offsets, batch.edge_offsets)
+    np.testing.assert_array_equal(again.edges, batch.edges)
+
+
+def test_batch_indexes_to_its_input_graphs():
+    rng = np.random.default_rng(8)
+    graphs = [Graph(3, [(0, 1), (2, 2)], rng.normal(size=(3, 2)), 1),
+              Graph(1, [], rng.normal(size=(1, 2)), 0),
+              Graph(4, [(3, 0), (1, 2)], rng.normal(size=(4, 2)), 2)]
+    batch = GraphBatch(graphs)
+    assert len(batch) == 3 and batch.graphs is batch
+    for g, graph in enumerate(graphs):
+        view = batch[g]
+        assert (view.node_count, view.label) == (graph.node_count, graph.label)
+        assert view.edges.shape == (len(graph.edges), 2)
+        assert view.edges.tolist() == [list(e) for e in graph.edges]
+        np.testing.assert_array_equal(view.features, graph.features)
+        assert not view.edges.flags.writeable and not view.features.flags.writeable
+    assert batch[-1].node_count == 4
+    with pytest.raises(IndexError):
+        batch[3]

@@ -20,7 +20,7 @@ def dense_adjacency(n, edges):
 
 
 def conv(layer, batch):
-    return layer.forward(Tensor(batch.features), batch.adjacency)
+    return layer.forward(batch.features, batch.adjacency)
 
 
 def test_edgeless_graph_only_self_term():
@@ -28,7 +28,7 @@ def test_edgeless_graph_only_self_term():
     layer = GraphConv(3, 2, rng)
     batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
     out = conv(layer, batch)
-    expected = np.maximum(batch.features @ layer.w_self.data + layer.bias.data, 0.0)
+    expected = np.maximum(batch.features.data @ layer.w_self.data + layer.bias.data, 0.0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -51,8 +51,8 @@ def test_graph_conv_matches_dense_oracle():
     out = conv(layer, batch)
     a = dense_adjacency(5, edges)
     oracle = np.maximum(
-        batch.features @ layer.w_self.data
-        + a @ batch.features @ layer.w_neigh.data
+        batch.features.data @ layer.w_self.data
+        + a @ batch.features.data @ layer.w_neigh.data
         + layer.bias.data,
         0.0,
     )
@@ -75,7 +75,7 @@ def test_sparse_and_dense_adjacency_agree():
     mix = rng.normal(size=(4, 2))
     results = []
     for adjacency in (batch.adjacency, Tensor(batch.adjacency.toarray())):
-        x = Tensor(batch.features, requires_grad=True)
+        x = Tensor(batch.features.data, requires_grad=True)
         out = layer.forward(x, adjacency)
         (out * Tensor(mix)).sum().backward()
         results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
@@ -142,7 +142,7 @@ def test_graph_conv_rejects_aggregated_rows_of_another_shape():
     layer = GraphConv(2, 2, rng)
     batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="aggregated rows"):
-        layer.forward(Tensor(batch.features), batch.adjacency, ax=np.zeros((3, 3)))
+        layer.forward(batch.features, batch.adjacency, ax=np.zeros((3, 3)))
 
 
 def matmul_operands(rng, layout):
@@ -195,7 +195,7 @@ def test_graph_conv_nan_pre_activation_gives_zero():
     layer = GraphConv(3, 2, rng)
     layer.bias.data[0] = np.nan
     batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
-    x = Tensor(batch.features)
+    x = batch.features
     out = layer.forward(x, batch.adjacency).data
     np.testing.assert_array_equal(out, unfused_conv(layer, x, batch.adjacency).data)
     np.testing.assert_array_equal(out[:, 0], 0.0)
@@ -204,14 +204,14 @@ def test_graph_conv_nan_pre_activation_gives_zero():
 def test_global_pool_singletons_identity():
     graphs = [Graph(1, [], np.array([[float(i), 1.0]]), 0) for i in range(3)]
     batch = GraphBatch(graphs)
-    feats = Tensor(batch.features)
+    feats = batch.features
     for mode in ("mean", "add"):
-        np.testing.assert_allclose(global_pool(batch, feats, mode).data, batch.features)
+        np.testing.assert_allclose(global_pool(batch, feats, mode).data, batch.features.data)
 
 
 def test_global_pool_arithmetic():
     batch = single_graph_batch(2, [(0, 1)], [[1.0, 1.0], [3.0, 3.0]])
-    feats = Tensor(batch.features)
+    feats = batch.features
     np.testing.assert_array_equal(global_pool(batch, feats, "mean").data, [[2.0, 2.0]])
     np.testing.assert_array_equal(global_pool(batch, feats, "add").data, [[4.0, 4.0]])
 
@@ -220,14 +220,14 @@ def test_add_pool_scales_with_node_count():
     sizes = [1, 3, 5]
     graphs = [Graph(n, [], np.ones((n, 2)), 0) for n in sizes]
     batch = GraphBatch(graphs)
-    pooled = global_pool(batch, Tensor(batch.features), "add").data
+    pooled = global_pool(batch, batch.features, "add").data
     np.testing.assert_array_equal(pooled, np.array(sizes, dtype=float)[:, None] * np.ones(2))
 
 
 def test_global_pool_rejects_unknown_mode():
     batch = single_graph_batch(2, [(0, 1)], np.ones((2, 1)))
     with pytest.raises(ValueError):
-        global_pool(batch, Tensor(batch.features), "max")
+        global_pool(batch, batch.features, "max")
 
 
 def make_module(rng, dims=(5, 4), pooling="mean", input_dim=3):

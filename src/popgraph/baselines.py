@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch
+from .latent_graph import pairwise_distances
 
 WL_DEFAULT_ITERATIONS = 3
 
@@ -23,8 +24,8 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     """Erdos-Renyi adjacency with pair probability expected_degree/(n-1)."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    if expected_degree < 0:
-        raise ValueError("expected_degree must be >= 0")
+    if not np.isfinite(expected_degree) or expected_degree < 0:
+        raise ValueError(f"expected_degree must be finite and >= 0, got {expected_degree}")
     p = min(1.0, expected_degree / (n - 1))
     rng = np.random.default_rng(seed)
     upper = rng.random((n, n)) < p
@@ -76,6 +77,8 @@ def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.nd
 def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
     """Top-k per row (self excluded, ties to the lower index), union-symmetrized."""
     n = sim.shape[0]
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
     # stable: lower index wins ties. Of each row's first k + 1, drop the row
@@ -101,9 +104,4 @@ def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
 def dynamic_knn_population(h, k: int) -> np.ndarray:
     """Euclidean KNN on representation rows; constant w.r.t. gradients."""
     x = np.asarray(h.data if hasattr(h, "data") else h, dtype=np.float64)
-    n = x.shape[0]
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than n={n}")
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    return _knn_from_similarity(-d2, k)
+    return _knn_from_similarity(-pairwise_distances(x), k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MLP, GraphConv
-from .tensor import Tensor, log_softmax, softmax
+from .tensor import Tensor, exp, log_softmax
 
 
 @dataclass
@@ -47,7 +47,7 @@ class PopulationClassifier:
     def forward(self, h: Tensor, a: Tensor):
         """Returns (probabilities, logits); probability rows sum to 1."""
         z = self.logits(h, a)
-        return softmax(z, axis=1), z
+        return exp(log_softmax(z)), z
 
     def parameters(self):
         params = [p for layer in self.gnn_layers for p in layer.parameters()]
@@ -64,5 +64,5 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"label outside [0, {c})")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    log_p = log_softmax(logits, axis=1)
+    log_p = log_softmax(logits)
     return (log_p * Tensor(onehot)).sum() * (-1.0 / n)

@@ -59,9 +59,10 @@ class GraphBatch:
     g's node count). ``aggregated_features``, ``adjacency @ features``, is
     built once: the arrays are read-only, so it cannot go stale. A batch is a
     sequence of graphs: ``batch[g]`` is a :class:`Graph` of views. Every graph
-    must have at least one node, one finite feature row per node, and edges
-    between its own nodes, each undirected edge once; a ``ValueError`` names
-    the first that does not.
+    must have at least one node, one finite feature row per node, as many
+    feature columns as graph 0 and at least one, and edges between its own
+    nodes, each undirected edge once; a ``ValueError`` names the first that
+    does not.
     """
 
     def __init__(self, graphs):
@@ -69,12 +70,17 @@ class GraphBatch:
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
         counts = np.array([g.node_count for g in graphs], dtype=np.intp)
-        feature_rows = np.array([g.features.shape[0] for g in graphs])
+        feature_rows, widths = np.array([g.features.shape for g in graphs]).T
         bad = np.flatnonzero(feature_rows != counts)
         if bad.size:
             g = int(bad[0])
             raise ValueError(
                 f"graph {g} of the batch has {feature_rows[g]} feature rows for {counts[g]} nodes")
+        bad = np.flatnonzero(widths != widths[0])
+        if bad.size:
+            g = int(bad[0])
+            raise ValueError(
+                f"graph {g} of the batch has {widths[g]} feature columns, graph 0 has {widths[0]}")
         edges = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) for g in graphs]
         self._stack(counts, np.concatenate(edges), [len(e) for e in edges],
                     np.concatenate([g.features for g in graphs]), [g.label for g in graphs])
@@ -93,6 +99,8 @@ class GraphBatch:
         self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.intp)
         self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.intp)
         self.labels = np.asarray(labels, dtype=np.intp)
+        if features.shape[1] == 0:  # saved, they would load back as the constant feature 1
+            raise ValueError("the batch's node features have no columns")
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
         if bad.size:  # the loader rejects it; f1 would carry it to every parameter
             g = np.searchsorted(self.node_offsets, bad[0], side="right") - 1
@@ -441,46 +449,27 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
         raise ValueError(f"dataset of size {n} too small for k={k}")
     rng = np.random.default_rng(seed)
     if labels is None:
-        groups = [list(range(n))]
+        groups = [np.arange(n)]
     else:
-        labels = list(labels)
-        if len(labels) != n:
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
             raise ValueError("labels length must equal n")
-        groups = [
-            [i for i in range(n) if labels[i] == lab] for lab in sorted(set(labels))
-        ]
+        groups = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
 
     test, pools = [], []
     for group in groups:
-        group = list(group)
         rng.shuffle(group)
-        t = int(round(test_fraction * len(group)))
-        t = min(t, max(0, len(group) - k))  # keep enough samples to fold
-        test.extend(group[:t])
+        t = int(round(test_fraction * group.size))
+        t = min(t, max(0, group.size - k))  # each group keeps min(size, k): the pool holds >= k
+        test.append(group[:t])
         pools.append(group[t:])
-    remaining = sum(len(p) for p in pools)
-    if remaining < k:
-        raise ValueError(f"only {remaining} non-test samples for k={k} folds")
-
-    buckets = [[] for _ in range(k)]
-    cursor = 0
-    for pool in pools:  # round-robin keeps folds stratified too
-        for idx in pool:
-            buckets[cursor % k].append(idx)
-            cursor += 1
-    if any(not b for b in buckets):
-        raise ValueError("a fold received no validation samples")
-
-    fold_validation = [sorted(b) for b in buckets]
-    fold_train = []
-    for f in range(k):
-        train = sorted(x for g, b in enumerate(buckets) if g != f for x in b)
-        fold_train.append(train)
+    pool = np.concatenate(pools)
+    fold = np.arange(pool.size) % k  # round-robin keeps folds stratified too
     return SplitPlan(
         seed=seed,
         test_fraction=test_fraction,
         folds=k,
-        test_indices=sorted(test),
-        fold_train=fold_train,
-        fold_validation=fold_validation,
+        test_indices=np.sort(np.concatenate(test)).tolist(),
+        fold_train=[np.sort(pool[fold != f]).tolist() for f in range(k)],
+        fold_validation=[np.sort(pool[fold == f]).tolist() for f in range(k)],
     )

@@ -59,7 +59,7 @@ class TargetDistribution:
         bins = Tensor(np.arange(n, dtype=np.float64))
         centered = bins - self.mu
         inv_two_var = exp(self.sigma_raw * -2.0) * 0.5
-        return log_softmax((centered * centered) * -1.0 * inv_two_var, axis=-1)
+        return log_softmax((centered * centered) * -1.0 * inv_two_var)
 
     def parameters(self):
         return [self.mu, self.sigma_raw]

@@ -3,8 +3,9 @@
 It holds the differentiable operations the model runs, and only those:
 elementwise arithmetic with numpy-style broadcasting, matmul (whose left
 operand may also be a constant ``scipy.sparse`` matrix, the pooling matrices
-of batched graphs), relu, exp and log, sums, and softmax and log-softmax
-along an axis; plus the finite-difference oracle the test suite leans on.
+of batched graphs), relu, exp and log, the sum of all elements, and
+log-softmax along the last axis; plus the finite-difference oracle the test
+suite leans on.
 The model's fused ops are built from the same ``_record`` and
 ``_accumulate``: the graph convolution with its relu, ``nn.GraphConv``, and
 the two N x N ops, the latent graph's edge weights and the NDDL degree
@@ -79,31 +80,19 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
     def backward(self) -> None:
         """Populate ``grad`` for every requires_grad leaf below this scalar.
@@ -310,39 +299,26 @@ def log(a: Tensor) -> Tensor:
     return _record(np.log(a.data), (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(a.data)):
-        raise ValueError("softmax: input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        _accumulate(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
-
-    return _record(y, (a,), backward)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax along the last axis; ``exp`` of it gives probabilities."""
     if not np.all(np.isfinite(a.data)):
         raise ValueError("log_softmax: input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
 
     def backward(g):
-        _accumulate(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     return _record(y, (a,), backward)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _record(a.data.sum(), (a,), backward)
 
 
 def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:

@@ -3,7 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from popgraph.baselines import dynamic_knn_population, knn_from_gram, wl_gram
+from popgraph.baselines import (
+    dynamic_knn_population,
+    knn_from_gram,
+    random_population,
+    wl_gram,
+)
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
 
 
@@ -141,3 +146,47 @@ def test_dynamic_knn_rejects_k_not_below_n():
     for k in (3, 4):
         with pytest.raises(ValueError, match=f"k={k} must be smaller than n=3"):
             dynamic_knn_population(h, k)
+
+
+def test_knn_builders_reject_negative_k_and_give_no_edges_at_k_0():
+    h = np.random.default_rng(1).normal(size=(4, 2))
+    gram = h @ h.T + 10.0 * np.eye(4)  # positive diagonal
+    for build, x in ((knn_from_gram, gram), (dynamic_knn_population, h)):
+        np.testing.assert_array_equal(build(x, 0), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="k=-1 must be >= 0"):
+            build(x, -1)
+
+
+def test_random_population_is_a_seeded_simple_graph():
+    adj = random_population(30, 4.0, seed=3)
+    np.testing.assert_array_equal(adj, adj.T)
+    assert set(np.unique(adj)) <= {0.0, 1.0}
+    np.testing.assert_array_equal(np.diag(adj), np.zeros(30))
+    np.testing.assert_array_equal(random_population(30, 4.0, seed=3), adj)
+    assert not np.array_equal(random_population(30, 4.0, seed=4), adj)
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_random_population_extreme_degrees(n):
+    np.testing.assert_array_equal(random_population(n, 0.0, seed=0), np.zeros((n, n)))
+    complete = np.ones((n, n)) - np.eye(n)
+    for degree in (n - 1, n + 5.5):
+        np.testing.assert_array_equal(random_population(n, degree, seed=0), complete)
+
+
+def test_random_population_mean_degree_near_target():
+    # the mean degree is 2 * Binomial(124750, 0.02) / 500, whose sd is 0.2
+    for seed in range(3):
+        mean_degree = random_population(500, 10.0, seed).sum(axis=1).mean()
+        assert abs(mean_degree - 10.0) < 0.8
+
+
+@pytest.mark.parametrize(
+    "n,degree,message",
+    [(1, 0.0, "at least 2 nodes"), (5, -1.0, "expected_degree"),
+     (5, float("nan"), "expected_degree"), (5, float("inf"), "expected_degree")],
+    ids=["one_node", "negative", "nan", "inf"],
+)
+def test_random_population_rejects(n, degree, message):
+    with pytest.raises(ValueError, match=message):
+        random_population(n, degree, seed=0)

@@ -356,20 +356,39 @@ def test_make_splits_deterministic_and_stratified():
     assert test_labels.count(0) == 10 and test_labels.count(1) == 10
 
 
+@pytest.mark.parametrize(
+    "n,test_fraction,k,seed,labels,expected",
+    [(10, 0.3, 3, 1, None,
+      ([4, 7, 8], [[1, 2, 6, 9], [0, 2, 3, 5, 6], [0, 1, 3, 5, 9]], [[0, 3, 5], [1, 9], [2, 6]])),
+     # classes of 7, 3 and 2: 2, 1 and 0 of them go to test
+     (12, 0.25, 2, 3, [0, 2, 0, 1, 0, 0, 1, 0, 2, 0, 1, 0],
+      ([6, 9, 11], [[1, 2, 3, 5], [0, 4, 7, 8, 10]], [[0, 4, 7, 8, 10], [1, 2, 3, 5]])),
+     # class 1 has 3 = k samples: the clamp keeps all 3 out of test, not round(1.5) = 2
+     (12, 0.5, 3, 5, [0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0],
+      ([1, 3, 4, 6], [[5, 7, 9, 10, 11], [0, 2, 7, 8, 9], [0, 2, 5, 8, 10, 11]],
+       [[0, 2, 8], [5, 10, 11], [7, 9]]))],
+    ids=["unstratified", "uneven_classes", "clamp_binds"],
+)
+def test_make_splits_pinned_plans(n, test_fraction, k, seed, labels, expected):
+    plan = make_splits(n, test_fraction, k, seed, labels)
+    assert (plan.test_indices, plan.fold_train, plan.fold_validation) == expected
+    assert all(type(i) is int for i in plan.test_indices + plan.fold_train[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=8, max_value=200),
     k=st.integers(min_value=2, max_value=10),
     test_fraction=st.floats(min_value=0.05, max_value=0.5),
     seed=st.integers(min_value=0, max_value=2**31),
+    classes=st.integers(min_value=0, max_value=5),  # 0: unstratified
 )
-def test_split_partition_property(n, k, test_fraction, seed):
+def test_split_partition_property(n, k, test_fraction, seed, classes):
     if n < k + 2:
         return
-    try:
-        plan = make_splits(n, test_fraction, k, seed)
-    except ValueError:
-        return
+    labels = np.random.default_rng(seed).integers(classes, size=n) if classes else None
+    plan = make_splits(n, test_fraction, k, seed, labels)
+    assert all(plan.fold_validation)
     non_test = sorted(set(range(n)) - set(plan.test_indices))
     all_val = sorted(x for fold in plan.fold_validation for x in fold)
     assert all_val == non_test
@@ -410,6 +429,13 @@ def test_batch_rejects_feature_rows_other_than_node_count(rows):
         GraphBatch(graphs)
 
 
+def test_batch_rejects_feature_width_other_than_graph_0s():
+    graphs = [Graph(2, [(0, 1)], np.ones((2, 2)), 0), Graph(3, [], np.ones((3, 2)), 1),
+              Graph(2, [], np.ones((2, 3)), 0), Graph(2, [], np.ones((2, 1)), 1)]
+    with pytest.raises(ValueError, match="graph 2 of the batch has 3 feature columns, graph 0 has 2"):
+        GraphBatch(graphs)
+
+
 @pytest.mark.parametrize(
     "graphs,message",
     [([Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(0, [], np.ones((0, 1)), 1),
@@ -417,12 +443,14 @@ def test_batch_rejects_feature_rows_other_than_node_count(rows):
      ([Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)],
       r"graph 0 of the batch has edge \(0, 5\) outside"),
      ([Graph(1, [], np.ones((1, 1)), 0), Graph(2, [], np.array([[0.5], [np.inf]]), 1)],
-      "graph 1 of the batch has a non-finite feature")],
-    ids=["zero_node_graph", "edge_past_its_graph", "infinite_feature"],
+      "graph 1 of the batch has a non-finite feature"),
+     ([Graph(2, [(0, 1)], np.ones((2, 0)), 0)], "node features have no columns")],
+    ids=["zero_node_graph", "edge_past_its_graph", "infinite_feature", "zero_feature_columns"],
 )
 def test_save_writes_no_file_for_graphs_the_loader_rejects(tmp_path, graphs, message):
     # each would load back as a DatasetFormatError: "graph id 3 skips graph 2",
-    # "edge crosses graphs 1 and 2", "non-finite attribute"
+    # "edge crosses graphs 1 and 2", "non-finite attribute"; or, with no feature
+    # columns, as blank attribute lines that load as the constant feature 1
     with pytest.raises(ValueError, match=message):
         save_tu_dataset(GraphBatch(graphs), str(tmp_path), "RT")
     assert not any(tmp_path.iterdir())

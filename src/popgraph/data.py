@@ -439,7 +439,9 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
     """Fixed test split plus k folds over the rest, label-stratified when given.
 
     The test set is drawn once; remaining indices are dealt into k folds,
-    each serving once as validation while the others train.
+    each serving once as validation while the others train. Raises
+    ``ValueError`` naming the first index whose label is NaN or infinite,
+    which no class would claim.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
@@ -454,6 +456,9 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
         labels = np.asarray(labels)
         if labels.shape != (n,):
             raise ValueError("labels length must equal n")
+        if np.issubdtype(labels.dtype, np.inexact) and not np.isfinite(labels).all():
+            i = int(np.argmin(np.isfinite(labels)))
+            raise ValueError(f"label {labels[i]} at index {i} is not finite")
         groups = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
 
     test, pools = [], []

@@ -6,11 +6,20 @@ The temperature t is kept positive by storing its log; the diagonal is
 forced to zero so self-loops never enter degree statistics or message
 passing.
 
-``logistic_edge_weights`` computes the whole N x N chain as one autograd op:
-its forward takes the distances from ``pairwise_distances``, which
-``init_threshold`` shares, and its hand-derived backward gives the gradients
-of the embedding, ``t_raw`` and ``theta``. The tape holds the weights and,
-inside the rule, the distances: no logit, scaled-distance or mask array.
+Every distance comes from one kernel, ``_upper_distance_blocks``. It walks
+the upper triangle in blocks of ``ROW_BLOCK`` rows, as FlashAttention tiles
+attention scores (Dao et al., arXiv 2205.14135): rows i0:i1 against columns
+i0:, from one gemm into a contiguous buffer, where the whole elementwise
+chain then runs. The square part of each block is made exactly symmetric
+before the chain and its diagonal exactly zero, so every consumer mirrors
+the block's right part below the diagonal and gets an exactly symmetric
+result, whatever the BLAS kernel or thread count.
+
+``logistic_edge_weights`` computes the N x N weights as one autograd op on
+those blocks. Its tape holds the weights and, inside the rule, the upper
+distance blocks, about half an N x N array: no logit, scaled-distance or
+mask array. Its hand-derived backward gives the gradients of the embedding,
+``t_raw`` and ``theta`` from the same upper blocks.
 
 The sigmoid is evaluated in place as a_ij = 1 / (1 + exp(t * d_ij - theta)),
 with numpy's vectorised ``exp``. A pair far enough apart that the ``exp``
@@ -27,68 +36,169 @@ import numpy as np
 from .nn import MLP
 from .tensor import ShapeError, Tensor, _accumulate, _record
 
+# Rows per block of the distance kernel. One block's buffers, 64 x N float64,
+# are 512 KB at N = 1024.
+ROW_BLOCK = 64
+_STRICT_LOWER = np.tri(ROW_BLOCK, k=-1, dtype=bool)
+_LINE = 8  # float64s in a 64-byte cache line
 
-def pairwise_distances(x: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance matrix of a 2-D array.
 
-    Uses the expanded form with squared distances clamped at 0 before the
-    square root. The result is exactly symmetric with an exactly-zero
-    diagonal: numpy forms the product of a matrix with its own transpose as
-    one triangle (BLAS syrk) and mirrors it, so the Gram matrix is exactly
-    symmetric, and so is every elementwise step after it.
+def _require_finite_rows(x: np.ndarray) -> None:
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValueError(f"embedding row {int(np.argmax(bad))} is not finite")
+
+
+def _upper_distance_blocks(x: np.ndarray, keep: bool = False):
+    """Yield ``(i0, i1, d)``: the distances of rows i0:i1 to rows i0:, a contiguous block.
+
+    Squared distances are taken in the expanded form |x_p|^2 + |x_q|^2 - 2 x_p.x_q
+    and clamped at 0 before the square root. The product comes from one gemm
+    of the rows against -2 x: scaling by -2 is exact, so no pass is spent on
+    it and no rounding is added. Blocks run from the last one up, so the
+    squared norms of every column have come from the diagonal of a product
+    already made. The square part of a block is mirrored from its upper
+    triangle and its diagonal is exactly 0. Equal rows in different blocks
+    also get exactly 0 where BLAS rounds every dot product of a gemm alike.
+
+    Unless ``keep`` is set, every block is a view of one buffer, overwritten
+    by the next block.
     """
     x = np.ascontiguousarray(x)
-    gram = x @ x.T
-    sq_norms = np.diag(gram).copy()
-    sq = sq_norms[:, None] + sq_norms[None, :]
-    gram *= 2.0
-    sq -= gram
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq, out=sq)
+    n = x.shape[0]
+    minus2x = -2.0 * x
+    starts = range(0, n, ROW_BLOCK)
+    rows = min(n, ROW_BLOCK)
+    store = np.empty(sum(min(ROW_BLOCK, n - i0) * (n - i0) for i0 in starts) if keep
+                     else rows * n)
+    sums = np.empty(rows * n)
+    norms = np.empty(n)
+    offset = 0
+    for i0 in reversed(starts):
+        i1 = min(i0 + ROW_BLOCK, n)
+        b, w = i1 - i0, n - i0
+        d = store[offset:offset + b * w].reshape(b, w)
+        if keep:
+            offset += b * w
+        np.matmul(x[i0:i1], minus2x[i0:].T, out=d)  # -2 x_p.x_q
+        square = d[:, :b]
+        np.copyto(square, square.T, where=_STRICT_LOWER[:b, :b])
+        np.multiply(square.diagonal(), -0.5, out=norms[i0:i1])
+        s = sums[:b * w].reshape(b, w)
+        np.add(norms[i0:i1, None], norms[None, i0:], out=s)
+        d += s
+        np.maximum(d, 0.0, out=d)
+        d.flat[:b * w:w + 1] = 0.0
+        np.sqrt(d, out=d)
+        yield i0, i1, d
+
+
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance matrix of a 2-D array of finite rows.
+
+    Assembled from the upper blocks of ``_upper_distance_blocks``, each
+    copied in place and its right part mirrored below the diagonal, so the
+    result is exactly symmetric with an exactly-zero diagonal. Raises
+    ``ValueError`` naming the first row with a NaN or infinite entry.
+    """
+    _require_finite_rows(x)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for i0, i1, d in _upper_distance_blocks(x):
+        out[i0:i1, i0:] = d
+        out[i1:, i0:i1] = d[:, i1 - i0:].T
+    return out
 
 
 def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     """a_ij = sigmoid(theta - exp(t_raw) * ||z_i - z_j||) off the diagonal, 0 on it.
 
-    The sigmoid is computed as 1 / (1 + exp(t * d_ij - theta)) in the op's one
-    N x N buffer, not with the scalar ``scipy.special.expit`` loop, which took
-    about three times as long at N = 1024. Where t * d_ij - theta exceeds
-    ~709.78 the ``exp`` overflows to inf and the weight is exactly 0.0, as
-    ``expit`` gives there; the overflow raises no warning. Elsewhere the two
-    differ by less than 1e-15 relative wherever ``expit`` is at least 1e-300.
+    The sigmoid is computed as 1 / (1 + exp(t * d_ij - theta)) block by block,
+    in one buffer of ``ROW_BLOCK`` rows, not with the scalar
+    ``scipy.special.expit`` loop, which took about three times as long at
+    N = 1024. Each block is copied into the upper triangle of the output and
+    mirrored below it. Where t * d_ij - theta exceeds ~709.78 the ``exp``
+    overflows to inf and the weight is exactly 0.0, as ``expit`` gives there;
+    the overflow raises no warning. Elsewhere the two differ by less than
+    1e-15 relative wherever ``expit`` is at least 1e-300. A row with a NaN
+    gives NaN weights in its row and column.
 
+    The backward works on the same upper blocks with the symmetric
+    S = s + s^T, where s = a (1 - a) g is the gradient of the logits. One
+    buffer, reused for every block, holds g's square part and, to its right,
+    g[I, J] + g[J, I]^T; theta's and t's gradients, the row and column sums of
+    S / d and its products with the embedding all come from it.
     The subgradient of a distance at exactly zero is 0, so duplicate rows and
     the diagonal never produce NaN gradients.
     """
     if z.data.ndim != 2:
         raise ShapeError(f"edge weights expect a 2-D embedding, got {z.data.shape}")
     x = z.data
-    dist = pairwise_distances(x)
+    n, k = x.shape
     t = float(np.exp(t_raw.data))
-    a = dist * t
-    a -= theta.data
-    with np.errstate(over="ignore"):
-        np.exp(a, out=a)
-    a += 1.0
-    np.reciprocal(a, out=a)
-    np.fill_diagonal(a, 0.0)
+    a = np.empty((n, n))
+    blocks = []
+    chain = np.empty(ROW_BLOCK * n) if n > ROW_BLOCK else None  # one block runs in a
+    for i0, i1, d in _upper_distance_blocks(x, keep=True):
+        blocks.append((i0, i1, d))
+        b, w = d.shape
+        e = a if chain is None else chain[:b * w].reshape(b, w)
+        np.multiply(d, t, out=e)
+        e -= theta.data
+        with np.errstate(over="ignore"):
+            np.exp(e, out=e)
+        e += 1.0
+        np.reciprocal(e, out=e)
+        e.flat[:b * w:w + 1] = 0.0
+        if chain is not None:
+            a[i0:i1, i0:] = e
+            a[i1:, i0:i1] = e[:, b:].T
 
     def backward(g):
-        # d loss / d logit; a_ii = 0, so the diagonal drops out
-        s = 1.0 - a
-        s *= a
-        s *= g
-        _accumulate(theta, s.sum())
-        _accumulate(t_raw, -t * np.vdot(s, dist))
         if z.requires_grad:
-            # d loss / d z_i = -t * sum_j (s_ij + s_ji) (z_i - z_j) / d_ij,
-            # with the transposed half as a transposed product, not an N x N copy
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s /= dist
-            s[dist == 0.0] = 0.0
-            grad = (s.sum(axis=1) + s.sum(axis=0))[:, None] * x - s @ x - s.T @ x
-            _accumulate(z, grad * -t)
+            # columns: S/d @ x, then the row sums of S/d against a column of ones
+            xa = np.empty((n, k + 1))
+            xa[:, :k] = x
+            xa[:, k] = 1.0
+            acc = np.zeros((n, k + 1))
+        rows = min(n, ROW_BLOCK)
+        sym = np.empty(rows * n)
+        slope = np.empty((rows + _LINE) * n)  # also holds g[J, I] in padded rows
+        d_theta = d_t = np.float64(0.0)
+        for i0, i1, d in blocks:
+            b, w = d.shape
+            s = sym[:b * w].reshape(b, w)
+            s[:, :b] = g[i0:i1, i0:i1]
+            # g[J, I] is copied before its transpose is read, into rows padded
+            # by a cache line. Read in place, each element sits on another row
+            # of g; read from rows of 512 bytes, the column walk hits a few
+            # cache sets only. Inside N = 1024 training steps the add took
+            # 4.4 ms unpadded, 1.6 ms padded (one thread, 2-vCPU x86 host).
+            below = slope[:(w - b) * (b + _LINE)].reshape(w - b, b + _LINE)[:, :b]
+            np.copyto(below, g[i1:, i0:i1])
+            np.add(g[i0:i1, i1:], below.T, out=s[:, b:])
+            ab = a[i0:i1, i0:]
+            da = slope[:b * w].reshape(b, w)
+            np.subtract(1.0, ab, out=da)
+            da *= ab
+            s *= da  # S over the block; a_ii = 0, so the diagonal drops out
+            d_theta += s.sum()
+            d_t += np.vdot(s, d)
+            if z.requires_grad:
+                # d loss / d z_i = -t * sum_j S_ij (z_i - z_j) / d_ij; the block
+                # gives rows I, and through its transpose rows i0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    s /= d
+                s[d == 0.0] = 0.0
+                acc[i0:i1] += s @ xa[i0:]
+                acc[i0:] += s.T @ xa[i0:i1]
+        _accumulate(theta, d_theta)
+        _accumulate(t_raw, -t * d_t)
+        if z.requires_grad:
+            grad = acc[:, k:] * x
+            grad -= acc[:, :k]
+            grad *= -t
+            _accumulate(z, grad)
 
     return _record(a, (z, t_raw, theta), backward)
 
@@ -135,6 +245,8 @@ class LatentGraphParams:
         Raises ``ValueError`` for a batch of two: its single pair has no next
         distance, so theta would put it at a_ij = 0.5 exactly, whatever its
         distance. A batch of fewer than two has no pair and leaves theta as is.
+        Raises ``ValueError`` naming the first row whose embedding is not
+        finite: a NaN distance has no place in the order a median needs.
         """
         n = h.shape[0]
         if n < 2:
@@ -142,8 +254,18 @@ class LatentGraphParams:
         if n == 2:
             raise ValueError("init_threshold needs at least 3 rows: the single pair of 2 "
                              "would sit at a_ij = 0.5, on NDDL's strict threshold")
-        dist = pairwise_distances(self.embed(h).data)
-        pairs = np.concatenate([row[i + 1:] for i, row in enumerate(dist)])
+        x = self.embed(h).data
+        _require_finite_rows(x)
+        pairs = np.empty(n * (n - 1) // 2)
+        end = pairs.size
+        for i0, i1, d in _upper_distance_blocks(x):
+            b = i1 - i0
+            right = d[:, b:]
+            end -= right.size
+            pairs[end:end + right.size] = right.ravel()
+            square = d[:, :b][_STRICT_LOWER[:b, :b].T]
+            end -= square.size
+            pairs[end:end + square.size] = square
         k = pairs.size // 2
         lo, hi = (k - 1, k) if pairs.size % 2 == 0 else (k, k + 1)
         part = np.partition(pairs, (lo, hi))

@@ -9,7 +9,10 @@ suite leans on.
 The model's fused ops are built from the same ``_record`` and
 ``_accumulate``: the graph convolution with its relu, ``nn.GraphConv``, and
 the two N x N ops, the latent graph's edge weights and the NDDL degree
-histogram, in ``latent_graph`` and ``degree_loss``. ``nn.GraphConv`` builds
+histogram, in ``latent_graph`` and ``degree_loss``. The edge weights run
+forward and backward over the upper triangle in blocks of
+``latent_graph.ROW_BLOCK`` rows, each in one reused contiguous buffer, and
+keep only those distance blocks for the backward. ``nn.GraphConv`` builds
 its output in one buffer, the bias, into which BLAS adds both projections
 with beta 1 (``nn.add_matmul``); on f1's first layer its neighbour sums are
 a per-batch constant, ``GraphBatch.aggregated_features``, computed once.

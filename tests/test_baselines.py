@@ -10,6 +10,7 @@ from popgraph.baselines import (
     wl_gram,
 )
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
+from popgraph.latent_graph import ROW_BLOCK
 
 
 def graph(node_count, edges):
@@ -133,7 +134,7 @@ def test_knn_from_gram_rejects_zero_norm_row():
 
 def test_dynamic_knn_matches_oracle_on_ties():
     rng = np.random.default_rng(6)
-    for n in (2, 5, 9, 40):
+    for n in (2, 5, 9, 40, 2 * ROW_BLOCK + 5):  # the last crosses distance row blocks
         h = rng.integers(0, 3, size=(n, 2)).astype(float)  # integer points: tied distances
         d2 = ((h[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
         for k in range(1, min(n, 6)):
@@ -146,6 +147,14 @@ def test_dynamic_knn_rejects_k_not_below_n():
     for k in (3, 4):
         with pytest.raises(ValueError, match=f"k={k} must be smaller than n=3"):
             dynamic_knn_population(h, k)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dynamic_knn_rejects_non_finite_row(value):
+    h = np.random.default_rng(2).normal(size=(5, 2))
+    h[3, 0] = value
+    with pytest.raises(ValueError, match="embedding row 3 is not finite"):
+        dynamic_knn_population(h, 2)
 
 
 def test_knn_builders_reject_negative_k_and_give_no_edges_at_k_0():

@@ -347,6 +347,15 @@ def test_make_splits_rejects_tiny_dataset():
         make_splits(5, test_fraction=0.2, k=4, seed=0)
 
 
+@pytest.mark.parametrize("value,index", [(np.nan, 2), (np.inf, 6), (-np.inf, 0)])
+def test_make_splits_rejects_non_finite_label(value, index):
+    labels = [0.0, 1.0] * 5
+    labels[index] = value
+    labels[9] = np.nan  # only the first is named
+    with pytest.raises(ValueError, match=f"label {value} at index {index} is not finite"):
+        make_splits(10, 0.2, 2, 0, labels=labels)
+
+
 def test_make_splits_deterministic_and_stratified():
     labels = [0] * 40 + [1] * 40
     a = make_splits(80, 0.25, 4, seed=7, labels=labels)

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import expit
 
 from popgraph.degree_loss import degree_histogram
-from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
+from popgraph.latent_graph import (ROW_BLOCK, LatentGraphParams, logistic_edge_weights,
+                                   pairwise_distances)
 from popgraph.tensor import Tensor, finite_difference_check
 
 
@@ -156,7 +157,11 @@ def test_edge_weights_gradient_check_with_duplicate_rows():
         assert err < 1e-6, f"{target.name}: {err}"
 
 
-@pytest.mark.parametrize("n", [4, 64])
+# three row blocks, the last one ragged
+BLOCKED_N = 2 * ROW_BLOCK + 5
+
+
+@pytest.mark.parametrize("n", [4, 64, BLOCKED_N])
 def test_threshold_even_pair_count_keeps_full_matrix_median(n):
     rng = np.random.default_rng(10)
     params = make_params([3, 2], rng)
@@ -168,7 +173,7 @@ def test_threshold_even_pair_count_keeps_full_matrix_median(n):
     assert params.theta.item() == full_median * params.temperature
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 6, 2 * ROW_BLOCK + 2])
 def test_threshold_odd_pair_count_keeps_pairs_off_half(n):
     rng = np.random.default_rng(11)
     params = make_params([3, 2], rng)
@@ -210,18 +215,26 @@ def test_edge_weights_match_expit_oracle(positions):
     np.testing.assert_array_equal(a, a.T)
 
 
-def test_edge_weights_nan_row_propagates_to_degree_histogram():
+def check_nan_row_propagates(n, row):
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(6, 3))
-    x[2, 1] = np.nan
+    x = rng.normal(size=(n, 3))
+    x[row, 1] = np.nan
     a_p = logistic_edge_weights(Tensor(x), Tensor(0.2), Tensor(1.5))
-    off = ~np.eye(6, dtype=bool)
-    in_row_or_column = np.zeros((6, 6), dtype=bool)
-    in_row_or_column[2, :] = in_row_or_column[:, 2] = True
+    off = ~np.eye(n, dtype=bool)
+    in_row_or_column = np.zeros((n, n), dtype=bool)
+    in_row_or_column[row, :] = in_row_or_column[:, row] = True
     assert np.all(np.isnan(a_p.data[off & in_row_or_column]))
     assert np.all(np.isfinite(a_p.data[~in_row_or_column]))
     with pytest.raises(ValueError, match="non-finite"):
         degree_histogram(a_p)
+
+
+def test_edge_weights_nan_row_propagates_to_degree_histogram():
+    check_nan_row_propagates(6, 2)
+
+
+def test_edge_weights_nan_row_in_second_block_propagates_to_degree_histogram():
+    check_nan_row_propagates(BLOCKED_N, ROW_BLOCK + 7)
 
 
 @pytest.mark.parametrize("second_row", [[1.0, -2.0, 0.5], [0.3, 0.7, -1.1]],
@@ -232,4 +245,66 @@ def test_threshold_rejects_a_single_pair(second_row):
     theta = params.theta.item()
     with pytest.raises(ValueError, match="at least 3 rows"):
         params.init_threshold(h)
+    assert params.theta.item() == theta
+
+
+def blocked_embedding(seed):
+    """BLOCKED_N rows with equal rows inside a block and across block boundaries."""
+    x = np.random.default_rng(seed).normal(size=(BLOCKED_N, 3))
+    x[ROW_BLOCK + 2] = x[3]
+    x[2 * ROW_BLOCK + 1] = x[ROW_BLOCK - 1]
+    x[2 * ROW_BLOCK + 4] = x[2 * ROW_BLOCK]
+    return x
+
+
+def test_blocked_distances_match_direct_oracle():
+    x = blocked_embedding(14)
+    d = pairwise_distances(x)
+    oracle = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    np.testing.assert_allclose(d, oracle, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(d, d.T)
+    np.testing.assert_array_equal(np.diag(d), 0.0)
+    assert d[3, ROW_BLOCK + 2] == 0.0 and d[ROW_BLOCK - 1, 2 * ROW_BLOCK + 1] == 0.0
+
+
+def test_blocked_edge_weights_match_unblocked_expit_oracle():
+    x = blocked_embedding(15) * 2.0
+    t_raw, theta = Tensor(0.4), Tensor(2.5)
+    a = logistic_edge_weights(Tensor(x), t_raw, theta).data
+    # the same expanded form over the whole matrix: one product, its upper
+    # triangle mirrored
+    minus2gram = x @ (-2.0 * x).T
+    sq_norms = -0.5 * np.diag(minus2gram)
+    dist = np.sqrt(np.maximum(sq_norms[:, None] + sq_norms[None, :] + minus2gram, 0.0))
+    dist = np.triu(dist) + np.triu(dist, k=1).T
+    oracle = expit(theta.item() - float(np.exp(t_raw.data)) * dist)
+    off = ~np.eye(BLOCKED_N, dtype=bool)
+    np.testing.assert_allclose(a[off], oracle[off], rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(a, a.T)
+    np.testing.assert_array_equal(np.diag(a), 0.0)
+
+
+def test_blocked_edge_weights_gradient_check_with_duplicate_rows():
+    rng = np.random.default_rng(16)
+    z = Tensor(blocked_embedding(16), requires_grad=True)
+    t_raw = Tensor(0.3, requires_grad=True, name="t_raw")
+    theta = Tensor(0.8, requires_grad=True, name="theta")
+    mix = Tensor(rng.normal(size=(BLOCKED_N, BLOCKED_N)))  # not symmetric
+
+    def f(_):
+        return (logistic_edge_weights(z, t_raw, theta) * mix).sum()
+
+    for target in (z, t_raw, theta):
+        err = finite_difference_check(f, target)
+        assert err < 1e-6, f"{target.name}: {err}"
+
+
+@pytest.mark.parametrize("n,row", [(6, 2), (BLOCKED_N, ROW_BLOCK + 7)])
+def test_threshold_rejects_non_finite_embedding_row(n, row):
+    params = make_params([3, 2])
+    x = np.random.default_rng(17).normal(size=(n, 3))
+    x[row, 0] = np.nan
+    theta = params.theta.item()
+    with pytest.raises(ValueError, match=f"embedding row {row} is not finite"):
+        params.init_threshold(Tensor(x))
     assert params.theta.item() == theta

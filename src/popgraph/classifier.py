@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MLP, GraphConv
+from .nn import MLP, GraphConv, check_widths
 from .tensor import Tensor, exp, log_softmax
 
 
@@ -22,8 +22,11 @@ class ClassifierConfig:
     head_dims: list  # fully-connected sizes, ending in the class count C
 
     def __post_init__(self):
-        if not self.head_dims:
-            raise ValueError("head_dims must end in the class count")
+        check_widths("gnn_dims", self.gnn_dims)
+        check_widths("head_dims", self.head_dims)
+        if not self.head_dims or self.head_dims[-1] < 2:
+            raise ValueError(
+                f"head_dims must end in the class count, at least 2: {self.head_dims!r}")
 
 
 class PopulationClassifier:

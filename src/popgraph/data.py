@@ -16,10 +16,12 @@ per graph with array operations. A malformed file raises
 the first such line: only then are the lines parsed one at a time.
 """
 
+import functools
 import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +37,10 @@ NODE_JITTER_SIGMA = 0.25  # per-node noise in the "ambiguous_features" generator
 
 TOPOLOGIES = ("cycle_vs_star", "ambiguous_features")
 
+# Node rows per block of f1's blocked forward and backward: the most rows a
+# block of whole graphs may hold, unless it is one graph that alone has more.
+NODE_BLOCK = 2048
+
 
 @dataclass
 class Graph:
@@ -44,6 +50,25 @@ class Graph:
     edges: list | np.ndarray  # local (u, v), each undirected edge once: pairs or an (e, 2) array
     features: np.ndarray
     label: int
+
+
+class NodeBlock(NamedTuple):
+    """Whole graphs of a batch, run by f1 as one block of node rows."""
+
+    rows: slice  # the block's node rows in the batch
+    graphs: slice  # the graphs those rows belong to
+    adjacency: sp.csr_matrix  # rows x rows: the batch adjacency's diagonal block
+    membership: sp.csr_matrix  # graphs x rows: the batch's pooling rows, summing
+    mean_pool: sp.csr_matrix  # and averaging
+
+
+def _csr_block(m, i0: int, i1: int, c0: int, c1: int):
+    """Rows i0:i1 of the CSR matrix ``m``, all of whose entries lie in columns
+    c0:c1, as a CSR matrix of those columns: its values are a view of ``m``'s,
+    in ``m``'s order, so a product with it sums as ``m``'s does."""
+    e0, e1 = int(m.indptr[i0]), int(m.indptr[i1])
+    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - c0, m.indptr[i0:i1 + 1] - e0),
+                         shape=(i1 - i0, c1 - c0))
 
 
 class GraphBatch:
@@ -57,7 +82,12 @@ class GraphBatch:
     one entry. ``membership`` is the sparse graphs x nodes 0/1 matrix whose
     row g marks graph g's nodes; ``mean_pool`` scales its row g by 1 / (graph
     g's node count). ``aggregated_features``, ``adjacency @ features``, is
-    built once: the arrays are read-only, so it cannot go stale. A batch is a
+    built once: the arrays are read-only, so it cannot go stale.
+    ``node_blocks`` is the block plan f1 runs on, built once per batch:
+    consecutive whole graphs grouped into blocks (:class:`NodeBlock`) of at
+    most ``NODE_BLOCK`` node rows, a larger graph being a block of its own,
+    each with its slices of the adjacency and the pooling matrices. No edge
+    leaves its graph, so a block's rows need no other block's. A batch is a
     sequence of graphs: ``batch[g]`` is a :class:`Graph` of views. Every graph
     must have at least one node, one finite feature row per node, as many
     feature columns as graph 0 and at least one, and edges between its own
@@ -132,6 +162,24 @@ class GraphBatch:
         self.aggregated_features = self.adjacency @ self.features.data
         for constant in (self.edges, self.features.data, self.aggregated_features):
             constant.setflags(write=False)
+
+    @functools.cached_property
+    def node_blocks(self):
+        """The block plan, sliced straight from the CSR arrays of the batch
+        when f1 first runs on it: a batch f1 never sees builds none."""
+        offsets = self.node_offsets
+        blocks = []
+        g0 = 0
+        while g0 < len(self):
+            r0 = int(offsets[g0])
+            g1 = max(g0 + 1, int(np.searchsorted(offsets, r0 + NODE_BLOCK, side="right")) - 1)
+            r1 = int(offsets[g1])
+            blocks.append(NodeBlock(
+                slice(r0, r1), slice(g0, g1), _csr_block(self.adjacency, r0, r1, r0, r1),
+                _csr_block(self.membership, g0, g1, r0, r1),
+                _csr_block(self.mean_pool, g0, g1, r0, r1)))
+            g0 = g1
+        return tuple(blocks)
 
     def __len__(self):
         return self.labels.size

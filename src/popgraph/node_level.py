@@ -1,13 +1,23 @@
 """Per-graph message passing plus global pooling: one vector per input graph.
 
-Each layer is a :class:`~popgraph.nn.GraphConv` over the batch's
-block-diagonal sparse adjacency,
-x'_i = relu(W_self x_i + W_neigh (sum_{j in N(i)} x_j) + b), so no message
-crosses from one input graph to another. The first layer's neighbour sums
-are a constant of the batch, ``GraphBatch.aggregated_features``, built once
-with the batch and reused by every forward pass. Pooling (mean or add) then
-collapses each graph's node rows to a single representation with one sparse
-product, so downstream modules see one row per sample.
+Each layer is x'_i = relu(W_self x_i + W_neigh (sum_{j in N(i)} x_j) + b)
+over the batch's block-diagonal sparse adjacency, so no message crosses from
+one input graph to another. Pooling (mean or add) then collapses each
+graph's node rows to a single representation, so downstream modules see one
+row per sample.
+
+The whole stack and its pooling are one autograd op with a hand-derived
+backward. It walks the batch's block plan, ``GraphBatch.node_blocks``:
+blocks of whole graphs of at most ``data.NODE_BLOCK`` node rows. Forward,
+every layer runs on one block's rows and the block is pooled into its
+graphs' rows of the output; backward, each block's pooling and layers are
+undone in turn, adding into one gradient per parameter. So the temporaries
+of both passes are block-sized, never batch-sized; only each layer's saved
+rows (its input, their neighbour sums and its output) add up to the batch.
+The first layer's neighbour sums are a constant of the batch,
+``GraphBatch.aggregated_features``, built once with it. The layer arithmetic
+is :mod:`popgraph.nn`'s, the same that ``nn.GraphConv`` runs over f3's dense
+adjacency.
 """
 
 from dataclasses import dataclass
@@ -15,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GraphBatch
-from .nn import GraphConv
-from .tensor import Tensor, matmul
+from .nn import GraphConv, check_widths, conv_backward, conv_forward, conv_input_grad
+from .tensor import ShapeError, Tensor, _accumulate, _record
 
 
 POOLING_MODES = ("mean", "add")
@@ -30,20 +40,17 @@ class NodeLevelConfig:
     def __post_init__(self):
         if not self.layer_dims:
             raise ValueError("layer_dims must be non-empty")
+        check_widths("layer_dims", self.layer_dims)
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}")
 
 
-def global_pool(batch: GraphBatch, node_features: Tensor, mode: str) -> Tensor:
-    """Reduce node rows to one row per graph: sum, or mean for ``"mean"``."""
-    if mode not in POOLING_MODES:
-        raise ValueError(f"pooling must be one of {POOLING_MODES}")
-    pool = batch.mean_pool if mode == "mean" else batch.membership
-    return matmul(pool, node_features)
-
-
 class NodeLevelModule:
-    """Stack of graph convolutions with relu, followed by global pooling."""
+    """Stack of graph convolutions with relu, followed by global pooling.
+
+    ``layers`` hold the parameters; :meth:`forward` runs them all, and the
+    pooling, as one blocked op.
+    """
 
     def __init__(self, config: NodeLevelConfig, input_dim: int, rng: np.random.Generator):
         self.config = config
@@ -54,11 +61,43 @@ class NodeLevelModule:
         ]
 
     def forward(self, batch: GraphBatch) -> Tensor:
-        first, *rest = self.layers
-        x = first.forward(batch.features, batch.adjacency, ax=batch.aggregated_features)
-        for layer in rest:
-            x = layer.forward(x, batch.adjacency)
-        return global_pool(batch, x, self.config.pooling)
+        d_in = self.layers[0].w_self.shape[0]
+        if batch.features.shape[1] != d_in:
+            raise ShapeError(
+                f"batch features of width {batch.features.shape[1]} for input width {d_in}")
+        params = self.parameters()
+        weights = [tuple(p.data for p in layer.parameters()) for layer in self.layers]
+        mean = self.config.pooling == "mean"
+        h = np.empty((len(batch), weights[-1][2].shape[0]))
+        saved = []  # per block: its pooling rows, and each layer's (x, A x, y) rows
+        for block in batch.node_blocks:
+            x, ax = batch.features.data[block.rows], batch.aggregated_features[block.rows]
+            rows = []
+            for i, (w_self, w_neigh, bias) in enumerate(weights):
+                if i:
+                    ax = block.adjacency @ x
+                y = conv_forward(x, ax, w_self, w_neigh, bias)
+                rows.append((x, ax, y))
+                x = y
+            pool = block.mean_pool if mean else block.membership
+            h[block.graphs] = pool @ x
+            saved.append((pool, rows))
+
+        def backward(g_h):
+            grads = [[np.zeros_like(w) for w in layer] for layer in weights]
+            for block, (pool, rows) in zip(batch.node_blocks, saved):
+                g = pool.T @ g_h[block.graphs]
+                for i in reversed(range(len(weights))):
+                    g, layer_grads = conv_backward(g, *rows[i])
+                    for acc, grad in zip(grads[i], layer_grads):
+                        acc += grad
+                    if i:  # the adjacency is symmetric: it is its own transpose
+                        w_self, w_neigh, _ = weights[i]
+                        g = conv_input_grad(block.adjacency, g, g @ w_neigh.T, w_self)
+            for p, grad in zip(params, (grad for layer in grads for grad in layer)):
+                _accumulate(p, grad)
+
+        return _record(h, params, backward)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]

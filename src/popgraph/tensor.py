@@ -1,21 +1,26 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-It holds the differentiable operations the model runs, and only those:
-elementwise arithmetic with numpy-style broadcasting, matmul (whose left
-operand may also be a constant ``scipy.sparse`` matrix, the pooling matrices
-of batched graphs), relu, exp and log, the sum of all elements, and
-log-softmax along the last axis; plus the finite-difference oracle the test
-suite leans on.
+It holds the differentiable operations the model runs: elementwise
+arithmetic with numpy-style broadcasting, matmul, relu, exp and log, the sum
+of all elements, and log-softmax along the last axis; plus the
+finite-difference oracle the test suite leans on. matmul's left operand may
+also be a constant ``scipy.sparse`` matrix, which only the test suite's
+unfused oracle of f1 still uses.
 The model's fused ops are built from the same ``_record`` and
-``_accumulate``: the graph convolution with its relu, ``nn.GraphConv``, and
-the two N x N ops, the latent graph's edge weights and the NDDL degree
-histogram, in ``latent_graph`` and ``degree_loss``. The edge weights run
-forward and backward over the upper triangle in blocks of
+``_accumulate``: f1, the per-graph stack of graph convolutions and its
+pooling, ``node_level.NodeLevelModule.forward``; f3's graph convolution
+over the dense population graph, ``nn.GraphConv``; and the two N x N ops,
+the latent graph's edge weights and the NDDL degree histogram, in
+``latent_graph`` and ``degree_loss``. f1 runs forward and backward over
+blocks of whole input graphs, the batch's ``GraphBatch.node_blocks``, so its
+temporaries are block-sized; its first layer's neighbour sums are a
+per-batch constant, ``GraphBatch.aggregated_features``, computed once. Both
+convolutions share one layer arithmetic, ``nn.conv_forward`` and its
+backward, which builds a layer's output in one buffer, the bias, into which
+BLAS adds both projections with beta 1 (``nn.add_matmul``). The edge weights
+run forward and backward over the upper triangle in blocks of
 ``latent_graph.ROW_BLOCK`` rows, each in one reused contiguous buffer, and
-keep only those distance blocks for the backward. ``nn.GraphConv`` builds
-its output in one buffer, the bias, into which BLAS adds both projections
-with beta 1 (``nn.add_matmul``); on f1's first layer its neighbour sums are
-a per-batch constant, ``GraphBatch.aggregated_features``, computed once.
+keep only those distance blocks for the backward.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps

@@ -161,3 +161,21 @@ def test_cross_entropy_matches_direct_oracle():
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError, match="label"):
         cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
+
+
+@pytest.mark.parametrize("gnn_dims,head_dims,entry", [
+    ([0], [2], r"gnn_dims\[0\] is 0"),
+    ([4, 2.5], [2], r"gnn_dims\[1\] is 2.5"),
+    ([4], [0], r"head_dims\[0\] is 0"),
+    ([4], [3, -2], r"head_dims\[1\] is -2"),
+    ([4], ["2"], r"head_dims\[0\] is '2'"),
+])
+def test_config_rejects_a_width_that_is_not_a_positive_integer(gnn_dims, head_dims, entry):
+    with pytest.raises(ValueError, match=entry):
+        ClassifierConfig(gnn_dims=gnn_dims, head_dims=head_dims)
+
+
+@pytest.mark.parametrize("head_dims", [[], [1], [8, 1]])
+def test_config_rejects_a_head_of_fewer_than_two_classes(head_dims):
+    with pytest.raises(ValueError, match="at least 2"):
+        ClassifierConfig(gnn_dims=[4], head_dims=head_dims)

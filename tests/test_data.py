@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popgraph import data
 from popgraph.data import (
     DatasetFormatError,
     Graph,
@@ -511,3 +512,28 @@ def test_batch_indexes_to_its_input_graphs():
     assert batch[-1].node_count == 4
     with pytest.raises(IndexError):
         batch[3]
+
+
+def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
+    monkeypatch.setattr(data, "NODE_BLOCK", 10)
+    rng = np.random.default_rng(12)
+    sizes = [3, 4, 2, 15, 9, 1, 10, 4, 5]
+    graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, 0)],
+                    rng.normal(size=(n, 2)), 0) for n in sizes]
+    batch = GraphBatch(graphs)
+    blocks = batch.node_blocks
+    assert [b.graphs for b in blocks] == [slice(0, 3), slice(3, 4), slice(4, 6), slice(6, 7),
+                                          slice(7, 9)]
+    adjacency = batch.adjacency.toarray()
+    for b in blocks:
+        rows, graphs_ = b.rows, b.graphs
+        assert (rows.start, rows.stop) == (batch.node_offsets[graphs_.start],
+                                           batch.node_offsets[graphs_.stop])
+        assert rows.stop - rows.start <= 10 or graphs_.stop - graphs_.start == 1
+        np.testing.assert_array_equal(b.adjacency.toarray(), adjacency[rows, rows])
+        assert not adjacency[rows][:, np.r_[:rows.start, rows.stop:batch.total_nodes]].any()
+        for pool in ("membership", "mean_pool"):
+            whole = getattr(batch, pool)
+            np.testing.assert_array_equal(getattr(b, pool).toarray(), whole[graphs_].toarray()[:, rows])
+    assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == batch.total_nodes
+    assert all(a.rows.stop == b.rows.start for a, b in zip(blocks, blocks[1:]))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from popgraph.data import Graph, GraphBatch
+from popgraph.data import NODE_BLOCK, Graph, GraphBatch
 from popgraph.nn import GraphConv, add_matmul
-from popgraph.node_level import NodeLevelConfig, NodeLevelModule, global_pool
+from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph import tensor as T
-from popgraph.tensor import Tensor, finite_difference_check
+from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
 def single_graph_batch(n, edges, features, label=0):
@@ -20,7 +20,7 @@ def dense_adjacency(n, edges):
 
 
 def conv(layer, batch):
-    return layer.forward(batch.features, batch.adjacency)
+    return layer.forward(batch.features, Tensor(batch.adjacency.toarray()))
 
 
 def test_edgeless_graph_only_self_term():
@@ -64,21 +64,34 @@ def test_graph_conv_rejects_wrong_rows():
     layer = GraphConv(2, 2, rng)
     batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="rows"):
-        layer.forward(Tensor(np.zeros((5, 2))), batch.adjacency)
+        layer.forward(Tensor(np.zeros((5, 2))), Tensor(batch.adjacency.toarray()))
+
+
+def test_graph_conv_rejects_a_sparse_adjacency():
+    rng = np.random.default_rng(2)
+    layer = GraphConv(2, 2, rng)
+    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
+    with pytest.raises(TypeError, match="dense adjacency Tensor"):
+        layer.forward(batch.features, batch.adjacency)
 
 
 def test_sparse_and_dense_adjacency_agree():
+    """f1's blocked op over the sparse batch adjacency against GraphConv over
+    the same adjacency made dense, pooled by a dense matrix."""
     rng = np.random.default_rng(8)
-    layer = GraphConv(3, 2, rng)
+    module = make_module(rng, dims=(2,), pooling="add")
+    layer = module.layers[0]
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)]
-    batch = single_graph_batch(4, edges, rng.normal(size=(4, 3)))
-    mix = rng.normal(size=(4, 2))
+    batch = GraphBatch([Graph(4, edges, rng.normal(size=(4, 3)), 0),
+                        Graph(3, [(0, 2)], rng.normal(size=(3, 3)), 1)])
+    mix = Tensor(rng.normal(size=(2, 2)))
     results = []
-    for adjacency in (batch.adjacency, Tensor(batch.adjacency.toarray())):
-        x = Tensor(batch.features.data, requires_grad=True)
-        out = layer.forward(x, adjacency)
-        (out * Tensor(mix)).sum().backward()
-        results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
+    for forward in (module.forward,
+                    lambda b: T.matmul(Tensor(b.membership.toarray()),
+                                       layer.forward(b.features, Tensor(b.adjacency.toarray())))):
+        h = forward(batch)
+        (h * mix).sum().backward()
+        results.append([h.data] + [p.grad for p in module.parameters()])
     for sparse, dense in zip(*results):
         np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
 
@@ -89,33 +102,27 @@ def unfused_conv(layer, x, adj):
 
 
 def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
-    """(x, adjacency, precomputed adjacency @ x or None, gradient inputs) for
-    one of the layer's input kinds. ``"sparse_ax"`` is f1's first layer: the
-    batch's sparse adjacency plus its cached aggregated features."""
+    """(x, dense adjacency, gradient inputs) for one of the layer's input kinds."""
     edges = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 3.0 / n]
     adj = single_graph_batch(n, edges, np.zeros((n, 1))).adjacency
-    if adj_kind.startswith("dense"):
-        adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
+    adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
     x = Tensor(rng.normal(size=(n, d_in)), requires_grad=x_leaf)
-    ax = single_graph_batch(n, edges, x.data).aggregated_features if adj_kind == "sparse_ax" else None
     inputs = [x] if x_leaf else []
-    return x, adj, ax, inputs + ([adj] if adj_kind == "dense_leaf" else [])
+    return x, adj, inputs + ([adj] if adj_kind == "dense_leaf" else [])
 
 
-# f1 passes ``ax`` only for its constant input; the finite-difference check
-# perturbs x in place, which a precomputed ``ax`` would not follow
 CONV_INPUT_KINDS = [(x_leaf, adj_kind) for x_leaf in (False, True)
-                    for adj_kind in ("sparse", "dense_constant", "dense_leaf")] + [(False, "sparse_ax")]
+                    for adj_kind in ("dense_constant", "dense_leaf")]
 
 
 @pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
 def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
     rng = np.random.default_rng(11)
     layer = GraphConv(3, 4, rng)
-    x, adj, ax, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
+    x, adj, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
     mix = Tensor(rng.normal(size=(6, 4)))
     for t in layer.parameters() + inputs:
-        err = finite_difference_check(lambda _: (layer.forward(x, adj, ax) * mix).sum(), t)
+        err = finite_difference_check(lambda _: (layer.forward(x, adj) * mix).sum(), t)
         assert err < 1e-6, f"{t}: {err}"
 
 
@@ -123,26 +130,17 @@ def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
 def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
     rng = np.random.default_rng(12)
     layer = GraphConv(8, 32, rng)
-    x, adj, ax, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
+    x, adj, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
     mix = Tensor(rng.normal(size=(320, 32)))
     results = []
-    for forward in (lambda x, adj: layer.forward(x, adj, ax),
-                    lambda x, adj: unfused_conv(layer, x, adj)):
+    for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj)):
         out = forward(x, adj)
         (out * mix).sum().backward()
         results.append([out.data] + [t.grad for t in layer.parameters() + inputs])
     assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
     for fused, chain in zip(*results):
         np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
-    assert all(p._backward is None for p in layer.forward(x, adj, ax)._parents)  # one tape entry
-
-
-def test_graph_conv_rejects_aggregated_rows_of_another_shape():
-    rng = np.random.default_rng(14)
-    layer = GraphConv(2, 2, rng)
-    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="aggregated rows"):
-        layer.forward(batch.features, batch.adjacency, ax=np.zeros((3, 3)))
+    assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
 
 
 def matmul_operands(rng, layout):
@@ -195,39 +193,47 @@ def test_graph_conv_nan_pre_activation_gives_zero():
     layer = GraphConv(3, 2, rng)
     layer.bias.data[0] = np.nan
     batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
-    x = batch.features
-    out = layer.forward(x, batch.adjacency).data
-    np.testing.assert_array_equal(out, unfused_conv(layer, x, batch.adjacency).data)
+    x, adj = batch.features, Tensor(batch.adjacency.toarray())
+    out = layer.forward(x, adj).data
+    np.testing.assert_array_equal(out, unfused_conv(layer, x, adj).data)
     np.testing.assert_array_equal(out[:, 0], 0.0)
+
+
+def identity_module(width, pooling):
+    """One f1 layer that passes non-negative features through: relu(x I)."""
+    module = make_module(np.random.default_rng(0), dims=(width,), pooling=pooling, input_dim=width)
+    layer = module.layers[0]
+    layer.w_self.data = np.eye(width)
+    layer.w_neigh.data[:] = 0.0
+    layer.bias.data[:] = 0.0
+    return module
 
 
 def test_global_pool_singletons_identity():
     graphs = [Graph(1, [], np.array([[float(i), 1.0]]), 0) for i in range(3)]
     batch = GraphBatch(graphs)
-    feats = batch.features
     for mode in ("mean", "add"):
-        np.testing.assert_allclose(global_pool(batch, feats, mode).data, batch.features.data)
+        h = identity_module(2, mode).forward(batch)
+        np.testing.assert_allclose(h.data, batch.features.data)
 
 
 def test_global_pool_arithmetic():
     batch = single_graph_batch(2, [(0, 1)], [[1.0, 1.0], [3.0, 3.0]])
-    feats = batch.features
-    np.testing.assert_array_equal(global_pool(batch, feats, "mean").data, [[2.0, 2.0]])
-    np.testing.assert_array_equal(global_pool(batch, feats, "add").data, [[4.0, 4.0]])
+    np.testing.assert_array_equal(identity_module(2, "mean").forward(batch).data, [[2.0, 2.0]])
+    np.testing.assert_array_equal(identity_module(2, "add").forward(batch).data, [[4.0, 4.0]])
 
 
 def test_add_pool_scales_with_node_count():
     sizes = [1, 3, 5]
     graphs = [Graph(n, [], np.ones((n, 2)), 0) for n in sizes]
     batch = GraphBatch(graphs)
-    pooled = global_pool(batch, batch.features, "add").data
+    pooled = identity_module(2, "add").forward(batch).data
     np.testing.assert_array_equal(pooled, np.array(sizes, dtype=float)[:, None] * np.ones(2))
 
 
 def test_global_pool_rejects_unknown_mode():
-    batch = single_graph_batch(2, [(0, 1)], np.ones((2, 1)))
-    with pytest.raises(ValueError):
-        global_pool(batch, batch.features, "max")
+    with pytest.raises(ValueError, match="pooling must be one of"):
+        NodeLevelConfig(layer_dims=[2], pooling="max")
 
 
 def make_module(rng, dims=(5, 4), pooling="mean", input_dim=3):
@@ -251,6 +257,16 @@ def test_zero_final_layer_gives_zero_h():
     batch = GraphBatch([random_graph(rng, 5, 3), random_graph(rng, 4, 3)])
     h = module.forward(batch)
     np.testing.assert_array_equal(h.data, np.zeros((2, 4)))
+
+
+def sparse_graph(rng, n, d, label=0):
+    """A ring of n nodes plus n // 2 random chords and one self-loop, built
+    without an n x n loop, so graphs past NODE_BLOCK nodes stay cheap."""
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    chords = rng.integers(0, n, size=(n // 2, 2))
+    edges = np.concatenate([ring, chords, [[0, 0]]])
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    return Graph(n, edges, rng.normal(size=(n, d)), label)
 
 
 def permute_graph(g, perm):
@@ -280,6 +296,8 @@ def test_isomorphic_graphs_identical_rows():
 
 
 def test_batch_composition_invariance():
+    """A graph's row of h does not depend on the graphs batched with it, in
+    its own block of the batch's block plan or in a later one."""
     rng = np.random.default_rng(6)
     module = make_module(rng)
     g = random_graph(rng, 6, 3)
@@ -287,6 +305,10 @@ def test_batch_composition_invariance():
     alone = module.forward(GraphBatch([g])).data[0]
     stacked = module.forward(GraphBatch([others[0], g, others[1]])).data[1]
     np.testing.assert_allclose(alone, stacked, atol=1e-12)
+    big = [sparse_graph(rng, n, 3) for n in (NODE_BLOCK - 3, NODE_BLOCK + 5)]
+    batch = GraphBatch(big + [others[0], g])
+    assert [b.graphs for b in batch.node_blocks] == [slice(0, 1), slice(1, 2), slice(2, 4)]
+    np.testing.assert_allclose(alone, module.forward(batch).data[3], atol=1e-12)
 
 
 def test_f1_gradient_check():
@@ -306,3 +328,94 @@ def test_config_validation():
         NodeLevelConfig(layer_dims=[])
     with pytest.raises(ValueError):
         NodeLevelConfig(layer_dims=[8], pooling="median")
+
+
+@pytest.mark.parametrize("dims,entry", [([0], r"layer_dims\[0\] is 0"),
+                                        ([4, 0], r"layer_dims\[1\] is 0"),
+                                        ([2.5], r"layer_dims\[0\] is 2.5"),
+                                        ([4, -1], r"layer_dims\[1\] is -1"),
+                                        ([True], r"layer_dims\[0\] is True")])
+def test_config_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
+    with pytest.raises(ValueError, match=entry):
+        NodeLevelConfig(layer_dims=dims)
+
+
+def test_config_accepts_numpy_integer_widths():
+    assert NodeLevelConfig(layer_dims=list(np.array([4, 2]))).layer_dims == [4, 2]
+
+
+def test_f1_rejects_features_of_another_width():
+    rng = np.random.default_rng(9)
+    module = make_module(rng, input_dim=3)
+    batch = GraphBatch([random_graph(rng, 4, 2)])
+    with pytest.raises(ShapeError, match="width 2 for input width 3"):
+        module.forward(batch)
+
+
+def blocked_batch(rng, d):
+    """A batch whose block plan has four blocks: two graphs, one graph of more
+    than NODE_BLOCK nodes on its own, two graphs, and a ragged last block."""
+    half, third = NODE_BLOCK // 2 - 100, NODE_BLOCK // 3
+    sizes = [half, half, NODE_BLOCK + 52, third, third + 200, third + 40, 300]
+    batch = GraphBatch([sparse_graph(rng, n, d, label=i % 2) for i, n in enumerate(sizes)])
+    blocks = batch.node_blocks
+    assert [b.graphs for b in blocks] == [slice(0, 2), slice(2, 3), slice(3, 5), slice(5, 7)]
+    assert blocks[1].rows.stop - blocks[1].rows.start > NODE_BLOCK
+    assert blocks[-1].rows.stop - blocks[-1].rows.start < NODE_BLOCK
+    return batch
+
+
+def unfused_f1(module, batch):
+    """The chain of generic ops f1's blocked op replaces, over the whole batch:
+    the oracle."""
+    x = batch.features
+    for layer in module.layers:
+        x = unfused_conv(layer, x, batch.adjacency)
+    pool = batch.mean_pool if module.config.pooling == "mean" else batch.membership
+    return T.matmul(pool, x)
+
+
+@pytest.fixture(scope="module")
+def block_batch():
+    return blocked_batch(np.random.default_rng(21), 3)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "add"])
+def test_f1_matches_unfused_chain_across_blocks(block_batch, pooling):
+    batch = block_batch
+    module = make_module(np.random.default_rng(22), dims=(5, 4), pooling=pooling)
+    mix = Tensor(np.random.default_rng(23).normal(size=(len(batch), 4)))
+    results = []
+    for forward in (module.forward, lambda b: unfused_f1(module, b)):
+        h = forward(batch)
+        (h * mix).sum().backward()
+        results.append([h.data] + [p.grad for p in module.parameters()])
+    first = unfused_conv(module.layers[0], batch.features, batch.adjacency).data
+    assert 0 < np.count_nonzero(first) < first.size  # the relu masks some rows
+    for blocked, chain in zip(*results):
+        np.testing.assert_allclose(blocked, chain, rtol=1e-12, atol=1e-12)
+    assert all(p._backward is None for p in module.forward(batch)._parents)  # one tape entry
+
+
+@pytest.mark.parametrize("pooling", ["mean", "add"])
+def test_f1_gradient_check_across_blocks(block_batch, pooling):
+    batch = block_batch
+    module = make_module(np.random.default_rng(24), dims=(5, 4), pooling=pooling)
+    mix = Tensor(np.random.default_rng(25).normal(size=(len(batch), 4)))
+    # over ~7,000 nodes, a step of 1e-5 moves some pre-activations across
+    # relu's kink at 0 (relative errors up to 4e-3); 1e-6 moves none here
+    for param in module.parameters():
+        err = finite_difference_check(lambda _: (module.forward(batch) * mix).sum(), param,
+                                      step=1e-6)
+        assert err < 1e-6, f"{param.name}: {err}"
+
+
+def test_f1_nan_pre_activation_gives_zero():
+    # the blocked op's relu maps NaN to 0, as GraphConv's and tensor.relu do
+    rng = np.random.default_rng(13)
+    module = make_module(rng, dims=(2,), pooling="add")
+    module.layers[0].bias.data[0] = np.nan
+    batch = GraphBatch([random_graph(rng, 4, 3), random_graph(rng, 3, 3)])
+    h = module.forward(batch).data
+    np.testing.assert_array_equal(h, unfused_f1(module, batch).data)
+    np.testing.assert_array_equal(h[:, 0], 0.0)

@@ -58,17 +58,16 @@ class NodeBlock(NamedTuple):
     rows: slice  # the block's node rows in the batch
     graphs: slice  # the graphs those rows belong to
     adjacency: sp.csr_matrix  # rows x rows: the batch adjacency's diagonal block
-    membership: sp.csr_matrix  # graphs x rows: the batch's pooling rows, summing
-    mean_pool: sp.csr_matrix  # and averaging
+    membership: sp.csr_matrix  # graphs x rows: row g is 1 on graph g's rows, 0 elsewhere
 
 
-def _csr_block(m, i0: int, i1: int, c0: int, c1: int):
-    """Rows i0:i1 of the CSR matrix ``m``, all of whose entries lie in columns
-    c0:c1, as a CSR matrix of those columns: its values are a view of ``m``'s,
-    in ``m``'s order, so a product with it sums as ``m``'s does."""
-    e0, e1 = int(m.indptr[i0]), int(m.indptr[i1])
-    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - c0, m.indptr[i0:i1 + 1] - e0),
-                         shape=(i1 - i0, c1 - c0))
+def _csr_block(m, r0: int, r1: int):
+    """Rows and columns r0:r1 of the CSR matrix ``m``, whose rows r0:r1 have no
+    entry outside those columns: its values are a view of ``m``'s, in ``m``'s
+    order, so a product with it sums as ``m``'s does."""
+    e0, e1 = int(m.indptr[r0]), int(m.indptr[r1])
+    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - r0, m.indptr[r0:r1 + 1] - e0),
+                         shape=(r1 - r0, r1 - r0))
 
 
 class GraphBatch:
@@ -79,15 +78,15 @@ class GraphBatch:
     node rows and ``edges``, (E, 2) local (u, v) pairs. ``features`` is a
     constant Tensor of the node rows. ``adjacency`` is the batch-global CSR
     adjacency: each undirected edge contributes both directions, a self-loop
-    one entry. ``membership`` is the sparse graphs x nodes 0/1 matrix whose
-    row g marks graph g's nodes; ``mean_pool`` scales its row g by 1 / (graph
-    g's node count). ``aggregated_features``, ``adjacency @ features``, is
-    built once: the arrays are read-only, so it cannot go stale.
-    ``node_blocks`` is the block plan f1 runs on, built once per batch:
-    consecutive whole graphs grouped into blocks (:class:`NodeBlock`) of at
-    most ``NODE_BLOCK`` node rows, a larger graph being a block of its own,
-    each with its slices of the adjacency and the pooling matrices. No edge
-    leaves its graph, so a block's rows need no other block's. A batch is a
+    one entry. Graph g's node rows are ``node_offsets[g]:node_offsets[g + 1]``:
+    the offsets are the one record of which rows each graph pools.
+    ``aggregated_features``, ``adjacency @ features``, is built once: the
+    arrays are read-only, so it cannot go stale. ``node_blocks`` is the block
+    plan f1 runs on, built once per batch: consecutive whole graphs grouped
+    into blocks (:class:`NodeBlock`) of at most ``NODE_BLOCK`` node rows, a
+    larger graph being a block of its own, each with the adjacency's diagonal
+    block and its graphs' 0/1 pooling rows. No edge leaves its graph, so a
+    block's rows need no other block's. A batch is a
     sequence of graphs: ``batch[g]`` is a :class:`Graph` of views. Every graph
     must have at least one node, one finite feature row per node, as many
     feature columns as graph 0 and at least one, and edges between its own
@@ -156,17 +155,15 @@ class GraphBatch:
             raise ValueError(f"graph {g} of the batch repeats edge ({a}, {b})")
         self.edges = edges
         self.features = Tensor(features)
-        self.membership = sp.csr_matrix(
-            (np.ones(n), np.arange(n), self.node_offsets), shape=(len(node_counts), n))
-        self.mean_pool = sp.diags(1.0 / node_counts) @ self.membership
         self.aggregated_features = self.adjacency @ self.features.data
         for constant in (self.edges, self.features.data, self.aggregated_features):
             constant.setflags(write=False)
 
     @functools.cached_property
     def node_blocks(self):
-        """The block plan, sliced straight from the CSR arrays of the batch
-        when f1 first runs on it: a batch f1 never sees builds none."""
+        """The block plan, built when f1 first runs on the batch: a batch f1
+        never sees builds none. Each block's adjacency is sliced from the
+        batch's CSR arrays, and its pooling rows come from the node offsets."""
         offsets = self.node_offsets
         blocks = []
         g0 = 0
@@ -174,10 +171,10 @@ class GraphBatch:
             r0 = int(offsets[g0])
             g1 = max(g0 + 1, int(np.searchsorted(offsets, r0 + NODE_BLOCK, side="right")) - 1)
             r1 = int(offsets[g1])
-            blocks.append(NodeBlock(
-                slice(r0, r1), slice(g0, g1), _csr_block(self.adjacency, r0, r1, r0, r1),
-                _csr_block(self.membership, g0, g1, r0, r1),
-                _csr_block(self.mean_pool, g0, g1, r0, r1)))
+            rows = np.arange(r1 - r0)  # one entry per row, in the row's graph
+            membership = sp.csr_matrix((np.ones(rows.size), rows, offsets[g0:g1 + 1] - r0))
+            blocks.append(NodeBlock(slice(r0, r1), slice(g0, g1),
+                                    _csr_block(self.adjacency, r0, r1), membership))
             g0 = g1
         return tuple(blocks)
 

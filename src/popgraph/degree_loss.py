@@ -35,12 +35,16 @@ KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
 class TargetDistribution:
     """Discrete Gaussian over integer degrees with learnable mean and width.
 
-    The width is stored as a log so it stays positive; densities are
-    evaluated at the integer support 0..N-1 and renormalized, so the target
-    is always a proper distribution under truncation.
+    ``mu`` and ``sigma`` must be finite, ``sigma`` positive. The width is
+    stored as a log so it stays positive; densities are evaluated at the
+    integer support 0..N-1 and renormalized, so the target is always a
+    proper distribution under truncation.
     """
 
     def __init__(self, mu: float, sigma: float):
+        for name, value in (("mu", mu), ("sigma", sigma)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.mu = Tensor(float(mu), requires_grad=True, name="target.mu")

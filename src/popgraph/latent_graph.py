@@ -138,11 +138,11 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     t = float(np.exp(t_raw.data))
     a = np.empty((n, n))
     blocks = []
-    chain = np.empty(ROW_BLOCK * n) if n > ROW_BLOCK else None  # one block runs in a
+    chain = np.empty(min(n, ROW_BLOCK) * n)
     for i0, i1, d in _upper_distance_blocks(x, keep=True):
         blocks.append((i0, i1, d))
         b, w = d.shape
-        e = a if chain is None else chain[:b * w].reshape(b, w)
+        e = chain[:b * w].reshape(b, w)
         np.multiply(d, t, out=e)
         e -= theta.data
         with np.errstate(over="ignore"):
@@ -150,9 +150,8 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
         e += 1.0
         np.reciprocal(e, out=e)
         e.flat[:b * w:w + 1] = 0.0
-        if chain is not None:
-            a[i0:i1, i0:] = e
-            a[i1:, i0:i1] = e[:, b:].T
+        a[i0:i1, i0:] = e
+        a[i1:, i0:i1] = e[:, b:].T
 
     def backward(g):
         if z.requires_grad:

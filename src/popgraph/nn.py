@@ -102,7 +102,7 @@ def conv_backward(g, x, ax, y):
     ``x`` and ``ax``), returns ``(g_pre, (g_w_self, g_w_neigh, g_bias))``.
     ``g`` is not modified.
     """
-    g = g * (y > 0.0)  # relu's subgradient is 0 at exactly 0
+    g = g * (y > 0.0).astype(np.float64)  # relu's subgradient is 0 at 0; float: faster than bool
     # the bias gradient as a BLAS product: ~3x faster than g.sum(axis=0)
     return g, (x.T @ g, ax.T @ g, np.ones(len(g)) @ g)
 

@@ -9,12 +9,13 @@ row per sample.
 The whole stack and its pooling are one autograd op with a hand-derived
 backward. It walks the batch's block plan, ``GraphBatch.node_blocks``:
 blocks of whole graphs of at most ``data.NODE_BLOCK`` node rows. Forward,
-every layer runs on one block's rows and the block is pooled into its
-graphs' rows of the output; backward, each block's pooling and layers are
-undone in turn, adding into one gradient per parameter. So the temporaries
-of both passes are block-sized, never batch-sized; only each layer's saved
-rows (its input, their neighbour sums and its output) add up to the batch.
-The first layer's neighbour sums are a constant of the batch,
+every layer runs on one block's rows, and the block's 0/1 rows sum each
+graph's node rows (mean pooling then scales each sum by 1 / node count).
+Backward, each graph's gradient, scaled alike, is repeated over its node
+rows, and each block's layers are undone in turn, adding into one gradient
+per parameter. So the temporaries of both passes are block-sized; only each
+layer's saved rows (its input, their neighbour sums and its output) add up
+to the batch. The first layer's neighbour sums are a constant of the batch,
 ``GraphBatch.aggregated_features``, built once with it. The layer arithmetic
 is :mod:`popgraph.nn`'s, the same that ``nn.GraphConv`` runs over f3's dense
 adjacency.
@@ -67,9 +68,10 @@ class NodeLevelModule:
                 f"batch features of width {batch.features.shape[1]} for input width {d_in}")
         params = self.parameters()
         weights = [tuple(p.data for p in layer.parameters()) for layer in self.layers]
-        mean = self.config.pooling == "mean"
+        counts = np.diff(batch.node_offsets)
+        scale = 1.0 / counts[:, None] if self.config.pooling == "mean" else 1.0  # 1 is exact
         h = np.empty((len(batch), weights[-1][2].shape[0]))
-        saved = []  # per block: its pooling rows, and each layer's (x, A x, y) rows
+        saved = []  # per block, each layer's (x, A x, y) rows
         for block in batch.node_blocks:
             x, ax = batch.features.data[block.rows], batch.aggregated_features[block.rows]
             rows = []
@@ -79,14 +81,15 @@ class NodeLevelModule:
                 y = conv_forward(x, ax, w_self, w_neigh, bias)
                 rows.append((x, ax, y))
                 x = y
-            pool = block.mean_pool if mean else block.membership
-            h[block.graphs] = pool @ x
-            saved.append((pool, rows))
+            h[block.graphs] = block.membership @ x
+            saved.append(rows)
+        h *= scale
 
         def backward(g_h):
+            g_h = g_h * scale
             grads = [[np.zeros_like(w) for w in layer] for layer in weights]
-            for block, (pool, rows) in zip(batch.node_blocks, saved):
-                g = pool.T @ g_h[block.graphs]
+            for block, rows in zip(batch.node_blocks, saved):
+                g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
                 for i in reversed(range(len(weights))):
                     g, layer_grads = conv_backward(g, *rows[i])
                     for acc, grad in zip(grads[i], layer_grads):

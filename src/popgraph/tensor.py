@@ -3,17 +3,15 @@
 It holds the differentiable operations the model runs: elementwise
 arithmetic with numpy-style broadcasting, matmul, relu, exp and log, the sum
 of all elements, and log-softmax along the last axis; plus the
-finite-difference oracle the test suite leans on. matmul's left operand may
-also be a constant ``scipy.sparse`` matrix, which only the test suite's
-unfused oracle of f1 still uses.
-The model's fused ops are built from the same ``_record`` and
-``_accumulate``: f1, the per-graph stack of graph convolutions and its
-pooling, ``node_level.NodeLevelModule.forward``; f3's graph convolution
-over the dense population graph, ``nn.GraphConv``; and the two N x N ops,
-the latent graph's edge weights and the NDDL degree histogram, in
-``latent_graph`` and ``degree_loss``. f1 runs forward and backward over
-blocks of whole input graphs, the batch's ``GraphBatch.node_blocks``, so its
-temporaries are block-sized; its first layer's neighbour sums are a
+finite-difference oracle the test suite leans on. The model's fused ops are
+built from the same ``_record`` and ``_accumulate``: f1, the per-graph stack
+of graph convolutions and its pooling, ``node_level.NodeLevelModule.forward``;
+f3's graph convolution over the dense population graph, ``nn.GraphConv``;
+and the two N x N ops, the latent graph's edge weights and the NDDL degree
+histogram, in ``latent_graph`` and ``degree_loss``. f1 runs forward and
+backward over blocks of whole input graphs, the batch's
+``GraphBatch.node_blocks``, so its temporaries are block-sized; each block
+pools with its graphs' 0/1 rows, and its first layer's neighbour sums are a
 per-batch constant, ``GraphBatch.aggregated_features``, computed once. Both
 convolutions share one layer arithmetic, ``nn.conv_forward`` and its
 backward, which builds a layer's output in one buffer, the bias, into which
@@ -39,7 +37,6 @@ that owns its memory, zero when nothing accumulated into it.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -253,30 +250,28 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
     return _record(a.data * s, (a,), backward)
 
 
-def matmul(a, b: Tensor) -> Tensor:
-    """a @ b; ``a`` is a Tensor or a constant scipy.sparse matrix.
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b of two 2-D Tensors.
 
     Gradients are formed only for operands that require them, so a constant
-    operand (a sparse pooling matrix, a constant input) costs no backward work.
+    operand costs no backward work.
     """
-    sparse = sp.issparse(a)
-    a_data = a if sparse else a.data
-    if a_data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul expects 2-D operands, got {a_data.shape} and {b.data.shape}"
+            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
         )
-    if a_data.shape[1] != b.data.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
-            f"matmul: inner dimensions differ, {a_data.shape} vs {b.data.shape}"
+            f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}"
         )
 
     def backward(g):
-        if not sparse and a.requires_grad:
+        if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a_data.T @ g)
+            _accumulate(b, a.data.T @ g)
 
-    return _record(a_data @ b.data, (b,) if sparse else (a, b), backward)
+    return _record(a.data @ b.data, (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:

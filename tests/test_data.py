@@ -470,8 +470,12 @@ def assert_same_arrays(a, b):
     """Equal stacked and derived arrays, dtypes included."""
     pairs = [(a.node_offsets, b.node_offsets), (a.labels, b.labels),
              (a.features.data, b.features.data), (a.aggregated_features, b.aggregated_features)]
-    for name in ("adjacency", "membership", "mean_pool"):
-        x, y = getattr(a, name), getattr(b, name)
+    assert len(a.node_blocks) == len(b.node_blocks)
+    sparse = [(a.adjacency, b.adjacency)]
+    for x, y in zip(a.node_blocks, b.node_blocks):
+        assert (x.rows, x.graphs) == (y.rows, y.graphs)
+        sparse += [(x.adjacency, y.adjacency), (x.membership, y.membership)]
+    for x, y in sparse:
         pairs += [(x.indptr, y.indptr), (x.indices, y.indices), (x.data, y.data)]
     for x, y in pairs:
         np.testing.assert_array_equal(x, y)
@@ -525,6 +529,8 @@ def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
     assert [b.graphs for b in blocks] == [slice(0, 3), slice(3, 4), slice(4, 6), slice(6, 7),
                                           slice(7, 9)]
     adjacency = batch.adjacency.toarray()
+    graph_of_node = np.repeat(np.arange(len(sizes)), sizes)
+    membership = (np.arange(len(sizes))[:, None] == graph_of_node).astype(float)
     for b in blocks:
         rows, graphs_ = b.rows, b.graphs
         assert (rows.start, rows.stop) == (batch.node_offsets[graphs_.start],
@@ -532,8 +538,6 @@ def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
         assert rows.stop - rows.start <= 10 or graphs_.stop - graphs_.start == 1
         np.testing.assert_array_equal(b.adjacency.toarray(), adjacency[rows, rows])
         assert not adjacency[rows][:, np.r_[:rows.start, rows.stop:batch.total_nodes]].any()
-        for pool in ("membership", "mean_pool"):
-            whole = getattr(batch, pool)
-            np.testing.assert_array_equal(getattr(b, pool).toarray(), whole[graphs_].toarray()[:, rows])
+        np.testing.assert_array_equal(b.membership.toarray(), membership[graphs_, rows])
     assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == batch.total_nodes
     assert all(a.rows.stop == b.rows.start for a, b in zip(blocks, blocks[1:]))

@@ -181,6 +181,20 @@ def test_target_distribution_is_positive_and_normalized():
     assert abs(target.sigma - 2.5) < 1e-12
 
 
+@pytest.mark.parametrize("mu,sigma,message", [
+    (np.nan, 1.0, "mu must be finite"),
+    (np.inf, 1.0, "mu must be finite"),
+    (-np.inf, 1.0, "mu must be finite"),
+    (1.0, np.nan, "sigma must be finite"),
+    (1.0, np.inf, "sigma must be finite"),  # would be a uniform target
+    (1.0, 0.0, "sigma must be positive"),
+    (1.0, -2.0, "sigma must be positive"),
+])
+def test_target_distribution_rejects_a_non_finite_or_non_positive_argument(mu, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        TargetDistribution(mu, sigma)
+
+
 def test_total_loss_reduces_to_ce_at_zero_alpha():
     ce = Tensor(0.7, requires_grad=True)
     kl = Tensor(0.3, requires_grad=True)

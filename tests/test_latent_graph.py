@@ -190,8 +190,10 @@ def test_threshold_odd_pair_count_keeps_pairs_off_half(n):
 @pytest.mark.parametrize(
     "positions",
     [np.append(np.arange(0.0, 841.0, 5.0), 0.0),  # integer distances 0..840, one duplicate
-     np.append(np.random.default_rng(12).uniform(0.0, 840.0, size=200), [0.0, 40.0])],
-    ids=["integer_line", "uniform_line"],
+     np.append(np.random.default_rng(12).uniform(0.0, 840.0, size=200), [0.0, 40.0]),
+     # N = ROW_BLOCK: the whole matrix is one block
+     np.append(np.linspace(0.0, 840.0, ROW_BLOCK - 2), [0.0, 40.0])],
+    ids=["integer_line", "uniform_line", "one_block_line"],
 )
 def test_edge_weights_match_expit_oracle(positions):
     # logits theta - t * d run from ~40 down to -800, through exactly 0 at

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ def dense_adjacency(n, edges):
     for u, v in edges:
         a[u, v] = a[v, u] = 1.0
     return a
+
+
+def dense_membership(batch):
+    """The graphs x nodes 0/1 matrix whose row g is 1 on graph g's node rows."""
+    return np.repeat(np.eye(len(batch)), np.diff(batch.node_offsets), axis=1)
 
 
 def conv(layer, batch):
@@ -87,7 +94,7 @@ def test_sparse_and_dense_adjacency_agree():
     mix = Tensor(rng.normal(size=(2, 2)))
     results = []
     for forward in (module.forward,
-                    lambda b: T.matmul(Tensor(b.membership.toarray()),
+                    lambda b: T.matmul(Tensor(dense_membership(b)),
                                        layer.forward(b.features, Tensor(b.adjacency.toarray())))):
         h = forward(batch)
         (h * mix).sum().backward()
@@ -366,13 +373,21 @@ def blocked_batch(rng, d):
 
 
 def unfused_f1(module, batch):
-    """The chain of generic ops f1's blocked op replaces, over the whole batch:
-    the oracle."""
-    x = batch.features
-    for layer in module.layers:
-        x = unfused_conv(layer, x, batch.adjacency)
-    pool = batch.mean_pool if module.config.pooling == "mean" else batch.membership
-    return T.matmul(pool, x)
+    """The chain of generic ops f1's blocked op replaces, graph by graph over
+    each graph's dense adjacency and dense pooling row: the oracle. Returns
+    one (1, width) row per graph."""
+    h = []
+    for g in range(len(batch)):
+        graph = batch[g]
+        x = Tensor(graph.features)
+        adj = Tensor(dense_adjacency(graph.node_count, graph.edges))
+        for layer in module.layers:
+            x = unfused_conv(layer, x, adj)
+        pool = np.ones((1, graph.node_count))
+        if module.config.pooling == "mean":
+            pool /= graph.node_count
+        h.append(T.matmul(Tensor(pool), x))
+    return h
 
 
 @pytest.fixture(scope="module")
@@ -384,14 +399,19 @@ def block_batch():
 def test_f1_matches_unfused_chain_across_blocks(block_batch, pooling):
     batch = block_batch
     module = make_module(np.random.default_rng(22), dims=(5, 4), pooling=pooling)
-    mix = Tensor(np.random.default_rng(23).normal(size=(len(batch), 4)))
-    results = []
-    for forward in (module.forward, lambda b: unfused_f1(module, b)):
-        h = forward(batch)
-        (h * mix).sum().backward()
-        results.append([h.data] + [p.grad for p in module.parameters()])
-    first = unfused_conv(module.layers[0], batch.features, batch.adjacency).data
-    assert 0 < np.count_nonzero(first) < first.size  # the relu masks some rows
+    mix = np.random.default_rng(23).normal(size=(len(batch), 4))
+    h = module.forward(batch)
+    (h * Tensor(mix)).sum().backward()
+    results = [[h.data] + [p.grad for p in module.parameters()]]
+    rows = unfused_f1(module, batch)  # the loss summed over graphs
+    functools.reduce(T.add, ((row * Tensor(mix[g:g + 1])).sum() for g, row in enumerate(rows))
+                     ).backward()
+    results.append([np.concatenate([row.data for row in rows])]
+                   + [p.grad for p in module.parameters()])
+    layer = module.layers[0]
+    first = (batch.features.data @ layer.w_self.data + layer.bias.data
+             + batch.aggregated_features @ layer.w_neigh.data)
+    assert 0 < np.count_nonzero(first > 0) < first.size  # the relu masks some rows
     for blocked, chain in zip(*results):
         np.testing.assert_allclose(blocked, chain, rtol=1e-12, atol=1e-12)
     assert all(p._backward is None for p in module.forward(batch)._parents)  # one tape entry
@@ -417,5 +437,6 @@ def test_f1_nan_pre_activation_gives_zero():
     module.layers[0].bias.data[0] = np.nan
     batch = GraphBatch([random_graph(rng, 4, 3), random_graph(rng, 3, 3)])
     h = module.forward(batch).data
-    np.testing.assert_array_equal(h, unfused_f1(module, batch).data)
+    oracle = np.concatenate([row.data for row in unfused_f1(module, batch)])
+    np.testing.assert_allclose(h, oracle, rtol=1e-12, atol=0.0)  # the oracle sums in another order
     np.testing.assert_array_equal(h[:, 0], 0.0)

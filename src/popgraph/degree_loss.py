@@ -13,16 +13,19 @@ mean.
 ``degree_histogram`` runs the chain from the adjacency to ``p`` as one
 autograd op. A bin ``ASSIGN_REACH`` or more away from a node's degree gets
 an assignment of exactly 0.0 in float64, so each node scores only the
-2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The op's
-forward and backward are O(N * window) apart from the N x N threshold mask
-and its product with the degree gradient.
+2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The degrees
+are summed over row blocks of the adjacency, one pass with no N x N
+temporary and no mask kept; the rest of the forward and the backward are
+O(N * window). The adjacency's gradient, [a > 0.5] 1 g^T for the degrees'
+gradient g, is sent as its threshold and g (``tensor.FactoredGrad``), not as
+an N x N array.
 """
 
 import math
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _record, exp, log, log_softmax
+from .tensor import FactoredGrad, Tensor, _accumulate, _record, exp, log, log_softmax
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 # exp(x) is exactly 0.0 in float64 for x <= -745.14. The bin nearest a degree
@@ -30,6 +33,9 @@ ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 # away scores at most -(r^2 - 0.25) / sigma^2, below -746 once r >= reach.
 ASSIGN_REACH = math.ceil(math.sqrt(ASSIGN_SIGMA * ASSIGN_SIGMA * 746.0 + 0.25))
 KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
+EDGE_THRESHOLD = 0.5  # an entry counts towards a degree when strictly above it
+# Adjacency rows per block of the degree sums: 512 KB at N = 1024.
+DEGREE_ROWS = 64
 
 
 class TargetDistribution:
@@ -83,6 +89,28 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     return ce + kl * alpha
 
 
+def _column_degrees(a: np.ndarray) -> np.ndarray:
+    """Column sums of ``a`` over its entries above ``EDGE_THRESHOLD``.
+
+    Each block of ``DEGREE_ROWS`` rows is masked into a buffer whose first row
+    holds the sums so far, and one column sum of the buffer gives the new
+    sums: the rows are added in order, so the result equals
+    ``(a * (a > 0.5)).sum(axis=0)`` bit for bit. A NaN anywhere reaches its
+    column, as 0 * NaN is NaN.
+    """
+    n = a.shape[0]
+    degrees = np.zeros(n)
+    buf = np.empty((min(n, DEGREE_ROWS) + 1, n))
+    for r0 in range(0, n, DEGREE_ROWS):
+        rows = a[r0:r0 + DEGREE_ROWS]
+        block = buf[:len(rows) + 1]
+        block[0] = degrees
+        np.greater(rows, EDGE_THRESHOLD, out=block[1:])
+        block[1:] *= rows
+        block.sum(axis=0, out=degrees)
+    return degrees
+
+
 def degree_histogram(a_p: Tensor) -> Tensor:
     """Histogram of the soft node degrees of an N x N adjacency over bins 0..N-1.
 
@@ -90,8 +118,7 @@ def degree_histogram(a_p: Tensor) -> Tensor:
     above 0.5. Raises ``ValueError`` when ``a_p`` holds a NaN or an infinity.
     """
     n = a_p.shape[0]
-    mask = a_p.data > 0.5
-    degrees = (a_p.data * mask).sum(axis=0)  # a NaN anywhere reaches its column
+    degrees = _column_degrees(a_p.data)
     if not np.all(np.isfinite(degrees)):
         raise ValueError("degree_histogram: a_p contains non-finite values")
     # each node's window: the bins within ASSIGN_REACH of its degree
@@ -110,7 +137,7 @@ def degree_histogram(a_p: Tensor) -> Tensor:
         gy = g[bins] * (1.0 / n)
         gs = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
         g_degrees = (gs * diff).sum(axis=1) * (2.0 / (ASSIGN_SIGMA * ASSIGN_SIGMA))
-        _accumulate(a_p, mask * g_degrees)
+        _accumulate(a_p, FactoredGrad(masked=[(EDGE_THRESHOLD, g_degrees)]))
 
     return _record(p, (a_p,), backward)
 

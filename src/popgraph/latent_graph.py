@@ -19,7 +19,9 @@ result, whatever the BLAS kernel or thread count.
 those blocks. Its tape holds the weights and, inside the rule, the upper
 distance blocks, about half an N x N array: no logit, scaled-distance or
 mask array. Its hand-derived backward gives the gradients of the embedding,
-``t_raw`` and ``theta`` from the same upper blocks.
+``t_raw`` and ``theta`` from the same upper blocks. The weights' gradient
+reaches it as factors (``tensor.FactoredGrad``), from which it builds each
+block's gradient in a block-sized buffer, so no N x N gradient is formed.
 
 The sigmoid is evaluated in place as a_ij = 1 / (1 + exp(t * d_ij - theta)),
 with numpy's vectorised ``exp``. A pair far enough apart that the ``exp``
@@ -124,12 +126,25 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     gives NaN weights in its row and column.
 
     The backward works on the same upper blocks with the symmetric
-    S = s + s^T, where s = a (1 - a) g is the gradient of the logits. One
-    buffer, reused for every block, holds g's square part and, to its right,
-    g[I, J] + g[J, I]^T; theta's and t's gradients, the row and column sums of
-    S / d and its products with the embedding all come from it.
-    The subgradient of a distance at exactly zero is 0, so duplicate rows and
-    the diagonal never produce NaN gradients.
+    S = a (1 - a) (G + G^T), where G is the weights' gradient, the gradient of
+    the logits being a (1 - a) G. G arrives as a ``tensor.FactoredGrad``. One
+    buffer, reused for every block I with columns J = i0:, is filled with
+    G[I, J] + G[J, I]^T from every term:
+    - outer products U V^T, all of them in one gemm,
+      [U_I | V_I] [V_J | U_J]^T;
+    - masked columns [a > h] 1 c^T, as [a_IJ > h] (c_I 1^T + 1 c_J^T), the
+      mask taken from the block of the (exactly symmetric) weights;
+    - dense arrays, G[J, I] copied first into rows padded by a cache line.
+      Read in place, each element of the transpose sits on another row of G;
+      read from rows of 512 bytes, the column walk hits a few cache sets only.
+      Inside N = 1024 training steps the add took 4.4 ms unpadded, 1.6 ms
+      padded (one thread, 2-vCPU x86 host).
+    The square part of the block holds each pair twice, so it is halved.
+    theta's and t's gradients, the row and column sums of S / d and its
+    products with the embedding all come from the buffer. Every sum is
+    numpy's own, never a BLAS dot, so theta's and t's gradients do not depend
+    on BLAS's thread count. The subgradient of a distance at exactly zero is
+    0, so duplicate rows and the diagonal never produce NaN gradients.
     """
     if z.data.ndim != 2:
         raise ShapeError(f"edge weights expect a 2-D embedding, got {z.data.shape}")
@@ -160,29 +175,39 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
             xa[:, :k] = x
             xa[:, k] = 1.0
             acc = np.zeros((n, k + 1))
+        us, vs = [u for u, _ in g.outer], [v for _, v in g.outer]
+        uv = np.concatenate([np.empty((n, 0))] + us + vs, axis=1)
+        vu = np.concatenate([np.empty((n, 0))] + vs + us, axis=1)
         rows = min(n, ROW_BLOCK)
         sym = np.empty(rows * n)
-        slope = np.empty((rows + _LINE) * n)  # also holds g[J, I] in padded rows
+        columns = np.empty(rows * n)
+        slope = np.empty((rows + _LINE) * n)  # also holds masks and G[J, I] in padded rows
         d_theta = d_t = np.float64(0.0)
         for i0, i1, d in blocks:
             b, w = d.shape
             s = sym[:b * w].reshape(b, w)
-            s[:, :b] = g[i0:i1, i0:i1]
-            # g[J, I] is copied before its transpose is read, into rows padded
-            # by a cache line. Read in place, each element sits on another row
-            # of g; read from rows of 512 bytes, the column walk hits a few
-            # cache sets only. Inside N = 1024 training steps the add took
-            # 4.4 ms unpadded, 1.6 ms padded (one thread, 2-vCPU x86 host).
-            below = slope[:(w - b) * (b + _LINE)].reshape(w - b, b + _LINE)[:, :b]
-            np.copyto(below, g[i1:, i0:i1])
-            np.add(g[i0:i1, i1:], below.T, out=s[:, b:])
+            np.matmul(uv[i0:i1], vu[i0:].T, out=s)  # zeros when there is no outer term
             ab = a[i0:i1, i0:]
+            for threshold, c in g.masked:
+                mask = slope[:b * w].reshape(b, w)
+                np.greater(ab, threshold, out=mask)
+                cc = columns[:b * w].reshape(b, w)
+                np.add(c[i0:i1, None], c[None, i0:], out=cc)
+                cc *= mask
+                s += cc
+            for dense in g.dense:
+                below = slope[:w * (b + _LINE)].reshape(w, b + _LINE)[:, :b]
+                np.copyto(below, dense[i0:, i0:i1])
+                s += dense[i0:i1, i0:]
+                s += below.T
+            s[:, :b] *= 0.5
             da = slope[:b * w].reshape(b, w)
             np.subtract(1.0, ab, out=da)
             da *= ab
             s *= da  # S over the block; a_ii = 0, so the diagonal drops out
             d_theta += s.sum()
-            d_t += np.vdot(s, d)
+            np.multiply(s, d, out=da)
+            d_t += da.sum()
             if z.requires_grad:
                 # d loss / d z_i = -t * sum_j S_ij (z_i - z_j) / d_ij; the block
                 # gives rows I, and through its transpose rows i0:
@@ -199,7 +224,7 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
             grad *= -t
             _accumulate(z, grad)
 
-    return _record(a, (z, t_raw, theta), backward)
+    return _record(a, (z, t_raw, theta), backward, factored=True)
 
 
 @dataclass

@@ -96,7 +96,7 @@ class NodeLevelModule:
                         acc += grad
                     if i:  # the adjacency is symmetric: it is its own transpose
                         w_self, w_neigh, _ = weights[i]
-                        g = conv_input_grad(block.adjacency, g, g @ w_neigh.T, w_self)
+                        g = conv_input_grad(block.adjacency @ (g @ w_neigh.T), g, w_self)
             for p, grad in zip(params, (grad for layer in grads for grad in layer)):
                 _accumulate(p, grad)
 

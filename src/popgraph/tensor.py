@@ -7,9 +7,9 @@ finite-difference oracle the test suite leans on. The model's fused ops are
 built from the same ``_record`` and ``_accumulate``: f1, the per-graph stack
 of graph convolutions and its pooling, ``node_level.NodeLevelModule.forward``;
 f3's graph convolution over the dense population graph, ``nn.GraphConv``;
-and the two N x N ops, the latent graph's edge weights and the NDDL degree
-histogram, in ``latent_graph`` and ``degree_loss``. f1 runs forward and
-backward over blocks of whole input graphs, the batch's
+and the latent graph's edge weights, the N x N population graph, and the
+NDDL degree histogram read from it, in ``latent_graph`` and ``degree_loss``.
+f1 runs forward and backward over blocks of whole input graphs, the batch's
 ``GraphBatch.node_blocks``, so its temporaries are block-sized; each block
 pools with its graphs' 0/1 rows, and its first layer's neighbour sums are a
 per-batch constant, ``GraphBatch.aggregated_features``, computed once. Both
@@ -18,7 +18,8 @@ backward, which builds a layer's output in one buffer, the bias, into which
 BLAS adds both projections with beta 1 (``nn.add_matmul``). The edge weights
 run forward and backward over the upper triangle in blocks of
 ``latent_graph.ROW_BLOCK`` rows, each in one reused contiguous buffer, and
-keep only those distance blocks for the backward.
+keep only those distance blocks for the backward; the degree histogram sums
+its thresholded columns in row blocks too.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps
@@ -34,6 +35,17 @@ by its first accumulation, not zero-filled up front, and an operation
 output's ``grad`` is dropped as soon as its rule has run. A leaf with
 ``requires_grad`` that the loss reaches ends ``backward`` with a gradient
 that owns its memory, zero when nothing accumulated into it.
+
+An n x n gradient can travel as factors, a :class:`FactoredGrad`. f3's
+convolution sends the population graph the outer product g_ax x^T as its two
+factors, and the degree histogram sends [a > 1/2] 1 g^T as its threshold and
+column vector g. An op whose rule reads its output's gradient term by term,
+recorded with ``factored=True`` (the edge weights), collects every term that
+reaches that output, a plain array from any other op included, and never
+sums them: its rule builds the gradient one row block at a time. Any other
+target, every leaf among them, gets each term made dense as it arrives and
+sees a plain array, as if the term had been sent dense. So no N x N gradient
+exists in a training step.
 """
 
 import numpy as np
@@ -60,6 +72,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
+        self._factored = False
 
     @property
     def shape(self):
@@ -158,10 +171,47 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(data, parents, backward_fn) -> Tensor:
+class FactoredGrad:
+    """An n x n gradient held as a sum of terms.
+
+    Its terms are outer products u v^T, from pairs of n x r arrays (u, v);
+    masked column broadcasts [a > threshold] 1 c^T, from pairs (threshold, c)
+    of a float and a length-n vector, where a is the data of the tensor the
+    gradient belongs to; and plain n x n arrays. A rule sends a parent one
+    term as ``FactoredGrad(outer=[(u, v)])`` or
+    ``FactoredGrad(masked=[(threshold, c)])``.
+    """
+
+    def __init__(self, outer=(), masked=(), dense=()):
+        self.outer = list(outer)
+        self.masked = list(masked)
+        self.dense = list(dense)
+
+    def extend(self, other: "FactoredGrad") -> None:
+        self.outer += other.outer
+        self.masked += other.masked
+        self.dense += other.dense
+
+    def to_dense(self, a: np.ndarray) -> np.ndarray:
+        """The sum of the terms as one array, the masks taken from ``a``.
+
+        A lone dense term is returned as it is, so the result may be shared,
+        as an array gradient may.
+        """
+        parts = ([u @ v.T for u, v in self.outer]
+                 + [(a > threshold) * c for threshold, c in self.masked] + self.dense)
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+
+def _record(data, parents, backward_fn, factored=False) -> Tensor:
     """Wrap an op's freshly computed result, without a copy, as its output.
 
-    The output joins the tape only when a parent requires a gradient.
+    The output joins the tape only when a parent requires a gradient. With
+    ``factored``, ``backward_fn`` takes the output's gradient as a
+    :class:`FactoredGrad`.
     """
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
@@ -170,6 +220,7 @@ def _record(data, parents, backward_fn) -> Tensor:
     out.name = ""
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = backward_fn if out.requires_grad else None
+    out._factored = factored and out.requires_grad
     return out
 
 
@@ -185,16 +236,29 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``, allocating it on the first accumulation.
+def _accumulate(t: Tensor, g) -> None:
+    """Add ``g``, an array or a :class:`FactoredGrad`, to ``t.grad``,
+    allocating it on the first accumulation.
 
-    ``g`` may be shared: a rule can hand one array to several parents, or pass
-    its own output gradient through. So an operation output borrows ``g`` and
-    later accumulations build a new sum instead of adding in place, while a
-    leaf copies ``g`` once and then owns, and adds into, its gradient.
+    An op output recorded with ``factored`` appends ``g`` to its
+    ``FactoredGrad`` as terms; for any other target a ``FactoredGrad`` is first
+    made dense. ``g`` may be shared: a rule can hand one array to several
+    parents, or pass its own output gradient through. So an operation output
+    borrows ``g`` and later accumulations build a new sum instead of adding in
+    place, while a leaf copies ``g`` once and then owns, and adds into, its
+    gradient.
     """
     if not t.requires_grad:
         return
+    if t._factored:
+        if t.grad is None:
+            t.grad = FactoredGrad()
+        if not isinstance(g, FactoredGrad):
+            g = FactoredGrad(dense=[_unbroadcast(g, t.data.shape)])
+        t.grad.extend(g)
+        return
+    if isinstance(g, FactoredGrad):
+        g = g.to_dense(t.data)
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         t.grad = g if t._backward is not None else np.array(g, dtype=np.float64)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
+from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams
 from popgraph.nn import GraphConv
 from popgraph.tensor import Tensor, finite_difference_check
 
@@ -179,3 +181,79 @@ def test_config_rejects_a_width_that_is_not_a_positive_integer(gnn_dims, head_di
 def test_config_rejects_a_head_of_fewer_than_two_classes(head_dims):
     with pytest.raises(ValueError, match="at least 2"):
         ClassifierConfig(gnn_dims=[4], head_dims=head_dims)
+
+
+POPULATION = 2 * ROW_BLOCK + 22  # three row blocks of f2, the last one ragged
+
+
+def population_step(n):
+    """f2 -> f3 + cross-entropy + NDDL on a population of ``n`` samples:
+    returns ``grads(adjacency, alpha, mix)``, which runs one backward and
+    gives the gradient of every parameter and of f1's output that it reaches."""
+    rng = np.random.default_rng(21)
+    params = LatentGraphParams([3, 4], rng)
+    classifier = make_classifier(rng, input_dim=3, gnn_dims=(4,), head_dims=(2,))
+    target = TargetDistribution.for_support(n)
+    h = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+    params.init_threshold(h)
+    labels = rng.integers(0, 2, size=n)
+    tensors = [h] + params.parameters() + classifier.parameters() + target.parameters()
+
+    def grads(adjacency, alpha=1.0, mix=None):
+        a = adjacency(params.forward(h).a_p)
+        _, logits = classifier.forward(h, a)
+        kl, _ = degree_loss(a, target)
+        loss = total_loss(cross_entropy(logits, labels), kl, alpha)
+        if mix is not None:
+            loss = loss + (a * Tensor(mix)).sum()
+        loss.backward()
+        return [t.grad for t in tensors if t.grad is not None]
+
+    return grads
+
+
+def factored(a_p):
+    return a_p
+
+
+def dense(a_p):
+    """A generic op between the edge weights and their readers: the factored
+    terms are made dense at its output, so one dense gradient reaches f2."""
+    return a_p * 1.0
+
+
+def assert_same_gradients(got, expected):
+    """Equal to 1e-12 relative, or to 1e-12 of the largest gradient entry: the
+    embedding's last bias has the exact gradient 0 (distances do not move
+    under a translation), and both sides read rounding noise there."""
+    assert len(got) == len(expected)
+    scale = max(np.abs(e).max() for e in expected)
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("alpha,mixed", [(1.0, False), (1.0, True), (0.0, False)],
+                         ids=["f3_and_nddl", "with_a_dense_term", "f3_only"])
+def test_factored_edge_weight_gradient_matches_dense(alpha, mixed):
+    grads = population_step(POPULATION)
+    mix = np.random.default_rng(22).normal(size=(POPULATION, POPULATION)) if mixed else None
+    assert_same_gradients(grads(factored, alpha, mix), grads(dense, alpha, mix))
+
+
+def test_leaf_adjacency_gets_a_dense_gradient_of_its_own():
+    rng = np.random.default_rng(23)
+    n = 70
+    classifier = make_classifier(rng, input_dim=3, gnn_dims=(4,), head_dims=(2,))
+    target = TargetDistribution.for_support(n)
+    h = Tensor(rng.normal(size=(n, 3)))
+    labels = rng.integers(0, 2, size=n)
+    adjacency = Tensor(random_sym(rng, n), requires_grad=True)
+    results = []
+    for route in (factored, dense):
+        a = route(adjacency)
+        _, logits = classifier.forward(h, a)
+        kl, _ = degree_loss(a, target)
+        total_loss(cross_entropy(logits, labels), kl, 1.0).backward()
+        assert type(adjacency.grad) is np.ndarray and adjacency.grad.flags.owndata
+        results.append(adjacency.grad)
+    np.testing.assert_allclose(results[0], results[1], rtol=1e-12, atol=1e-15)

@@ -6,14 +6,17 @@ import pytest
 from popgraph.degree_loss import (
     ASSIGN_SIGMA,
     ASSIGN_REACH,
+    DEGREE_ROWS,
     KL_EPSILON,
+    _column_degrees,
     TargetDistribution,
     degree_histogram,
     degree_loss,
     kl_divergence,
     total_loss,
 )
-from popgraph.latent_graph import LatentGraphParams
+from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams, pairwise_distances
 from popgraph.tensor import Tensor, exp, finite_difference_check, log
 
 
@@ -255,6 +258,42 @@ def test_end_to_end_gradient_check_with_frozen_mask():
         assert err < 1e-4, f"{tensor.name}: {err}"
 
 
+def test_end_to_end_gradient_check_through_f3_and_nddl():
+    # f2 -> f3 + cross-entropy -> NDDL over two row blocks: f3 and NDDL send
+    # the edge weights their gradients as factors
+    n = ROW_BLOCK + 6
+    rng = np.random.default_rng(26)
+    params = LatentGraphParams([3, 2], rng)
+    classifier = PopulationClassifier(ClassifierConfig(gnn_dims=[3], head_dims=[2]), 3, rng)
+    centres = 4.0 * rng.normal(size=(3, 3))
+    cluster = np.arange(n) % 3
+    h = Tensor(centres[cluster] + 0.1 * rng.normal(size=(n, 3)), requires_grad=True, name="h")
+    # theta splits the widest distance inside a cluster and the narrowest
+    # between two, so no entry sits near 0.5 and the loss is smooth
+    d = pairwise_distances(params.embed(h).data)
+    same = cluster[:, None] == cluster[None, :]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    params.theta.data = np.asarray(
+        0.5 * (d[same & off_diagonal].max() + d[~same].min()) * params.temperature)
+    a_p = params.forward(h).a_p.data[off_diagonal]
+    assert np.all(np.abs(a_p - 0.5) > 1e-3)
+    assert 0 < np.count_nonzero(a_p > 0.5) < a_p.size
+    target = TargetDistribution.for_support(n)
+    labels = rng.integers(0, 2, size=n)
+
+    def f(_):
+        a = params.forward(h).a_p
+        _, logits = classifier.forward(h, a)
+        kl, _ = degree_loss(a, target)
+        return total_loss(cross_entropy(logits, labels), kl, alpha=1.0)
+
+    tensors = ([h, params.t_raw, params.theta] + params.mlp.parameters()
+               + classifier.parameters() + target.parameters())
+    for tensor in tensors:
+        err = finite_difference_check(f, tensor)
+        assert err < 1e-4, f"{tensor.name}: {err}"
+
+
 def spread_degree_matrix(rng, n):
     """Zero-diagonal matrix whose column degrees span 0..n-1: near-empty
     columns, near-full ones and random ones, every entry >= 1e-3 from 0.5."""
@@ -278,6 +317,16 @@ def test_windowed_histogram_matches_dense_oracle():
     kl, p = degree_loss(Tensor(a), target)
     np.testing.assert_allclose(p.data, histogram_oracle(degrees, n), rtol=0, atol=1e-12)
     np.testing.assert_allclose(kl.item(), kl_oracle(degrees, target, n), rtol=0, atol=1e-12)
+
+
+def test_blocked_degrees_equal_whole_column_sums():
+    # the last block is ragged; a NaN entry in it reaches its own column only
+    a = random_population_matrix(np.random.default_rng(20), 2 * DEGREE_ROWS + 5)
+    expected = (a * (a > 0.5)).sum(axis=0)
+    np.testing.assert_array_equal(_column_degrees(a), expected)
+    a[-1, 3] = np.nan
+    degrees = _column_degrees(a)
+    assert np.isnan(degrees[3]) and np.count_nonzero(np.isnan(degrees)) == 1
 
 
 def test_degree_histogram_gradient_check():

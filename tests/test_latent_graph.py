@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 import pytest
 from scipy.special import expit
 
+import popgraph
 from popgraph.degree_loss import degree_histogram
 from popgraph.latent_graph import (ROW_BLOCK, LatentGraphParams, logistic_edge_weights,
                                    pairwise_distances)
@@ -310,3 +314,38 @@ def test_threshold_rejects_non_finite_embedding_row(n, row):
     with pytest.raises(ValueError, match=f"embedding row {row} is not finite"):
         params.init_threshold(Tensor(x))
     assert params.theta.item() == theta
+
+
+# One backward of the edge weights at N = 1024 under a factored upstream (f3's
+# outer product and NDDL's masked columns), printing theta's and t's gradients.
+THREAD_PROBE = """
+import numpy as np
+from popgraph.degree_loss import degree_histogram
+from popgraph.latent_graph import logistic_edge_weights, pairwise_distances
+from popgraph.nn import GraphConv
+from popgraph.tensor import Tensor
+
+rng = np.random.default_rng(18)
+n = 1024
+z = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+t_raw = Tensor(0.2, requires_grad=True)
+theta = Tensor(np.median(pairwise_distances(z.data)) * np.exp(0.2), requires_grad=True)
+a = logistic_edge_weights(z, t_raw, theta)
+conv = GraphConv(8, 4, rng)
+readout = conv.forward(Tensor(rng.normal(size=(n, 8))), a) * Tensor(rng.normal(size=(n, 4)))
+loss = readout.sum() + (degree_histogram(a) * Tensor(rng.normal(size=n))).sum()
+loss.backward()
+print(float(theta.grad).hex(), float(t_raw.grad).hex())
+"""
+
+
+def test_theta_and_t_gradients_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(popgraph.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        outputs.append(run.stdout.split())
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

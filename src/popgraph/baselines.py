@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch
-from .latent_graph import pairwise_distances
+from .latent_graph import _require_finite_rows, pairwise_distances
 
 WL_DEFAULT_ITERATIONS = 3
 
@@ -92,7 +92,9 @@ def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
-    """kNN on cosine similarities of a kernel gram; an all-zero row is rejected."""
+    """kNN on cosine similarities of a kernel gram; a row with a NaN or
+    infinite entry, or an all-zero row, is rejected."""
+    _require_finite_rows(gram, "gram")
     norms = np.sqrt(np.diag(gram))
     empty = np.flatnonzero(norms == 0.0)
     if empty.size:

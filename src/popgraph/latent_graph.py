@@ -45,10 +45,10 @@ _STRICT_LOWER = np.tri(ROW_BLOCK, k=-1, dtype=bool)
 _LINE = 8  # float64s in a 64-byte cache line
 
 
-def _require_finite_rows(x: np.ndarray) -> None:
+def _require_finite_rows(x: np.ndarray, what: str = "embedding") -> None:
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
-        raise ValueError(f"embedding row {int(np.argmax(bad))} is not finite")
+        raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
 
 
 def _upper_distance_blocks(x: np.ndarray, keep: bool = False):

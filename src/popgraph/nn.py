@@ -95,23 +95,19 @@ def conv_forward(x, ax, w_self, w_neigh, bias) -> np.ndarray:
     return y
 
 
-def conv_backward(g, x, ax, y):
-    """The layer's gradient at its pre-activation, and its parameters' gradients.
+def conv_backward(g, x, mask):
+    """The relu, self and bias part of one graph-convolution layer's backward.
 
-    For the output gradient ``g`` of :func:`conv_forward`'s rows ``y`` (from
-    ``x`` and ``ax``), returns ``(g_pre, (g_w_self, g_w_neigh, g_bias))``.
-    ``g`` is not modified.
+    For the output gradient ``g`` of :func:`conv_forward`'s rows from input
+    rows ``x``, with ``mask`` the rows' relu sign (output > 0), returns
+    ``(g_pre, g_w_self, g_bias)``: the gradient at the pre-activation and two
+    parameter gradients. W_neigh's gradient and the input gradient's
+    neighbour term depend on how the caller aggregates, so the caller forms
+    them from ``g_pre``. ``g`` is not modified.
     """
-    g = g * (y > 0.0).astype(np.float64)  # relu's subgradient is 0 at 0; float: faster than bool
+    g = g * mask.astype(np.float64)  # relu's subgradient is 0 at 0; float: faster than bool
     # the bias gradient as a BLAS product: ~3x faster than g.sum(axis=0)
-    return g, (x.T @ g, ax.T @ g, np.ones(len(g)) @ g)
-
-
-def conv_input_grad(adj_t_g_ax, g_pre, w_self) -> np.ndarray:
-    """The layer input's gradient, A^T g_ax + g_pre W_self^T, from its first
-    term ``adj_t_g_ax``, a C-ordered array, where g_ax = g_pre W_neigh^T is
-    the gradient of A x. BLAS adds the second term into the first's buffer."""
-    return add_matmul(adj_t_g_ax, g_pre, w_self.T)
+    return g, x.T @ g, np.ones(len(g)) @ g
 
 
 class GraphConv:
@@ -120,11 +116,13 @@ class GraphConv:
 
     ``adj`` is the n x n adjacency Tensor (learned or fixed) of the graph whose
     n nodes are the rows of ``x``. The layer is one autograd op with a
-    hand-derived backward; its arithmetic is :func:`conv_forward`,
-    :func:`conv_backward` and :func:`conv_input_grad`, which f1's blocked op
-    (``node_level``) runs over its blocks of a sparse adjacency. Aggregating
-    before projecting runs the adjacency product on d_in columns. The backward
-    takes W_neigh's gradient from the saved A @ x. The adjacency's gradient,
+    hand-derived backward. It shares :func:`conv_forward` and the relu, self
+    and bias part of the backward, :func:`conv_backward`, with f1's blocked op
+    (``node_level``), which runs them over its blocks of a sparse adjacency.
+    Aggregating before projecting runs the adjacency product on d_in columns.
+    Unlike f1, the layer keeps A @ x (n x d_in, small) and takes W_neigh's
+    gradient as (A x)^T g: f1's form, x^T (A^T g), would cost an n x n
+    product whenever ``x`` needs no gradient. The adjacency's gradient,
     g_ax x^T with g_ax the gradient of A x, is sent as its two n x d_in
     factors (``tensor.FactoredGrad``), never as an n x n array; A^T g_ax runs
     only when ``x`` needs a gradient, as (g_ax^T A)^T, which took 1.8 ms
@@ -154,14 +152,14 @@ class GraphConv:
         y = conv_forward(x.data, ax, w_self, w_neigh, bias)
 
         def backward(g):
-            g, grads = conv_backward(g, x.data, ax, y)
-            for p, grad in zip(params, grads):
+            g, g_w_self, g_bias = conv_backward(g, x.data, y > 0.0)
+            for p, grad in zip(params, (g_w_self, ax.T @ g, g_bias)):
                 _accumulate(p, grad)
             if x.requires_grad or adj.requires_grad:
                 g_ax = g @ w_neigh.T
-                if x.requires_grad:
-                    adj_t_g_ax = np.ascontiguousarray((g_ax.T @ adj.data).T)
-                    _accumulate(x, conv_input_grad(adj_t_g_ax, g, w_self))
+                if x.requires_grad:  # BLAS adds g W_self^T into C-ordered A^T g_ax
+                    g_x = np.ascontiguousarray((g_ax.T @ adj.data).T)
+                    _accumulate(x, add_matmul(g_x, g, w_self.T))
                 if adj.requires_grad:
                     _accumulate(adj, FactoredGrad(outer=[(g_ax, x.data)]))
 

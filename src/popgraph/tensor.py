@@ -12,10 +12,14 @@ NDDL degree histogram read from it, in ``latent_graph`` and ``degree_loss``.
 f1 runs forward and backward over blocks of whole input graphs, the batch's
 ``GraphBatch.node_blocks``, so its temporaries are block-sized; each block
 pools with its graphs' 0/1 rows, and its first layer's neighbour sums are a
-per-batch constant, ``GraphBatch.aggregated_features``, computed once. Both
-convolutions share one layer arithmetic, ``nn.conv_forward`` and its
-backward, which builds a layer's output in one buffer, the bias, into which
-BLAS adds both projections with beta 1 (``nn.add_matmul``). The edge weights
+per-batch constant, ``GraphBatch.aggregated_features``, computed once. For
+its backward f1 keeps only each layer's input rows and its last layer's relu
+sign as a bool mask, and takes W_neigh's gradient as x^T (A g) over the
+symmetric block adjacency.
+Both convolutions share ``nn.conv_forward``, which builds a layer's output in
+one buffer, the bias, into which BLAS adds both projections with beta 1
+(``nn.add_matmul``), and the relu, self and bias part of the backward,
+``nn.conv_backward``. The edge weights
 run forward and backward over the upper triangle in blocks of
 ``latent_graph.ROW_BLOCK`` rows, each in one reused contiguous buffer, and
 keep only those distance blocks for the backward; the degree histogram sums

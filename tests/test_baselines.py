@@ -132,6 +132,19 @@ def test_knn_from_gram_rejects_zero_norm_row():
             knn_from_gram(gram, k)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_knn_from_gram_rejects_non_finite_entry(value):
+    gram = np.array([[4.0, 2.0, 1.0, 2.0], [2.0, 4.0, 0.0, 2.0],
+                     [1.0, 0.0, 3.0, 1.0], [2.0, 2.0, 1.0, 4.0]])
+    gram[0, 2] = gram[2, 0] = value
+    with pytest.raises(ValueError, match="gram row 0 is not finite"):
+        knn_from_gram(gram, 1)
+    gram[0, 2] = gram[2, 0] = 1.0
+    gram[3, 3] = value  # on the diagonal: the norm that row 3 is scaled by
+    with pytest.raises(ValueError, match="gram row 3 is not finite"):
+        knn_from_gram(gram, 1)
+
+
 def test_dynamic_knn_matches_oracle_on_ties():
     rng = np.random.default_rng(6)
     for n in (2, 5, 9, 40, 2 * ROW_BLOCK + 5):  # the last crosses distance row blocks

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,16 +391,9 @@ def unfused_f1(module, batch):
     return h
 
 
-@pytest.fixture(scope="module")
-def block_batch():
-    return blocked_batch(np.random.default_rng(21), 3)
-
-
-@pytest.mark.parametrize("pooling", ["mean", "add"])
-def test_f1_matches_unfused_chain_across_blocks(block_batch, pooling):
-    batch = block_batch
-    module = make_module(np.random.default_rng(22), dims=(5, 4), pooling=pooling)
-    mix = np.random.default_rng(23).normal(size=(len(batch), 4))
+def blocked_and_unfused(module, batch, mix):
+    """[h, then every parameter's gradient] of the loss sum(h * mix), from
+    f1's blocked op and from :func:`unfused_f1`."""
     h = module.forward(batch)
     (h * Tensor(mix)).sum().backward()
     results = [[h.data] + [p.grad for p in module.parameters()]]
@@ -408,26 +402,78 @@ def test_f1_matches_unfused_chain_across_blocks(block_batch, pooling):
                      ).backward()
     results.append([np.concatenate([row.data for row in rows])]
                    + [p.grad for p in module.parameters()])
-    layer = module.layers[0]
-    first = (batch.features.data @ layer.w_self.data + layer.bias.data
-             + batch.aggregated_features @ layer.w_neigh.data)
-    assert 0 < np.count_nonzero(first > 0) < first.size  # the relu masks some rows
+    return results
+
+
+@pytest.fixture(scope="module")
+def block_batch():
+    return blocked_batch(np.random.default_rng(21), 3)
+
+
+def sparse_layer_outputs(module, batch):
+    """Each f1 layer's node rows over the whole batch's sparse adjacency."""
+    x, outputs = batch.features.data, []
+    for layer in module.layers:
+        x = np.maximum(x @ layer.w_self.data + batch.adjacency @ x @ layer.w_neigh.data
+                       + layer.bias.data, 0.0)
+        outputs.append(x)
+    return outputs
+
+
+# Two layers, and three of unequal widths: A g then runs on d_out != d_in
+# columns, the middle layer's relu sign is read from the next layer's input,
+# and the top layer's from the mask the forward keeps.
+F1_CASES = [pytest.param(pooling, dims, id=pooling + suffix)
+            for dims, suffix in (((5, 4), ""), ((5, 3, 4), "-5-3-4"))
+            for pooling in ("mean", "add")]
+
+
+@pytest.mark.parametrize("pooling,dims", F1_CASES)
+def test_f1_matches_unfused_chain_across_blocks(block_batch, pooling, dims):
+    batch = block_batch
+    module = make_module(np.random.default_rng(22), dims=dims, pooling=pooling)
+    mix = np.random.default_rng(23).normal(size=(len(batch), dims[-1]))
+    results = blocked_and_unfused(module, batch, mix)
+    for y in sparse_layer_outputs(module, batch):
+        assert 0 < np.count_nonzero(y) < y.size  # every layer's relu masks some entries
     for blocked, chain in zip(*results):
         np.testing.assert_allclose(blocked, chain, rtol=1e-12, atol=1e-12)
     assert all(p._backward is None for p in module.forward(batch)._parents)  # one tape entry
 
 
-@pytest.mark.parametrize("pooling", ["mean", "add"])
-def test_f1_gradient_check_across_blocks(block_batch, pooling):
+@pytest.mark.parametrize("pooling,dims", F1_CASES)
+def test_f1_gradient_check_across_blocks(block_batch, pooling, dims):
     batch = block_batch
-    module = make_module(np.random.default_rng(24), dims=(5, 4), pooling=pooling)
-    mix = Tensor(np.random.default_rng(25).normal(size=(len(batch), 4)))
+    module = make_module(np.random.default_rng(24), dims=dims, pooling=pooling)
+    mix = Tensor(np.random.default_rng(25).normal(size=(len(batch), dims[-1])))
     # over ~7,000 nodes, a step of 1e-5 moves some pre-activations across
     # relu's kink at 0 (relative errors up to 4e-3); 1e-6 moves none here
     for param in module.parameters():
         err = finite_difference_check(lambda _: (module.forward(batch) * mix).sum(), param,
                                       step=1e-6)
         assert err < 1e-6, f"{param.name}: {err}"
+
+
+def test_f1_forward_keeps_only_layer_inputs_and_the_top_relu_sign(block_batch):
+    """f1's op keeps, from forward to backward, each layer's input rows past
+    the batch's own features (8 bytes an entry), the last layer's relu sign
+    (1 byte an entry) and h: not each layer's neighbour sums or its output."""
+    batch = block_batch
+    dims = (32, 32)
+    module = make_module(np.random.default_rng(26), dims=dims)
+    module.forward(batch)  # builds the batch's block plan, which outlives the op
+    nodes = batch.total_nodes
+    bound = (sum(8 * nodes * d for d in dims[:-1]) + nodes * dims[-1]
+             + 8 * len(batch) * dims[-1] + 64 * 1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = module.forward(batch)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (len(batch), dims[-1])
+    assert retained < bound, f"{retained} bytes kept, bound {bound}"
 
 
 def test_f1_nan_pre_activation_gives_zero():
@@ -440,3 +486,17 @@ def test_f1_nan_pre_activation_gives_zero():
     oracle = np.concatenate([row.data for row in unfused_f1(module, batch)])
     np.testing.assert_allclose(h, oracle, rtol=1e-12, atol=0.0)  # the oracle sums in another order
     np.testing.assert_array_equal(h[:, 0], 0.0)
+
+
+def test_f1_nan_pre_activation_in_a_lower_layer_gives_zero():
+    # the lower layer's relu sign is read from the next layer's input, where
+    # its NaN pre-activations are already 0
+    rng = np.random.default_rng(14)
+    module = make_module(rng, dims=(3, 2), pooling="add")
+    module.layers[0].bias.data[0] = np.nan
+    batch = GraphBatch([random_graph(rng, 4, 3), random_graph(rng, 5, 3)])
+    results = blocked_and_unfused(module, batch, rng.normal(size=(len(batch), 2)))
+    assert all(np.isfinite(grad).all() for grad in results[0][1:])
+    assert results[0][3][0] == 0.0  # the NaN bias entry gets no gradient
+    for blocked, chain in zip(*results):
+        np.testing.assert_allclose(blocked, chain, rtol=1e-12, atol=1e-12)

@@ -93,9 +93,15 @@ def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
 
 def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
     """kNN on cosine similarities of a kernel gram; a row with a NaN or
-    infinite entry, or an all-zero row, is rejected."""
+    infinite entry, a negative diagonal entry or an all-zero row is rejected."""
     _require_finite_rows(gram, "gram")
-    norms = np.sqrt(np.diag(gram))
+    squared_norms = np.diag(gram)
+    negative = np.flatnonzero(squared_norms < 0.0)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"gram row {i} has the diagonal entry {squared_norms[i]}, "
+                         "not a squared norm")
+    norms = np.sqrt(squared_norms)
     empty = np.flatnonzero(norms == 0.0)
     if empty.size:
         raise ValueError(f"gram row {int(empty[0])} is all zero: its graph has no nodes")

@@ -58,11 +58,23 @@ class PopulationClassifier:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over samples of -log softmax(logits)[i, label_i], fused and stable."""
-    labels = np.asarray(labels, dtype=np.intp)
+    """Mean over samples of -log softmax(logits)[i, label_i], fused and stable.
+
+    Raises ``ValueError`` for logits of no rows, and naming the first index
+    whose label is not a whole number (NaN and infinite included).
+    """
     n, c = logits.shape
-    if labels.shape != (n,):
-        raise ValueError(f"{labels.shape[0] if labels.ndim else 0} labels for {n} rows")
+    if n == 0:
+        raise ValueError("cross_entropy needs at least one row: the mean of none is undefined")
+    values = np.asarray(labels)
+    if values.shape != (n,):
+        raise ValueError(f"{values.shape[0] if values.ndim else 0} labels for {n} rows")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
+        labels = values.astype(np.intp)
+    whole = labels == values
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValueError(f"label {values[i]} at index {i} is not a whole number")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label outside [0, {c})")
     onehot = np.zeros((n, c))

@@ -22,13 +22,6 @@ mask array. Its hand-derived backward gives the gradients of the embedding,
 ``t_raw`` and ``theta`` from the same upper blocks. The weights' gradient
 reaches it as factors (``tensor.FactoredGrad``), from which it builds each
 block's gradient in a block-sized buffer, so no N x N gradient is formed.
-
-The sigmoid is evaluated in place as a_ij = 1 / (1 + exp(t * d_ij - theta)),
-with numpy's vectorised ``exp``. A pair far enough apart that the ``exp``
-overflows gets exactly 0.0; a logit of 0 still gives exactly 0.5, and a NaN
-still propagates. ``scipy.special.expit`` is not used: it is a scalar loop
-per element, 11.5-16 ms on a 1024 x 1024 array against 3.3-3.9 ms for the
-``exp`` and two in-place passes (one thread, 2-vCPU x86 host).
 """
 
 from dataclasses import dataclass
@@ -42,7 +35,6 @@ from .tensor import ShapeError, Tensor, _accumulate, _record
 # are 512 KB at N = 1024.
 ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(ROW_BLOCK, k=-1, dtype=bool)
-_LINE = 8  # float64s in a 64-byte cache line
 
 
 def _require_finite_rows(x: np.ndarray, what: str = "embedding") -> None:
@@ -134,11 +126,7 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
       [U_I | V_I] [V_J | U_J]^T;
     - masked columns [a > h] 1 c^T, as [a_IJ > h] (c_I 1^T + 1 c_J^T), the
       mask taken from the block of the (exactly symmetric) weights;
-    - dense arrays, G[J, I] copied first into rows padded by a cache line.
-      Read in place, each element of the transpose sits on another row of G;
-      read from rows of 512 bytes, the column walk hits a few cache sets only.
-      Inside N = 1024 training steps the add took 4.4 ms unpadded, 1.6 ms
-      padded (one thread, 2-vCPU x86 host).
+    - dense arrays, read in place as G[I, J] and G[J, I]^T.
     The square part of the block holds each pair twice, so it is halved.
     theta's and t's gradients, the row and column sums of S / d and its
     products with the embedding all come from the buffer. Every sum is
@@ -169,19 +157,18 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
         a[i1:, i0:i1] = e[:, b:].T
 
     def backward(g):
-        if z.requires_grad:
-            # columns: S/d @ x, then the row sums of S/d against a column of ones
-            xa = np.empty((n, k + 1))
-            xa[:, :k] = x
-            xa[:, k] = 1.0
-            acc = np.zeros((n, k + 1))
+        # columns: S/d @ x, then the row sums of S/d against a column of ones
+        xa = np.empty((n, k + 1))
+        xa[:, :k] = x
+        xa[:, k] = 1.0
+        acc = np.zeros((n, k + 1))
         us, vs = [u for u, _ in g.outer], [v for _, v in g.outer]
         uv = np.concatenate([np.empty((n, 0))] + us + vs, axis=1)
         vu = np.concatenate([np.empty((n, 0))] + vs + us, axis=1)
         rows = min(n, ROW_BLOCK)
         sym = np.empty(rows * n)
         columns = np.empty(rows * n)
-        slope = np.empty((rows + _LINE) * n)  # also holds masks and G[J, I] in padded rows
+        slope = np.empty(rows * n)  # also holds the masks
         d_theta = d_t = np.float64(0.0)
         for i0, i1, d in blocks:
             b, w = d.shape
@@ -196,10 +183,8 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
                 cc *= mask
                 s += cc
             for dense in g.dense:
-                below = slope[:w * (b + _LINE)].reshape(w, b + _LINE)[:, :b]
-                np.copyto(below, dense[i0:, i0:i1])
                 s += dense[i0:i1, i0:]
-                s += below.T
+                s += dense[i0:, i0:i1].T
             s[:, :b] *= 0.5
             da = slope[:b * w].reshape(b, w)
             np.subtract(1.0, ab, out=da)
@@ -208,21 +193,19 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
             d_theta += s.sum()
             np.multiply(s, d, out=da)
             d_t += da.sum()
-            if z.requires_grad:
-                # d loss / d z_i = -t * sum_j S_ij (z_i - z_j) / d_ij; the block
-                # gives rows I, and through its transpose rows i0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    s /= d
-                s[d == 0.0] = 0.0
-                acc[i0:i1] += s @ xa[i0:]
-                acc[i0:] += s.T @ xa[i0:i1]
+            # d loss / d z_i = -t * sum_j S_ij (z_i - z_j) / d_ij; the block
+            # gives rows I, and through its transpose rows i0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s /= d
+            s[d == 0.0] = 0.0
+            acc[i0:i1] += s @ xa[i0:]
+            acc[i0:] += s.T @ xa[i0:i1]
         _accumulate(theta, d_theta)
         _accumulate(t_raw, -t * d_t)
-        if z.requires_grad:
-            grad = acc[:, k:] * x
-            grad -= acc[:, :k]
-            grad *= -t
-            _accumulate(z, grad)
+        grad = acc[:, k:] * x
+        grad -= acc[:, :k]
+        grad *= -t
+        _accumulate(z, grad)
 
     return _record(a, (z, t_raw, theta), backward, factored=True)
 

@@ -155,13 +155,11 @@ class GraphConv:
             g, g_w_self, g_bias = conv_backward(g, x.data, y > 0.0)
             for p, grad in zip(params, (g_w_self, ax.T @ g, g_bias)):
                 _accumulate(p, grad)
-            if x.requires_grad or adj.requires_grad:
-                g_ax = g @ w_neigh.T
-                if x.requires_grad:  # BLAS adds g W_self^T into C-ordered A^T g_ax
-                    g_x = np.ascontiguousarray((g_ax.T @ adj.data).T)
-                    _accumulate(x, add_matmul(g_x, g, w_self.T))
-                if adj.requires_grad:
-                    _accumulate(adj, FactoredGrad(outer=[(g_ax, x.data)]))
+            g_ax = g @ w_neigh.T
+            if x.requires_grad:  # BLAS adds g W_self^T into C-ordered A^T g_ax
+                g_x = np.ascontiguousarray((g_ax.T @ adj.data).T)
+                _accumulate(x, add_matmul(g_x, g, w_self.T))
+            _accumulate(adj, FactoredGrad(outer=[(g_ax, x.data)]))
 
         return _record(y, (x,) + params + (adj,), backward)
 

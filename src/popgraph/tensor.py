@@ -7,23 +7,8 @@ finite-difference oracle the test suite leans on. The model's fused ops are
 built from the same ``_record`` and ``_accumulate``: f1, the per-graph stack
 of graph convolutions and its pooling, ``node_level.NodeLevelModule.forward``;
 f3's graph convolution over the dense population graph, ``nn.GraphConv``;
-and the latent graph's edge weights, the N x N population graph, and the
-NDDL degree histogram read from it, in ``latent_graph`` and ``degree_loss``.
-f1 runs forward and backward over blocks of whole input graphs, the batch's
-``GraphBatch.node_blocks``, so its temporaries are block-sized; each block
-pools with its graphs' 0/1 rows, and its first layer's neighbour sums are a
-per-batch constant, ``GraphBatch.aggregated_features``, computed once. For
-its backward f1 keeps only each layer's input rows and its last layer's relu
-sign as a bool mask, and takes W_neigh's gradient as x^T (A g) over the
-symmetric block adjacency.
-Both convolutions share ``nn.conv_forward``, which builds a layer's output in
-one buffer, the bias, into which BLAS adds both projections with beta 1
-(``nn.add_matmul``), and the relu, self and bias part of the backward,
-``nn.conv_backward``. The edge weights
-run forward and backward over the upper triangle in blocks of
-``latent_graph.ROW_BLOCK`` rows, each in one reused contiguous buffer, and
-keep only those distance blocks for the backward; the degree histogram sums
-its thresholded columns in row blocks too.
+and the population graph's edge weights and NDDL, in ``latent_graph`` and
+``degree_loss``. Each of those modules documents its own op.
 
 Everything is float64. ``Tensor(...)`` builds leaves and constants from a copy
 of its input, so a leaf never aliases the caller's array; an operation wraps
@@ -39,17 +24,6 @@ by its first accumulation, not zero-filled up front, and an operation
 output's ``grad`` is dropped as soon as its rule has run. A leaf with
 ``requires_grad`` that the loss reaches ends ``backward`` with a gradient
 that owns its memory, zero when nothing accumulated into it.
-
-An n x n gradient can travel as factors, a :class:`FactoredGrad`. f3's
-convolution sends the population graph the outer product g_ax x^T as its two
-factors, and the degree histogram sends [a > 1/2] 1 g^T as its threshold and
-column vector g. An op whose rule reads its output's gradient term by term,
-recorded with ``factored=True`` (the edge weights), collects every term that
-reaches that output, a plain array from any other op included, and never
-sums them: its rule builds the gradient one row block at a time. Any other
-target, every leaf among them, gets each term made dense as it arrives and
-sees a plain array, as if the term had been sent dense. So no N x N gradient
-exists in a training step.
 """
 
 import numpy as np

@@ -132,6 +132,12 @@ def test_knn_from_gram_rejects_zero_norm_row():
             knn_from_gram(gram, k)
 
 
+def test_knn_from_gram_rejects_a_negative_diagonal_entry():
+    # a kernel gram's diagonal holds squared norms; the square root of -1 is NaN
+    with pytest.raises(ValueError, match="gram row 1 has the diagonal entry -1.0"):
+        knn_from_gram(np.diag([4.0, -1.0, 3.0]), 1)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_knn_from_gram_rejects_non_finite_entry(value):
     gram = np.array([[4.0, 2.0, 1.0, 2.0], [2.0, 4.0, 0.0, 2.0],

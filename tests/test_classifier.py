@@ -6,59 +6,12 @@ import pytest
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
 from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams
-from popgraph.nn import GraphConv
 from popgraph.tensor import Tensor, finite_difference_check
 
 
 def make_classifier(rng, input_dim=4, gnn_dims=(3,), head_dims=(3, 2)):
     config = ClassifierConfig(gnn_dims=list(gnn_dims), head_dims=list(head_dims))
     return PopulationClassifier(config, input_dim, rng)
-
-
-def dense_conv(h, a, w_self, w_neigh, bias):
-    """One GraphConv with the given weights over a dense adjacency."""
-    layer = GraphConv(*w_self.shape, np.random.default_rng(0))
-    layer.w_self.data, layer.w_neigh.data, layer.bias.data = w_self, w_neigh, bias
-    return layer.forward(h, a)
-
-
-def test_dense_conv_isolated_population():
-    rng = np.random.default_rng(0)
-    h = Tensor(rng.normal(size=(4, 3)))
-    w_self = rng.normal(size=(3, 2))
-    w_neigh = rng.normal(size=(3, 2))
-    bias = rng.normal(size=2)
-    out = dense_conv(h, Tensor(np.zeros((4, 4))), w_self, w_neigh, bias)
-    np.testing.assert_allclose(out.data, np.maximum(h.data @ w_self + bias, 0.0), atol=1e-12)
-
-
-def test_dense_conv_all_ones_hand_sum():
-    h = Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    a = Tensor(np.ones((3, 3)) - np.eye(3))
-    out = dense_conv(h, a, np.zeros((2, 2)), np.eye(2), np.zeros(2))
-    expected = np.array([[2.0, 3.0], [3.0, 2.0], [1.0, 1.0]])  # sum of other rows
-    np.testing.assert_array_equal(out.data, expected)
-
-
-def test_dense_conv_matches_dense_multiply_oracle():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(6, 4))
-    a = rng.random((6, 6))
-    np.fill_diagonal(a, 0.0)
-    w_self, w_neigh, bias = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    out = dense_conv(Tensor(h), Tensor(a), w_self, w_neigh, bias)
-    oracle = np.maximum(h @ w_self + a @ h @ w_neigh + bias, 0.0)
-    np.testing.assert_allclose(out.data, oracle, atol=1e-10)
-
-
-def test_dense_conv_shape_errors():
-    h = Tensor(np.zeros((4, 3)))
-    w = np.zeros((3, 2))
-    b = np.zeros(2)
-    with pytest.raises(ValueError, match=r"\(4, 5\) for 4 node rows"):
-        dense_conv(h, Tensor(np.zeros((4, 5))), w, w, b)
-    with pytest.raises(ValueError, match=r"\(5, 5\) for 4 node rows"):
-        dense_conv(h, Tensor(np.zeros((5, 5))), w, w, b)
 
 
 def test_zero_head_gives_uniform_probabilities():
@@ -165,6 +118,22 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
 
 
+@pytest.mark.parametrize("labels,entry", [
+    ([0.7, 1.9], "label 0.7 at index 0 is not a whole number"),
+    ([0, 1.5], "label 1.5 at index 1 is not a whole number"),
+    ([1, np.nan], "label nan at index 1 is not a whole number"),
+    ([np.inf, 0], "label inf at index 0 is not a whole number"),
+], ids=["fractions", "fraction_after_an_integer", "nan", "inf"])
+def test_cross_entropy_rejects_a_label_that_is_not_a_whole_number(labels, entry):
+    with pytest.raises(ValueError, match=entry):
+        cross_entropy(Tensor([[5.0, 0.0], [0.0, 5.0]]), labels)
+
+
+def test_cross_entropy_rejects_zero_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        cross_entropy(Tensor(np.zeros((0, 2))), [])
+
+
 @pytest.mark.parametrize("gnn_dims,head_dims,entry", [
     ([0], [2], r"gnn_dims\[0\] is 0"),
     ([4, 2.5], [2], r"gnn_dims\[1\] is 2.5"),
@@ -186,13 +155,13 @@ def test_config_rejects_a_head_of_fewer_than_two_classes(head_dims):
 POPULATION = 2 * ROW_BLOCK + 22  # three row blocks of f2, the last one ragged
 
 
-def population_step(n):
+def population_step(n, gnn_dims=(4,)):
     """f2 -> f3 + cross-entropy + NDDL on a population of ``n`` samples:
     returns ``grads(adjacency, alpha, mix)``, which runs one backward and
     gives the gradient of every parameter and of f1's output that it reaches."""
     rng = np.random.default_rng(21)
     params = LatentGraphParams([3, 4], rng)
-    classifier = make_classifier(rng, input_dim=3, gnn_dims=(4,), head_dims=(2,))
+    classifier = make_classifier(rng, input_dim=3, gnn_dims=gnn_dims, head_dims=(2,))
     target = TargetDistribution.for_support(n)
     h = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
     params.init_threshold(h)
@@ -232,10 +201,18 @@ def assert_same_gradients(got, expected):
         np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("alpha,mixed", [(1.0, False), (1.0, True), (0.0, False)],
-                         ids=["f3_and_nddl", "with_a_dense_term", "f3_only"])
-def test_factored_edge_weight_gradient_matches_dense(alpha, mixed):
-    grads = population_step(POPULATION)
+# One GraphConv layer over the edge weights sends them one outer term; two
+# layers send two, which meet in one concatenated gemm per block.
+EDGE_WEIGHT_CASES = [pytest.param(alpha, mixed, gnn_dims, id=name + suffix)
+                     for gnn_dims, suffix in (((4,), ""), ((4, 3), "-two_layers"))
+                     for alpha, mixed, name in ((1.0, False, "f3_and_nddl"),
+                                                (1.0, True, "with_a_dense_term"),
+                                                (0.0, False, "f3_only"))]
+
+
+@pytest.mark.parametrize("alpha,mixed,gnn_dims", EDGE_WEIGHT_CASES)
+def test_factored_edge_weight_gradient_matches_dense(alpha, mixed, gnn_dims):
+    grads = population_step(POPULATION, gnn_dims)
     mix = np.random.default_rng(22).normal(size=(POPULATION, POPULATION)) if mixed else None
     assert_same_gradients(grads(factored, alpha, mix), grads(dense, alpha, mix))
 

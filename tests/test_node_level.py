@@ -5,82 +5,16 @@ import numpy as np
 import pytest
 
 from popgraph.data import NODE_BLOCK, Graph, GraphBatch
-from popgraph.nn import GraphConv, add_matmul
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph import tensor as T
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
-
-def single_graph_batch(n, edges, features, label=0):
-    return GraphBatch([Graph(node_count=n, edges=edges, features=np.asarray(features, dtype=float), label=label)])
-
-
-def dense_adjacency(n, edges):
-    a = np.zeros((n, n))
-    for u, v in edges:
-        a[u, v] = a[v, u] = 1.0
-    return a
+from test_nn import dense_adjacency, single_graph_batch, unfused_conv
 
 
 def dense_membership(batch):
     """The graphs x nodes 0/1 matrix whose row g is 1 on graph g's node rows."""
     return np.repeat(np.eye(len(batch)), np.diff(batch.node_offsets), axis=1)
-
-
-def conv(layer, batch):
-    return layer.forward(batch.features, Tensor(batch.adjacency.toarray()))
-
-
-def test_edgeless_graph_only_self_term():
-    rng = np.random.default_rng(0)
-    layer = GraphConv(3, 2, rng)
-    batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
-    out = conv(layer, batch)
-    expected = np.maximum(batch.features.data @ layer.w_self.data + layer.bias.data, 0.0)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-
-def test_two_node_identity_hand_sum():
-    rng = np.random.default_rng(0)
-    layer = GraphConv(1, 1, rng)
-    layer.w_self.data = np.eye(1)
-    layer.w_neigh.data = np.eye(1)
-    layer.bias.data = np.zeros(1)
-    batch = single_graph_batch(2, [(0, 1)], [[1.0], [2.0]])
-    out = conv(layer, batch)
-    np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
-
-
-def test_graph_conv_matches_dense_oracle():
-    rng = np.random.default_rng(1)
-    layer = GraphConv(4, 3, rng)
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]
-    batch = single_graph_batch(5, edges, rng.normal(size=(5, 4)))
-    out = conv(layer, batch)
-    a = dense_adjacency(5, edges)
-    oracle = np.maximum(
-        batch.features.data @ layer.w_self.data
-        + a @ batch.features.data @ layer.w_neigh.data
-        + layer.bias.data,
-        0.0,
-    )
-    np.testing.assert_allclose(out.data, oracle, atol=1e-10)
-
-
-def test_graph_conv_rejects_wrong_rows():
-    rng = np.random.default_rng(2)
-    layer = GraphConv(2, 2, rng)
-    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="rows"):
-        layer.forward(Tensor(np.zeros((5, 2))), Tensor(batch.adjacency.toarray()))
-
-
-def test_graph_conv_rejects_a_sparse_adjacency():
-    rng = np.random.default_rng(2)
-    layer = GraphConv(2, 2, rng)
-    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
-    with pytest.raises(TypeError, match="dense adjacency Tensor"):
-        layer.forward(batch.features, batch.adjacency)
 
 
 def test_sparse_and_dense_adjacency_agree():
@@ -102,109 +36,6 @@ def test_sparse_and_dense_adjacency_agree():
         results.append([h.data] + [p.grad for p in module.parameters()])
     for sparse, dense in zip(*results):
         np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
-
-
-def unfused_conv(layer, x, adj):
-    """The chain of generic ops the fused layer replaces: the oracle."""
-    return T.relu(x @ layer.w_self + T.matmul(adj, x @ layer.w_neigh) + layer.bias)
-
-
-def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
-    """(x, dense adjacency, gradient inputs) for one of the layer's input kinds."""
-    edges = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 3.0 / n]
-    adj = single_graph_batch(n, edges, np.zeros((n, 1))).adjacency
-    adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
-    x = Tensor(rng.normal(size=(n, d_in)), requires_grad=x_leaf)
-    inputs = [x] if x_leaf else []
-    return x, adj, inputs + ([adj] if adj_kind == "dense_leaf" else [])
-
-
-CONV_INPUT_KINDS = [(x_leaf, adj_kind) for x_leaf in (False, True)
-                    for adj_kind in ("dense_constant", "dense_leaf")]
-
-
-@pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
-def test_graph_conv_gradient_check_every_input(x_leaf, adj_kind):
-    rng = np.random.default_rng(11)
-    layer = GraphConv(3, 4, rng)
-    x, adj, inputs = conv_inputs(rng, 6, 3, x_leaf, adj_kind)
-    mix = Tensor(rng.normal(size=(6, 4)))
-    for t in layer.parameters() + inputs:
-        err = finite_difference_check(lambda _: (layer.forward(x, adj) * mix).sum(), t)
-        assert err < 1e-6, f"{t}: {err}"
-
-
-@pytest.mark.parametrize("x_leaf,adj_kind", CONV_INPUT_KINDS)
-def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
-    rng = np.random.default_rng(12)
-    layer = GraphConv(8, 32, rng)
-    x, adj, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
-    mix = Tensor(rng.normal(size=(320, 32)))
-    results = []
-    for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj)):
-        out = forward(x, adj)
-        (out * mix).sum().backward()
-        results.append([out.data] + [t.grad for t in layer.parameters() + inputs])
-    assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
-    for fused, chain in zip(*results):
-        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
-    assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
-
-
-def matmul_operands(rng, layout):
-    """(a, b) of shapes (6, 5) and (5, 4), laid out as ``layout`` says."""
-    if layout == "contiguous":
-        return rng.normal(size=(6, 5)), rng.normal(size=(5, 4))
-    if layout == "transposed":  # Fortran-ordered views, as W.T in the backward
-        return rng.normal(size=(5, 6)).T, rng.normal(size=(4, 5)).T
-    return rng.normal(size=(12, 15))[::2, 1:6], rng.normal(size=(5, 8))[:, ::2]  # sliced
-
-
-@pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
-def test_add_matmul_accumulates_in_place(layout):
-    rng = np.random.default_rng(15)
-    a, b = matmul_operands(rng, layout)
-    out = rng.normal(size=(6, 4))
-    expected = out + a @ b
-    assert add_matmul(out, a, b) is out
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_add_matmul_writes_into_a_row_block():
-    rng = np.random.default_rng(16)
-    base = rng.normal(size=(10, 4))
-    out = base[2:8]  # a C-contiguous view: the sum must land in ``base``
-    a, b = matmul_operands(rng, "contiguous")
-    expected = out + a @ b
-    add_matmul(out, a, b)
-    np.testing.assert_allclose(base[2:8], expected, rtol=0, atol=1e-12)
-
-
-def test_add_matmul_rejects_an_output_it_cannot_update():
-    rng = np.random.default_rng(17)
-    a, b = matmul_operands(rng, "contiguous")
-    with pytest.raises(ValueError, match="C-contiguous"):
-        add_matmul(np.zeros((4, 6)).T, a, b)
-    with pytest.raises(ValueError, match="copied the float32 output"):
-        add_matmul(np.zeros((6, 4), dtype=np.float32), a, b)
-    with pytest.raises(ValueError, match="add_matmul"):
-        add_matmul(np.zeros((6, 3)), a, b)
-
-
-def test_add_matmul_of_no_rows_is_a_no_op():
-    out = np.zeros((0, 4))
-    assert add_matmul(out, np.zeros((0, 5)), np.ones((5, 4))) is out
-
-
-def test_graph_conv_nan_pre_activation_gives_zero():
-    rng = np.random.default_rng(13)
-    layer = GraphConv(3, 2, rng)
-    layer.bias.data[0] = np.nan
-    batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
-    x, adj = batch.features, Tensor(batch.adjacency.toarray())
-    out = layer.forward(x, adj).data
-    np.testing.assert_array_equal(out, unfused_conv(layer, x, adj).data)
-    np.testing.assert_array_equal(out[:, 0], 0.0)
 
 
 def identity_module(width, pooling):

@@ -16,17 +16,14 @@ per graph with array operations. A malformed file raises
 the first such line: only then are the lines parsed one at a time.
 """
 
-import functools
 import itertools
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-
-from .tensor import Tensor
 
 
 class DatasetFormatError(ValueError):
@@ -36,10 +33,6 @@ class DatasetFormatError(ValueError):
 NODE_JITTER_SIGMA = 0.25  # per-node noise in the "ambiguous_features" generator
 
 TOPOLOGIES = ("cycle_vs_star", "ambiguous_features")
-
-# Node rows per block of f1's blocked forward and backward: the most rows a
-# block of whole graphs may hold, unless it is one graph that alone has more.
-NODE_BLOCK = 2048
 
 
 @dataclass
@@ -52,46 +45,21 @@ class Graph:
     label: int
 
 
-class NodeBlock(NamedTuple):
-    """Whole graphs of a batch, run by f1 as one block of node rows."""
-
-    rows: slice  # the block's node rows in the batch
-    graphs: slice  # the graphs those rows belong to
-    adjacency: sp.csr_matrix  # rows x rows: the batch adjacency's diagonal block
-    membership: sp.csr_matrix  # graphs x rows: row g is 1 on graph g's rows, 0 elsewhere
-
-
-def _csr_block(m, r0: int, r1: int):
-    """Rows and columns r0:r1 of the CSR matrix ``m``, whose rows r0:r1 have no
-    entry outside those columns: its values are a view of ``m``'s, in ``m``'s
-    order, so a product with it sums as ``m``'s does."""
-    e0, e1 = int(m.indptr[r0]), int(m.indptr[r1])
-    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - r0, m.indptr[r0:r1 + 1] - e0),
-                         shape=(r1 - r0, r1 - r0))
-
-
 class GraphBatch:
     """Graphs stacked as one disconnected graph: the in-memory form of a
     dataset, and the population of one step.
 
     ``node_offsets`` and ``edge_offsets`` are prefix indices into the stacked
-    node rows and ``edges``, (E, 2) local (u, v) pairs. ``features`` is a
-    constant Tensor of the node rows. ``adjacency`` is the batch-global CSR
+    node rows and ``edges``, (E, 2) local (u, v) pairs. ``features`` is the
+    float64 array of the node rows. ``adjacency`` is the batch-global CSR
     adjacency: each undirected edge contributes both directions, a self-loop
     one entry. Graph g's node rows are ``node_offsets[g]:node_offsets[g + 1]``:
-    the offsets are the one record of which rows each graph pools.
-    ``aggregated_features``, ``adjacency @ features``, is built once: the
-    arrays are read-only, so it cannot go stale. ``node_blocks`` is the block
-    plan f1 runs on, built once per batch: consecutive whole graphs grouped
-    into blocks (:class:`NodeBlock`) of at most ``NODE_BLOCK`` node rows, a
-    larger graph being a block of its own, each with the adjacency's diagonal
-    block and its graphs' 0/1 pooling rows. No edge leaves its graph, so a
-    block's rows need no other block's. A batch is a
-    sequence of graphs: ``batch[g]`` is a :class:`Graph` of views. Every graph
-    must have at least one node, one finite feature row per node, as many
-    feature columns as graph 0 and at least one, and edges between its own
-    nodes, each undirected edge once; a ``ValueError`` names the first that
-    does not.
+    the offsets are the one record of which rows each graph pools. The arrays
+    are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
+    :class:`Graph` of views. Every graph must have at least one node, a label
+    that is a whole number, one finite feature row per node, as many feature
+    columns as graph 0 and at least one, and edges between its own nodes,
+    each undirected edge once; a ``ValueError`` names the first that does not.
     """
 
     def __init__(self, graphs):
@@ -127,7 +95,13 @@ class GraphBatch:
             raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
         self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.intp)
         self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.intp)
-        self.labels = np.asarray(labels, dtype=np.intp)
+        values = np.asarray(labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
+            self.labels = values.astype(np.intp)
+        bad = np.flatnonzero(self.labels != values)
+        if bad.size:
+            g = int(bad[0])
+            raise ValueError(f"graph {g} of the batch has label {values[g]}, not a whole number")
         if features.shape[1] == 0:  # saved, they would load back as the constant feature 1
             raise ValueError("the batch's node features have no columns")
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -154,29 +128,9 @@ class GraphBatch:
             g, (a, b) = edge_graph[e], edges[e]
             raise ValueError(f"graph {g} of the batch repeats edge ({a}, {b})")
         self.edges = edges
-        self.features = Tensor(features)
-        self.aggregated_features = self.adjacency @ self.features.data
-        for constant in (self.edges, self.features.data, self.aggregated_features):
+        self.features = np.asarray(features, dtype=np.float64)
+        for constant in (self.edges, self.features):
             constant.setflags(write=False)
-
-    @functools.cached_property
-    def node_blocks(self):
-        """The block plan, built when f1 first runs on the batch: a batch f1
-        never sees builds none. Each block's adjacency is sliced from the
-        batch's CSR arrays, and its pooling rows come from the node offsets."""
-        offsets = self.node_offsets
-        blocks = []
-        g0 = 0
-        while g0 < len(self):
-            r0 = int(offsets[g0])
-            g1 = max(g0 + 1, int(np.searchsorted(offsets, r0 + NODE_BLOCK, side="right")) - 1)
-            r1 = int(offsets[g1])
-            rows = np.arange(r1 - r0)  # one entry per row, in the row's graph
-            membership = sp.csr_matrix((np.ones(rows.size), rows, offsets[g0:g1 + 1] - r0))
-            blocks.append(NodeBlock(slice(r0, r1), slice(g0, g1),
-                                    _csr_block(self.adjacency, r0, r1), membership))
-            g0 = g1
-        return tuple(blocks)
 
     def __len__(self):
         return self.labels.size
@@ -186,7 +140,7 @@ class GraphBatch:
         start, stop = self.node_offsets[g:g + 2]
         return Graph(node_count=int(stop - start),
                      edges=self.edges[self.edge_offsets[g]:self.edge_offsets[g + 1]],
-                     features=self.features.data[start:stop], label=int(self.labels[g]))
+                     features=self.features[start:stop], label=int(self.labels[g]))
 
     @property
     def graphs(self):
@@ -236,6 +190,13 @@ class SyntheticSpec:
             raise ValueError("synthetic spec: noise_sigma must be >= 0")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}")
+        # class c's graphs are set by (c % 2, c % feature_dim) in cycle_vs_star, and
+        # past two classes by c % feature_dim in ambiguous_features
+        period = (math.lcm(2, self.feature_dim) if self.topology == "cycle_vs_star"
+                  else max(2, self.feature_dim))
+        if self.classes > period:
+            raise ValueError(f"synthetic spec: classes 0 and {period} are drawn from one "
+                             f"distribution ({self.topology}, feature_dim {self.feature_dim})")
 
 
 def _read_text(path: str) -> str:
@@ -435,7 +396,7 @@ def save_tu_dataset(batch: GraphBatch, directory: str, name: str) -> None:
     np.savetxt(f"{prefix}_graph_labels.txt", batch.labels, fmt="%d")
     np.savetxt(f"{prefix}_A.txt", pairs, fmt="%d", delimiter=", ")
     with open(f"{prefix}_node_attributes.txt", "w") as fh:
-        fh.writelines(", ".join(map(repr, row)) + "\n" for row in batch.features.data.tolist())
+        fh.writelines(", ".join(map(repr, row)) + "\n" for row in batch.features.tolist())
 
 
 def make_synthetic_dataset(spec: SyntheticSpec, seed=None) -> GraphBatch:

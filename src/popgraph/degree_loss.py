@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .tensor import FactoredGrad, Tensor, _accumulate, _record, exp, log, log_softmax
+from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, exp, log, log_softmax
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 # exp(x) is exactly 0.0 in float64 for x <= -745.14. The bin nearest a degree
@@ -115,8 +115,11 @@ def degree_histogram(a_p: Tensor) -> Tensor:
     """Histogram of the soft node degrees of an N x N adjacency over bins 0..N-1.
 
     The degree of node j sums column j of ``a_p`` over its entries strictly
-    above 0.5. Raises ``ValueError`` when ``a_p`` holds a NaN or an infinity.
+    above 0.5. Raises ``ShapeError`` naming the shape of an ``a_p`` that is not
+    a square matrix, and ``ValueError`` when ``a_p`` holds a NaN or an infinity.
     """
+    if a_p.ndim != 2 or a_p.shape[0] != a_p.shape[1]:
+        raise ShapeError(f"degree_histogram needs a square adjacency, not shape {a_p.shape}")
     n = a_p.shape[0]
     degrees = _column_degrees(a_p.data)
     if not np.all(np.isfinite(degrees)):

@@ -230,15 +230,10 @@ class LatentGraphParams:
     def temperature(self) -> float:
         return float(np.exp(self.t_raw.data))
 
-    def embed(self, h: Tensor) -> Tensor:
-        return self.mlp.forward(h)
-
-    def edge_weights(self, embedded: Tensor) -> PopulationGraph:
-        a_p = logistic_edge_weights(embedded, self.t_raw, self.theta)
-        return PopulationGraph(a_p=a_p, embedding=embedded)
-
     def forward(self, h: Tensor) -> PopulationGraph:
-        return self.edge_weights(self.embed(h))
+        embedding = self.mlp.forward(h)
+        return PopulationGraph(a_p=logistic_edge_weights(embedding, self.t_raw, self.theta),
+                               embedding=embedding)
 
     def init_threshold(self, h: Tensor) -> None:
         """Center theta on the median pairwise distance of an initial batch.
@@ -261,7 +256,7 @@ class LatentGraphParams:
         if n == 2:
             raise ValueError("init_threshold needs at least 3 rows: the single pair of 2 "
                              "would sit at a_ij = 0.5, on NDDL's strict threshold")
-        x = self.embed(h).data
+        x = self.mlp.forward(h).data
         _require_finite_rows(x)
         pairs = np.empty(n * (n - 1) // 2)
         end = pairs.size

@@ -58,11 +58,13 @@ class Linear:
 
 
 class MLP:
-    """Stacked Linear layers with relu between layers (none after the last)."""
+    """Stacked Linear layers with relu between layers (none after the last);
+    every width in ``dims``, the input's and each layer's, is a positive integer."""
 
     def __init__(self, dims, rng: np.random.Generator, name=""):
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
+        check_widths(f"{name or 'MLP'} dims", dims)
         self.layers = [
             Linear(dims[i], dims[i + 1], rng, name=f"{name}.{i}")
             for i in range(len(dims) - 1)

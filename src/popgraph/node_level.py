@@ -7,30 +7,33 @@ graph's node rows to a single representation, so downstream modules see one
 row per sample.
 
 The whole stack and its pooling are one autograd op with a hand-derived
-backward. It walks the batch's block plan, ``GraphBatch.node_blocks``:
-blocks of whole graphs of at most ``data.NODE_BLOCK`` node rows. Forward,
-every layer runs on one block's rows, and the block's 0/1 rows sum each
-graph's node rows (mean pooling then scales each sum by 1 / node count).
-Backward, each graph's gradient, scaled alike, is repeated over its node
-rows, and each block's layers are undone in turn, adding into one gradient
-per parameter. So the temporaries of both passes are block-sized; only what
-the op keeps of each block adds up to the batch: each layer's input rows,
-and the last layer's relu sign as a bool mask. A lower layer's relu sign is
-read from the next layer's input. The first layer's neighbour sums are a
-constant of the batch, ``GraphBatch.aggregated_features``, built once with
-it. Every other layer's neighbour sums A x are not kept: the block adjacency
-is symmetric, so the backward takes W_neigh's gradient as x^T (A g), and the
-same A g gives the input gradient (A g) W_neigh^T + g W_self^T, with no
-further sparse product. On 1024 graphs of 10-30 nodes (20,777 node rows,
-widths 32, 32) the op keeps 6.0 MB from forward to backward (``tracemalloc``).
-The layer arithmetic, :func:`nn.conv_forward` and the relu, self and bias
-part of the backward, :func:`nn.conv_backward`, is the one ``nn.GraphConv``
-runs over f3's dense adjacency.
+backward. It walks the batch's block plan, :func:`node_blocks`: blocks of
+whole graphs of at most ``NODE_BLOCK`` node rows, built when f1 first runs on
+the batch and freed with it. Forward, every layer runs on one block's rows,
+and the block's 0/1 rows sum each graph's node rows (mean pooling then scales
+each sum by 1 / node count). Backward, each graph's gradient, scaled alike,
+is repeated over its node rows, and each block's layers are undone in turn,
+adding into one gradient per parameter. So the temporaries of both passes are
+block-sized; only what the op keeps of each block adds up to the batch: each
+layer's input rows, and the last layer's relu sign as a bool mask. A lower
+layer's relu sign is read from the next layer's input. The first layer's
+neighbour sums are a constant of the batch, kept in the plan. Every other
+layer's neighbour sums A x are not kept: the block adjacency is symmetric, so
+the backward takes W_neigh's gradient as x^T (A g), and the same A g gives
+the input gradient (A g) W_neigh^T + g W_self^T, with no further sparse
+product. On 1024 graphs of 10-30 nodes (20,777 node rows, widths 32, 32) the
+op keeps 6.0 MB from forward to backward (``tracemalloc``). The layer
+arithmetic, :func:`nn.conv_forward` and the relu, self and bias part of the
+backward, :func:`nn.conv_backward`, is the one ``nn.GraphConv`` runs over
+f3's dense adjacency.
 """
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import GraphBatch
 from .nn import GraphConv, add_matmul, check_widths, conv_backward, conv_forward
@@ -38,6 +41,63 @@ from .tensor import ShapeError, Tensor, _accumulate, _record
 
 
 POOLING_MODES = ("mean", "add")
+
+# Node rows per block of f1's blocked forward and backward: the most rows a
+# block of whole graphs may hold, unless it is one graph that alone has more.
+NODE_BLOCK = 2048
+
+
+class NodeBlock(NamedTuple):
+    """Whole graphs of a batch, run by f1 as one block of node rows."""
+
+    rows: slice  # the block's node rows in the batch
+    graphs: slice  # the graphs those rows belong to
+    adjacency: sp.csr_matrix  # rows x rows: the batch adjacency's diagonal block
+    membership: sp.csr_matrix  # graphs x rows: row g is 1 on graph g's rows, 0 elsewhere
+    aggregated: np.ndarray  # rows x features, read-only: adjacency @ the rows' features
+
+
+def _csr_block(m, r0: int, r1: int):
+    """Rows and columns r0:r1 of the CSR matrix ``m``, whose rows r0:r1 have no
+    entry outside those columns: its values are a view of ``m``'s, in ``m``'s
+    order, so a product with it sums as ``m``'s does."""
+    e0, e1 = int(m.indptr[r0]), int(m.indptr[r1])
+    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - r0, m.indptr[r0:r1 + 1] - e0),
+                         shape=(r1 - r0, r1 - r0))
+
+
+# Each batch's plan, kept while the batch lives. A plan holds arrays of its
+# batch but never the batch, so the batch's last reference still frees both.
+_plans = weakref.WeakKeyDictionary()
+
+
+def node_blocks(batch: GraphBatch) -> tuple:
+    """The batch's block plan, built on the first call for the batch:
+    consecutive whole graphs grouped into blocks (:class:`NodeBlock`) of at
+    most ``NODE_BLOCK`` node rows, a larger graph being a block of its own. No
+    edge leaves its graph, so a block's rows need no other block's. Each
+    block's adjacency is sliced from the batch's CSR arrays, and its pooling
+    rows come from the node offsets."""
+    plan = _plans.get(batch)
+    if plan is not None:
+        return plan
+    offsets = batch.node_offsets
+    blocks = []
+    g0 = 0
+    while g0 < len(batch):
+        r0 = int(offsets[g0])
+        g1 = max(g0 + 1, int(np.searchsorted(offsets, r0 + NODE_BLOCK, side="right")) - 1)
+        r1 = int(offsets[g1])
+        rows = np.arange(r1 - r0)  # one entry per row, in the row's graph
+        membership = sp.csr_matrix((np.ones(rows.size), rows, offsets[g0:g1 + 1] - r0))
+        adjacency = _csr_block(batch.adjacency, r0, r1)
+        aggregated = adjacency @ batch.features[r0:r1]
+        aggregated.setflags(write=False)
+        blocks.append(NodeBlock(slice(r0, r1), slice(g0, g1), adjacency, membership,
+                                aggregated))
+        g0 = g1
+    _plans[batch] = plan = tuple(blocks)
+    return plan
 
 
 @dataclass
@@ -78,12 +138,13 @@ class NodeLevelModule:
         counts = np.diff(batch.node_offsets)
         scale = 1.0 / counts[:, None] if self.config.pooling == "mean" else 1.0  # 1 is exact
         h = np.empty((len(batch), weights[-1][2].shape[0]))
+        blocks = node_blocks(batch)
         saved = []  # per block, each layer's input rows and the last layer's relu sign
-        for block in batch.node_blocks:
-            x = batch.features.data[block.rows]
+        for block in blocks:
+            x = batch.features[block.rows]
             inputs = []
             for i, (w_self, w_neigh, bias) in enumerate(weights):
-                ax = block.adjacency @ x if i else batch.aggregated_features[block.rows]
+                ax = block.adjacency @ x if i else block.aggregated
                 inputs.append(x)
                 x = conv_forward(x, ax, w_self, w_neigh, bias)
             h[block.graphs] = block.membership @ x
@@ -93,7 +154,7 @@ class NodeLevelModule:
         def backward(g_h):
             g_h = g_h * scale
             grads = [[np.zeros_like(w) for w in layer] for layer in weights]
-            for block, (inputs, top_mask) in zip(batch.node_blocks, saved):
+            for block, (inputs, top_mask) in zip(blocks, saved):
                 g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
                 for i in reversed(range(len(weights))):
                     x = inputs[i]
@@ -105,7 +166,7 @@ class NodeLevelModule:
                         g_w_neigh = x.T @ ag
                         g = add_matmul(ag @ w_neigh.T, g, w_self.T)
                     else:
-                        g_w_neigh = batch.aggregated_features[block.rows].T @ g
+                        g_w_neigh = block.aggregated.T @ g
                     for acc, grad in zip(grads[i], (g_w_self, g_w_neigh, g_bias)):
                         acc += grad
             for p, grad in zip(params, (grad for layer in grads for grad in layer)):

@@ -80,8 +80,6 @@ class Tensor:
         return sub(self, _as_tensor(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
         return mul(self, _as_tensor(other))
 
     def __matmul__(self, other):
@@ -283,13 +281,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g * a.data)
 
     return _record(a.data * b.data, (a, b), backward)
-
-
-def scalar_mul(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * s)
-
-    return _record(a.data * s, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

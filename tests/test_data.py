@@ -1,12 +1,15 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popgraph import data
+import popgraph
 from popgraph.data import (
     DatasetFormatError,
     Graph,
@@ -17,6 +20,7 @@ from popgraph.data import (
     make_synthetic_dataset,
     save_tu_dataset,
 )
+from popgraph.node_level import node_blocks
 
 
 def write_fixture(tmp_path, name="TOY", node_labels=None, attributes=None):
@@ -293,6 +297,21 @@ def test_synthetic_rejects_degenerate_spec():
         make_synthetic_dataset(spec)
 
 
+@pytest.mark.parametrize("topology,feature_dim,classes,period", [
+    ("cycle_vs_star", 1, 3, 2),
+    ("cycle_vs_star", 2, 3, 2),
+    ("cycle_vs_star", 3, 7, 6),
+    ("ambiguous_features", 1, 3, 2),
+    ("ambiguous_features", 3, 4, 3),
+])
+def test_synthetic_rejects_two_classes_of_one_distribution(topology, feature_dim, classes, period):
+    spec = SyntheticSpec(classes=classes, graphs_per_class=2, nodes_min=3, nodes_max=4,
+                         topology=topology, feature_dim=feature_dim, noise_sigma=0.0)
+    with pytest.raises(ValueError, match=f"classes 0 and {period} are drawn from one distribution"):
+        make_synthetic_dataset(spec)
+    assert len(make_synthetic_dataset(dataclasses.replace(spec, classes=period))) == 2 * period
+
+
 def test_synthetic_classes_balanced():
     spec = SyntheticSpec(
         classes=3, graphs_per_class=7, nodes_min=4, nodes_max=6,
@@ -316,18 +335,42 @@ def test_batch_preserves_edge_counts_and_offsets():
     assert batch.features.shape[0] == batch.total_nodes
 
 
-def test_batch_aggregated_features_are_a_read_only_product():
-    spec = SyntheticSpec(
-        classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
-        topology="ambiguous_features", feature_dim=3, noise_sigma=0.3, seed=4,
-    )
-    batch = GraphBatch(make_synthetic_dataset(spec))
-    np.testing.assert_array_equal(batch.aggregated_features,
-                                  batch.adjacency @ batch.features.data)
-    for constant in (batch.aggregated_features, batch.features.data, batch.edges):
-        assert not constant.flags.writeable
+@pytest.mark.parametrize("labels,entry", [
+    ([0.7, 1.9], "graph 0 of the batch has label 0.7, not a whole number"),
+    ([1, 1.5], "graph 1 of the batch has label 1.5, not a whole number"),
+    ([0, np.nan], "graph 1 of the batch has label nan, not a whole number"),
+    ([-np.inf, 0], "graph 0 of the batch has label -inf, not a whole number"),
+], ids=["fractions", "fraction_after_an_integer", "nan", "inf"])
+def test_batch_rejects_a_label_that_is_not_a_whole_number(labels, entry):
+    graphs = [Graph(3, [(0, 1)], np.ones((3, 2)), labels[0]),
+              Graph(2, [], np.ones((2, 2)), labels[1])]
+    with pytest.raises(ValueError, match=entry):
+        GraphBatch(graphs)
+
+
+def test_batch_keeps_whole_labels_of_any_sign_and_type():
+    graphs = [Graph(1, [], np.ones((1, 1)), label) for label in (-2, 3.0, np.int64(1), True)]
+    labels = GraphBatch(graphs).labels
+    assert labels.tolist() == [-2, 3, 1, 1] and labels.dtype == np.intp
+
+
+def test_batch_features_are_a_read_only_float64_array():
+    graphs = [Graph(2, [(0, 1)], np.array([[1, 2], [3, 4]]), 0), Graph(1, [], np.ones((1, 2)), 1)]
+    batch = GraphBatch(graphs)
+    assert type(batch.features) is np.ndarray and batch.features.dtype == np.float64
+    np.testing.assert_array_equal(batch.features, [[1.0, 2.0], [3.0, 4.0], [1.0, 1.0]])
+    for constant in (batch.features, batch.edges):
         with pytest.raises(ValueError, match="read-only"):
-            constant[0, 0] = 1.0
+            constant[0, 0] = 1
+
+
+def test_data_module_imports_no_other_popgraph_module():
+    src = os.path.dirname(os.path.dirname(popgraph.__file__))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import popgraph.data; "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'popgraph')))")
+    run = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert run.stdout.split() == ["popgraph", "popgraph.data"]
 
 
 def test_batch_rejects_empty_graph():
@@ -467,13 +510,14 @@ def test_save_writes_no_file_for_graphs_the_loader_rejects(tmp_path, graphs, mes
 
 
 def assert_same_arrays(a, b):
-    """Equal stacked and derived arrays, dtypes included."""
-    pairs = [(a.node_offsets, b.node_offsets), (a.labels, b.labels),
-             (a.features.data, b.features.data), (a.aggregated_features, b.aggregated_features)]
-    assert len(a.node_blocks) == len(b.node_blocks)
+    """Equal stacked arrays and f1 block plans, dtypes included."""
+    pairs = [(a.node_offsets, b.node_offsets), (a.labels, b.labels), (a.features, b.features)]
+    blocks_a, blocks_b = node_blocks(a), node_blocks(b)
+    assert len(blocks_a) == len(blocks_b)
     sparse = [(a.adjacency, b.adjacency)]
-    for x, y in zip(a.node_blocks, b.node_blocks):
+    for x, y in zip(blocks_a, blocks_b):
         assert (x.rows, x.graphs) == (y.rows, y.graphs)
+        pairs.append((x.aggregated, y.aggregated))
         sparse += [(x.adjacency, y.adjacency), (x.membership, y.membership)]
     for x, y in sparse:
         pairs += [(x.indptr, y.indptr), (x.indices, y.indices), (x.data, y.data)]
@@ -516,28 +560,3 @@ def test_batch_indexes_to_its_input_graphs():
     assert batch[-1].node_count == 4
     with pytest.raises(IndexError):
         batch[3]
-
-
-def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
-    monkeypatch.setattr(data, "NODE_BLOCK", 10)
-    rng = np.random.default_rng(12)
-    sizes = [3, 4, 2, 15, 9, 1, 10, 4, 5]
-    graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, 0)],
-                    rng.normal(size=(n, 2)), 0) for n in sizes]
-    batch = GraphBatch(graphs)
-    blocks = batch.node_blocks
-    assert [b.graphs for b in blocks] == [slice(0, 3), slice(3, 4), slice(4, 6), slice(6, 7),
-                                          slice(7, 9)]
-    adjacency = batch.adjacency.toarray()
-    graph_of_node = np.repeat(np.arange(len(sizes)), sizes)
-    membership = (np.arange(len(sizes))[:, None] == graph_of_node).astype(float)
-    for b in blocks:
-        rows, graphs_ = b.rows, b.graphs
-        assert (rows.start, rows.stop) == (batch.node_offsets[graphs_.start],
-                                           batch.node_offsets[graphs_.stop])
-        assert rows.stop - rows.start <= 10 or graphs_.stop - graphs_.start == 1
-        np.testing.assert_array_equal(b.adjacency.toarray(), adjacency[rows, rows])
-        assert not adjacency[rows][:, np.r_[:rows.start, rows.stop:batch.total_nodes]].any()
-        np.testing.assert_array_equal(b.membership.toarray(), membership[graphs_, rows])
-    assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == batch.total_nodes
-    assert all(a.rows.stop == b.rows.start for a, b in zip(blocks, blocks[1:]))

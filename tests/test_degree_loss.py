@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from popgraph.degree_loss import (
 )
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams, pairwise_distances
-from popgraph.tensor import Tensor, exp, finite_difference_check, log
+from popgraph.tensor import ShapeError, Tensor, exp, finite_difference_check, log
 
 
 def random_population_matrix(rng, n):
@@ -270,7 +271,7 @@ def test_end_to_end_gradient_check_through_f3_and_nddl():
     h = Tensor(centres[cluster] + 0.1 * rng.normal(size=(n, 3)), requires_grad=True, name="h")
     # theta splits the widest distance inside a cluster and the narrowest
     # between two, so no entry sits near 0.5 and the loss is smooth
-    d = pairwise_distances(params.embed(h).data)
+    d = pairwise_distances(params.mlp.forward(h).data)
     same = cluster[:, None] == cluster[None, :]
     off_diagonal = ~np.eye(n, dtype=bool)
     params.theta.data = np.asarray(
@@ -343,3 +344,9 @@ def test_nan_in_adjacency_raises(entry):
     a[entry] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         degree_loss(Tensor(a), TargetDistribution.for_support(5))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 5), (2, 2, 2)], ids=["vector", "wide", "three_axes"])
+def test_degree_histogram_rejects_an_adjacency_that_is_not_square(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"not shape {shape}")):
+        degree_histogram(Tensor(np.full(shape, 0.9)))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def test_identity_layer_embeds_identically():
     params.mlp.layers[0].weight.data = np.eye(3)
     params.mlp.layers[0].bias.data = np.zeros(3)
     h = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-    np.testing.assert_array_equal(params.embed(h).data, h.data)
+    np.testing.assert_array_equal(params.mlp.forward(h).data, h.data)
 
 
 def test_zero_weights_collapse_distances():
@@ -44,8 +45,8 @@ def test_zero_distance_gives_half_weight():
     params = make_params([2, 2])
     params.theta.data = np.asarray(0.0)
     embedded = Tensor(np.zeros((3, 2)))
-    pop = params.edge_weights(embedded)
-    off = pop.a_p.data[~np.eye(3, dtype=bool)]
+    a = logistic_edge_weights(embedded, params.t_raw, params.theta)
+    off = a.data[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 0.5, atol=1e-12)
 
 
@@ -53,8 +54,8 @@ def test_weight_vanishes_at_large_distance():
     params = make_params([1, 1])
     params.theta.data = np.asarray(2.0)
     embedded = Tensor([[0.0], [1e6]])
-    pop = params.edge_weights(embedded)
-    assert pop.a_p.data[0, 1] < 1e-12
+    a = logistic_edge_weights(embedded, params.t_raw, params.theta)
+    assert a.data[0, 1] < 1e-12
 
 
 def test_weight_value_at_unit_distance():
@@ -63,9 +64,9 @@ def test_weight_value_at_unit_distance():
     params.t_raw.data = np.asarray(math.log(2.0))
     params.theta.data = np.asarray(1.0)
     embedded = Tensor([[0.0], [1.0]])
-    pop = params.edge_weights(embedded)
-    np.testing.assert_allclose(pop.a_p.data[0, 1], 1.0 / (1.0 + math.e), atol=1e-12)
-    np.testing.assert_allclose(pop.a_p.data[0, 1], 0.2689414213699951, atol=1e-12)
+    a = logistic_edge_weights(embedded, params.t_raw, params.theta)
+    np.testing.assert_allclose(a.data[0, 1], 1.0 / (1.0 + math.e), atol=1e-12)
+    np.testing.assert_allclose(a.data[0, 1], 0.2689414213699951, atol=1e-12)
 
 
 def test_population_graph_invariants():
@@ -83,12 +84,12 @@ def test_ordering_property():
     rng = np.random.default_rng(4)
     params = make_params([2, 2], rng)
     embedded = Tensor(rng.normal(size=(6, 2)) * 3.0)
-    pop = params.edge_weights(embedded)
+    a = logistic_edge_weights(embedded, params.t_raw, params.theta)
     d = np.linalg.norm(
         embedded.data[:, None, :] - embedded.data[None, :, :], axis=2
     )
     iu = np.triu_indices(6, k=1)
-    dist, weight = d[iu], pop.a_p.data[iu]
+    dist, weight = d[iu], a.data[iu]
     order = np.argsort(dist)
     assert np.all(np.diff(weight[order]) <= 1e-12)  # closer pairs weigh more
 
@@ -97,8 +98,8 @@ def test_translation_invariance():
     rng = np.random.default_rng(5)
     params = make_params([2, 2], rng)
     embedded = rng.normal(size=(5, 2))
-    a1 = params.edge_weights(Tensor(embedded)).a_p.data
-    a2 = params.edge_weights(Tensor(embedded + 7.25)).a_p.data
+    a1 = logistic_edge_weights(Tensor(embedded), params.t_raw, params.theta).data
+    a2 = logistic_edge_weights(Tensor(embedded + 7.25), params.t_raw, params.theta).data
     np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 
@@ -107,13 +108,14 @@ def test_weight_derivative_signs():
     params = make_params([2, 2], rng)
     embedded = Tensor(rng.normal(size=(4, 2)), requires_grad=False)
     eps = 1e-6
-    base = params.edge_weights(embedded).a_p.data
+    base = logistic_edge_weights(embedded, params.t_raw, params.theta).data
     params.theta.data = params.theta.data + eps
-    up = params.edge_weights(embedded).a_p.data
+    up = logistic_edge_weights(embedded, params.t_raw, params.theta).data
     params.theta.data = params.theta.data - eps
     off = ~np.eye(4, dtype=bool)
     assert np.all((up - base)[off] > 0)  # da/dtheta > 0
-    scaled = params.edge_weights(Tensor(embedded.data * (1 + eps))).a_p.data
+    scaled = logistic_edge_weights(Tensor(embedded.data * (1 + eps)), params.t_raw,
+                                   params.theta).data
     assert np.all((scaled - base)[off] < 0)  # da/dd < 0
 
 
@@ -129,6 +131,56 @@ def test_gradient_check_through_edge_weights():
     for target in [h, params.t_raw, params.theta] + params.mlp.parameters():
         err = finite_difference_check(f, target)
         assert err < 1e-4, f"{target.name}: {err}"
+
+
+def test_pairwise_euclidean_345():
+    d = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
+
+
+def test_backward_sigmoid_grad_quarter():
+    theta = Tensor(0.0, requires_grad=True)
+    a = logistic_edge_weights(Tensor(np.zeros((2, 3))), Tensor(0.0), theta)
+    loss = (a * Tensor([[0.0, 1.0], [0.0, 0.0]])).sum()  # the one weight a_01
+    loss.backward()
+    np.testing.assert_allclose(theta.grad, 0.25, rtol=1e-12)
+
+
+def test_pairwise_symmetric_zero_diagonal():
+    rng = np.random.default_rng(1)
+    for n in (6, 300):  # 300 rows span several BLAS blocks
+        d = pairwise_distances(rng.normal(size=(n, 16)))
+        np.testing.assert_array_equal(d, d.T)
+        np.testing.assert_array_equal(np.diag(d), np.zeros(n))
+
+
+def test_pairwise_zero_distance_has_finite_gradient():
+    x = Tensor(np.zeros((3, 2)), requires_grad=True)
+    t_raw = Tensor(0.0, requires_grad=True)
+    logistic_edge_weights(x, t_raw, Tensor(1.0)).sum().backward()
+    np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
+    assert t_raw.grad == 0.0
+
+
+def _edge_weights(x):
+    return logistic_edge_weights(x, Tensor(-0.5), Tensor(0.3))
+
+
+_PAIR_WEIGHTS = np.random.default_rng(7).normal(size=(3, 3))
+
+
+@pytest.mark.parametrize(
+    "name,fn",
+    [
+        ("sigmoid", lambda x: (_edge_weights(x) * _edge_weights(x)).sum()),
+        ("pairwise", lambda x: (_edge_weights(x) * Tensor(_PAIR_WEIGHTS)).sum()),
+    ],
+)
+def test_gradient_check_edge_weights(name, fn):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    x = Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
+    err = finite_difference_check(fn, x, step=1e-5)
+    assert err < 1e-4, f"{name}: {err}"
 
 
 def test_threshold_initialization_centers_median():
@@ -172,7 +224,7 @@ def test_threshold_even_pair_count_keeps_full_matrix_median(n):
     params.t_raw.data = np.asarray(0.4)
     h = Tensor(rng.normal(size=(n, 3)))
     params.init_threshold(h)
-    dist = pairwise_distances(params.embed(h).data)
+    dist = pairwise_distances(params.mlp.forward(h).data)
     full_median = float(np.median(dist[~np.eye(n, dtype=bool)]))
     assert params.theta.item() == full_median * params.temperature
 
@@ -183,7 +235,7 @@ def test_threshold_odd_pair_count_keeps_pairs_off_half(n):
     params = make_params([3, 2], rng)
     h = Tensor(rng.normal(size=(n, 3)))
     params.init_threshold(h)
-    pairs = np.sort(pairwise_distances(params.embed(h).data)[np.triu_indices(n, k=1)])
+    pairs = np.sort(pairwise_distances(params.mlp.forward(h).data)[np.triu_indices(n, k=1)])
     k = pairs.size // 2
     assert params.theta.item() == 0.5 * (pairs[k] + pairs[k + 1]) * params.temperature
     off = params.forward(h).a_p.data[~np.eye(n, dtype=bool)]

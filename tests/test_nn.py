@@ -3,7 +3,8 @@ import pytest
 
 from popgraph import tensor as T
 from popgraph.data import Graph, GraphBatch
-from popgraph.nn import GraphConv, add_matmul
+from popgraph.latent_graph import LatentGraphParams
+from popgraph.nn import MLP, GraphConv, add_matmul
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
@@ -19,7 +20,7 @@ def dense_adjacency(n, edges):
 
 
 def conv(layer, batch):
-    return layer.forward(batch.features, Tensor(batch.adjacency.toarray()))
+    return layer.forward(Tensor(batch.features), Tensor(batch.adjacency.toarray()))
 
 
 def unfused_conv(layer, x, adj):
@@ -32,7 +33,7 @@ def test_edgeless_graph_only_self_term():
     layer = GraphConv(3, 2, rng)
     batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
     out = conv(layer, batch)
-    expected = np.maximum(batch.features.data @ layer.w_self.data + layer.bias.data, 0.0)
+    expected = np.maximum(batch.features @ layer.w_self.data + layer.bias.data, 0.0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -55,8 +56,8 @@ def test_graph_conv_matches_dense_oracle():
     out = conv(layer, batch)
     a = dense_adjacency(5, edges)
     oracle = np.maximum(
-        batch.features.data @ layer.w_self.data
-        + a @ batch.features.data @ layer.w_neigh.data
+        batch.features @ layer.w_self.data
+        + a @ batch.features @ layer.w_neigh.data
         + layer.bias.data,
         0.0,
     )
@@ -76,7 +77,7 @@ def test_graph_conv_rejects_a_sparse_adjacency():
     layer = GraphConv(2, 2, rng)
     batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
     with pytest.raises(TypeError, match="dense adjacency Tensor"):
-        layer.forward(batch.features, batch.adjacency)
+        layer.forward(Tensor(batch.features), batch.adjacency)
 
 
 def test_graph_conv_nan_pre_activation_gives_zero():
@@ -84,7 +85,7 @@ def test_graph_conv_nan_pre_activation_gives_zero():
     layer = GraphConv(3, 2, rng)
     layer.bias.data[0] = np.nan
     batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
-    x, adj = batch.features, Tensor(batch.adjacency.toarray())
+    x, adj = Tensor(batch.features), Tensor(batch.adjacency.toarray())
     out = layer.forward(x, adj).data
     np.testing.assert_array_equal(out, unfused_conv(layer, x, adj).data)
     np.testing.assert_array_equal(out[:, 0], 0.0)
@@ -175,3 +176,15 @@ def test_add_matmul_rejects_an_output_it_cannot_update():
 def test_add_matmul_of_no_rows_is_a_no_op():
     out = np.zeros((0, 4))
     assert add_matmul(out, np.zeros((0, 5)), np.ones((5, 4))) is out
+
+
+@pytest.mark.parametrize("dims,entry", [([4, 0, 2], r"g dims\[1\] is 0"),
+                                        ([3.0, 2], r"g dims\[0\] is 3.0"),
+                                        ([4, True], r"g dims\[1\] is True"),
+                                        ([4, -1], r"g dims\[1\] is -1")],
+                         ids=["zero", "float", "bool", "negative"])
+def test_mlp_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
+    with pytest.raises(ValueError, match=entry + ", not a positive integer width"):
+        LatentGraphParams(dims, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="MLP dims"):
+        MLP(dims, np.random.default_rng(0))

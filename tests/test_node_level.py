@@ -1,11 +1,14 @@
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from popgraph.data import NODE_BLOCK, Graph, GraphBatch
-from popgraph.node_level import NodeLevelConfig, NodeLevelModule
+from popgraph import node_level
+from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
+from popgraph.node_level import NODE_BLOCK, NodeLevelConfig, NodeLevelModule, node_blocks
 from popgraph import tensor as T
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
@@ -30,7 +33,8 @@ def test_sparse_and_dense_adjacency_agree():
     results = []
     for forward in (module.forward,
                     lambda b: T.matmul(Tensor(dense_membership(b)),
-                                       layer.forward(b.features, Tensor(b.adjacency.toarray())))):
+                                       layer.forward(Tensor(b.features),
+                                                     Tensor(b.adjacency.toarray())))):
         h = forward(batch)
         (h * mix).sum().backward()
         results.append([h.data] + [p.grad for p in module.parameters()])
@@ -53,7 +57,7 @@ def test_global_pool_singletons_identity():
     batch = GraphBatch(graphs)
     for mode in ("mean", "add"):
         h = identity_module(2, mode).forward(batch)
-        np.testing.assert_allclose(h.data, batch.features.data)
+        np.testing.assert_allclose(h.data, batch.features)
 
 
 def test_global_pool_arithmetic():
@@ -146,7 +150,7 @@ def test_batch_composition_invariance():
     np.testing.assert_allclose(alone, stacked, atol=1e-12)
     big = [sparse_graph(rng, n, 3) for n in (NODE_BLOCK - 3, NODE_BLOCK + 5)]
     batch = GraphBatch(big + [others[0], g])
-    assert [b.graphs for b in batch.node_blocks] == [slice(0, 1), slice(1, 2), slice(2, 4)]
+    assert [b.graphs for b in node_blocks(batch)] == [slice(0, 1), slice(1, 2), slice(2, 4)]
     np.testing.assert_allclose(alone, module.forward(batch).data[3], atol=1e-12)
 
 
@@ -197,7 +201,7 @@ def blocked_batch(rng, d):
     half, third = NODE_BLOCK // 2 - 100, NODE_BLOCK // 3
     sizes = [half, half, NODE_BLOCK + 52, third, third + 200, third + 40, 300]
     batch = GraphBatch([sparse_graph(rng, n, d, label=i % 2) for i, n in enumerate(sizes)])
-    blocks = batch.node_blocks
+    blocks = node_blocks(batch)
     assert [b.graphs for b in blocks] == [slice(0, 2), slice(2, 3), slice(3, 5), slice(5, 7)]
     assert blocks[1].rows.stop - blocks[1].rows.start > NODE_BLOCK
     assert blocks[-1].rows.stop - blocks[-1].rows.start < NODE_BLOCK
@@ -243,7 +247,7 @@ def block_batch():
 
 def sparse_layer_outputs(module, batch):
     """Each f1 layer's node rows over the whole batch's sparse adjacency."""
-    x, outputs = batch.features.data, []
+    x, outputs = batch.features, []
     for layer in module.layers:
         x = np.maximum(x @ layer.w_self.data + batch.adjacency @ x @ layer.w_neigh.data
                        + layer.bias.data, 0.0)
@@ -331,3 +335,65 @@ def test_f1_nan_pre_activation_in_a_lower_layer_gives_zero():
     assert results[0][3][0] == 0.0  # the NaN bias entry gets no gradient
     for blocked, chain in zip(*results):
         np.testing.assert_allclose(blocked, chain, rtol=1e-12, atol=1e-12)
+
+
+def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
+    monkeypatch.setattr(node_level, "NODE_BLOCK", 10)
+    rng = np.random.default_rng(12)
+    sizes = [3, 4, 2, 15, 9, 1, 10, 4, 5]
+    graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, 0)],
+                    rng.normal(size=(n, 2)), 0) for n in sizes]
+    batch = GraphBatch(graphs)
+    blocks = node_blocks(batch)
+    assert [b.graphs for b in blocks] == [slice(0, 3), slice(3, 4), slice(4, 6), slice(6, 7),
+                                          slice(7, 9)]
+    adjacency = batch.adjacency.toarray()
+    graph_of_node = np.repeat(np.arange(len(sizes)), sizes)
+    membership = (np.arange(len(sizes))[:, None] == graph_of_node).astype(float)
+    for b in blocks:
+        rows, graphs_ = b.rows, b.graphs
+        assert (rows.start, rows.stop) == (batch.node_offsets[graphs_.start],
+                                           batch.node_offsets[graphs_.stop])
+        assert rows.stop - rows.start <= 10 or graphs_.stop - graphs_.start == 1
+        np.testing.assert_array_equal(b.adjacency.toarray(), adjacency[rows, rows])
+        assert not adjacency[rows][:, np.r_[:rows.start, rows.stop:batch.total_nodes]].any()
+        np.testing.assert_array_equal(b.membership.toarray(), membership[graphs_, rows])
+    assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == batch.total_nodes
+    assert all(a.rows.stop == b.rows.start for a, b in zip(blocks, blocks[1:]))
+    assert node_blocks(batch) is blocks  # built once per batch
+
+
+def test_block_aggregated_features_are_a_read_only_product(monkeypatch):
+    monkeypatch.setattr(node_level, "NODE_BLOCK", 16)
+    spec = SyntheticSpec(
+        classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
+        topology="ambiguous_features", feature_dim=3, noise_sigma=0.3, seed=4,
+    )
+    batch = make_synthetic_dataset(spec)
+    blocks = node_blocks(batch)
+    assert len(blocks) > 1
+    whole = batch.adjacency @ batch.features
+    for block in blocks:
+        np.testing.assert_array_equal(block.aggregated, whole[block.rows])
+        assert not block.aggregated.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block.aggregated[0, 0] = 1.0
+
+
+def test_block_plan_is_freed_with_its_batch():
+    rng = np.random.default_rng(15)
+    module = make_module(rng)
+    batch = GraphBatch([random_graph(rng, 5, 3), random_graph(rng, 4, 3)])
+    gc.collect()
+    gc.disable()
+    try:
+        cached = len(node_level._plans)
+        h = module.forward(batch)
+        (h * Tensor(np.ones(h.shape))).sum().backward()
+        assert len(node_level._plans) == cached + 1
+        freed = weakref.ref(batch)
+        del batch, h
+        assert freed() is None
+        assert len(node_level._plans) == cached
+    finally:
+        gc.enable()

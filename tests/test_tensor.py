@@ -10,7 +10,7 @@ from popgraph import tensor as T
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
-from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
+from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
 
@@ -21,30 +21,11 @@ def test_matmul_identity():
     np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_sigmoid_midpoint():
-    # zero distance and theta = 0: the edge weight is sigmoid(0)
-    a = logistic_edge_weights(Tensor(np.zeros((2, 3))), Tensor(0.0), Tensor(0.0))
-    assert a.data[0, 1] == 0.5
-
-
-def test_pairwise_euclidean_345():
-    d = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
-
-
 def test_backward_quadratic():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     loss = (x * x).sum()
     loss.backward()
     np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0], rtol=1e-12)
-
-
-def test_backward_sigmoid_grad_quarter():
-    theta = Tensor(0.0, requires_grad=True)
-    a = logistic_edge_weights(Tensor(np.zeros((2, 3))), Tensor(0.0), theta)
-    loss = (a * Tensor([[0.0, 1.0], [0.0, 0.0]])).sum()  # the one weight a_01
-    loss.backward()
-    np.testing.assert_allclose(theta.grad, 0.25, rtol=1e-12)
 
 
 def test_backward_requires_scalar():
@@ -200,23 +181,7 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     np.testing.assert_allclose(shifted.data, y.data, atol=1e-12)
 
 
-def test_pairwise_symmetric_zero_diagonal():
-    rng = np.random.default_rng(1)
-    for n in (6, 300):  # 300 rows span several BLAS blocks
-        d = pairwise_distances(rng.normal(size=(n, 16)))
-        np.testing.assert_array_equal(d, d.T)
-        np.testing.assert_array_equal(np.diag(d), np.zeros(n))
-
-
-def test_pairwise_zero_distance_has_finite_gradient():
-    x = Tensor(np.zeros((3, 2)), requires_grad=True)
-    t_raw = Tensor(0.0, requires_grad=True)
-    logistic_edge_weights(x, t_raw, Tensor(1.0)).sum().backward()
-    np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
-    assert t_raw.grad == 0.0
-
-
-def test_stop_gradient_blocks_flow():
+def test_tensor_rebuilt_from_an_output_is_a_constant():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = x * 3.0
     loss = (Tensor(y.data) * y).sum()
@@ -225,7 +190,7 @@ def test_stop_gradient_blocks_flow():
     np.testing.assert_allclose(x.grad, 3.0 * y.data)
 
 
-def test_greater_mask_is_constant():
+def test_tensor_of_a_bool_mask_is_a_float64_constant():
     x = Tensor([0.2, 0.5, 0.9], requires_grad=True)
     mask = Tensor(x.data > 0.5)
     np.testing.assert_array_equal(mask.data, [0.0, 0.0, 1.0])
@@ -240,7 +205,7 @@ def test_leaf_does_not_alias_source_array():
     np.testing.assert_array_equal(leaf.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_neighbor_sum_hand_case():
+def test_matmul_by_an_adjacency_hand_case():
     x = Tensor([[1.0], [2.0], [4.0]], requires_grad=True)
     adjacency = Tensor([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     out = T.matmul(adjacency, x)
@@ -288,14 +253,12 @@ def test_gradient_check_binary_ops(name, fn, rows, cols):
     [
         ("scalar_mul", lambda x: (x * 2.5).sum()),
         ("relu", lambda x: T.relu(x).sum()),
-        ("sigmoid", lambda x: (_edge_weights(x) * _edge_weights(x)).sum()),
         ("exp", lambda x: T.exp(x).sum()),
         ("log", lambda x: T.log(x + 5.0).sum()),
         ("softmax", lambda x: (T.exp(T.log_softmax(x)) * T.exp(T.log_softmax(x))).sum()),
         ("log_softmax", lambda x: (T.log_softmax(x) * Tensor(np.arange(12.0).reshape(3, 4))).sum()),
-        ("pairwise", lambda x: (_edge_weights(x) * Tensor(_PAIR_WEIGHTS)).sum()),
-        ("sparse_matmul", lambda x: (T.matmul(_SPARSE_ADJ, x) * T.matmul(_SPARSE_ADJ, x)).sum()),
-        ("sparse_pool", lambda x: (T.matmul(_SPARSE_POOL, x) * T.matmul(_SPARSE_POOL, x)).sum()),
+        ("adjacency_matmul", lambda x: (T.matmul(_ADJACENCY, x) * T.matmul(_ADJACENCY, x)).sum()),
+        ("pooling_matmul", lambda x: (T.matmul(_POOLING, x) * T.matmul(_POOLING, x)).sum()),
     ],
 )
 def test_gradient_check_unary_ops(name, fn):
@@ -305,15 +268,10 @@ def test_gradient_check_unary_ops(name, fn):
     assert err < 1e-4, f"{name}: {err}"
 
 
-def _edge_weights(x):
-    return logistic_edge_weights(x, Tensor(-0.5), Tensor(0.3))
-
-
-_PAIR_WEIGHTS = np.random.default_rng(7).normal(size=(3, 3))
-# mostly-zero constants: directed edges 0->1, 1->2, 2->0, 2->1 as adjacency[dst, src]
-_SPARSE_ADJ = Tensor([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+# directed edges 0->1, 1->2, 2->0, 2->1 as adjacency[dst, src]
+_ADJACENCY = Tensor([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 # mean pooling of rows {0} and {1, 2}
-_SPARSE_POOL = Tensor([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+_POOLING = Tensor([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
 
 
 def test_gradient_check_many_seeds():

@@ -9,6 +9,14 @@ flows through neighbor selection).
 The WL subtree kernel is computed in its explicit feature-map form
 (Shervashidze et al., JMLR 2011): one sparse count matrix Phi, graphs x
 compressed labels of every refinement round, and the gram ``Phi Phi^T``.
+
+Every builder works in blocks of ``ROW_BLOCK`` rows, writing each block's
+rows of the N x N result in place, and their mirror where it is needed. A
+builder thus holds its result, its N x N input where it has one (the gram of
+``knn_from_gram``, the distances of ``dynamic_knn_population``) and the
+arrays of one row block: its sparse product in ``wl_gram``; its
+similarities, their negation and their argsort in the kNN builders; its
+uniform draws in ``random_population``.
 """
 
 import numpy as np
@@ -19,18 +27,35 @@ from .latent_graph import _require_finite_rows, pairwise_distances
 
 WL_DEFAULT_ITERATIONS = 3
 
+# Rows per block of every builder. The kNN builders hold at most three
+# 64 x N arrays of 8-byte entries at once: 1.5 MB at N = 1024.
+ROW_BLOCK = 64
+
+
+def _row_blocks(n: int):
+    """Yield ``(r0, r1)``: the row blocks of an n-row array, ``ROW_BLOCK`` rows each."""
+    for r0 in range(0, n, ROW_BLOCK):
+        yield r0, min(r0 + ROW_BLOCK, n)
+
 
 def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
-    """Erdos-Renyi adjacency with pair probability expected_degree/(n-1)."""
+    """Erdos-Renyi adjacency with pair probability expected_degree/(n-1).
+
+    Row block r0:r1 draws ``rng.random((r1 - r0, n))``, the rows r0:r1 of one
+    ``rng.random((n, n))`` draw, and keeps its pairs above the diagonal.
+    """
     if n < 2:
         raise ValueError("need at least 2 nodes")
     if not np.isfinite(expected_degree) or expected_degree < 0:
         raise ValueError(f"expected_degree must be finite and >= 0, got {expected_degree}")
     p = min(1.0, expected_degree / (n - 1))
     rng = np.random.default_rng(seed)
-    upper = rng.random((n, n)) < p
-    adj = np.triu(upper, k=1).astype(np.float64)
-    return adj + adj.T
+    adj = np.zeros((n, n))
+    for r0, r1 in _row_blocks(n):
+        r, c = np.nonzero(np.triu(rng.random((r1 - r0, n)) < p, k=r0 + 1))
+        r += r0
+        adj[r, c] = adj[c, r] = 1.0
+    return adj
 
 
 def _wl_round(labels: np.ndarray, adjacency) -> np.ndarray:
@@ -68,27 +93,39 @@ def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.nd
     rounds = [np.zeros(batch.total_nodes, dtype=np.intp)]
     for _ in range(iterations + 1):
         rounds.append(_wl_round(rounds[-1], batch.adjacency))
+    n = len(batch)
     cols = np.concatenate(rounds[1:])
-    rows = np.tile(np.repeat(np.arange(len(batch)), np.diff(batch.node_offsets)), iterations + 1)
-    phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(batch), cols.max() + 1))
-    return (phi @ phi.T).toarray()
+    rows = np.tile(np.repeat(np.arange(n), np.diff(batch.node_offsets)), iterations + 1)
+    phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, cols.max() + 1))
+    phi_t = phi.T.tocsr()
+    gram = np.empty((n, n))
+    for r0, r1 in _row_blocks(n):
+        (phi[r0:r1] @ phi_t).toarray(out=gram[r0:r1])
+    return gram
 
 
-def _knn_from_similarity(sim: np.ndarray, k: int) -> np.ndarray:
-    """Top-k per row (self excluded, ties to the lower index), union-symmetrized."""
-    n = sim.shape[0]
+def _knn_from_similarity(blocks, n: int, k: int) -> np.ndarray:
+    """Top-k per row (self excluded, ties to the lower index), union-symmetrized.
+
+    ``blocks`` yields ``(r0, r1, sim)``: the similarities of rows r0:r1 to
+    all n rows, a (r1 - r0) x n array.
+    """
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
-    # stable: lower index wins ties. Of each row's first k + 1, drop the row
-    # itself, or the last one when the row itself ranks lower.
-    order = np.argsort(-sim, axis=1, kind="stable")[:, :k + 1]
-    keep = order != np.arange(n)[:, None]
-    keep[keep.all(axis=1), k] = False
     adj = np.zeros((n, n))
-    adj[np.repeat(np.arange(n), k), order[keep]] = 1.0
-    return np.maximum(adj, adj.T)
+    for r0, r1, sim in blocks:
+        # stable: lower index wins ties. Of each row's first k + 1, drop the
+        # row itself, or the last one when the row itself ranks lower.
+        order = np.argsort(-sim, axis=1, kind="stable")[:, :k + 1]
+        rows = np.arange(r0, r1)
+        keep = order != rows[:, None]
+        keep[keep.all(axis=1), k] = False
+        r, c = np.repeat(rows, k), order[keep]
+        adj[r, c] = adj[c, r] = 1.0
+        del sim, order  # or both would live on while the next block is made
+    return adj
 
 
 def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
@@ -105,11 +142,16 @@ def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
     empty = np.flatnonzero(norms == 0.0)
     if empty.size:
         raise ValueError(f"gram row {int(empty[0])} is all zero: its graph has no nodes")
-    sim = gram / np.outer(norms, norms)
-    return _knn_from_similarity(sim, k)
+    n = gram.shape[0]
+    blocks = ((r0, r1, gram[r0:r1] / (norms[r0:r1, None] * norms[None, :]))
+              for r0, r1 in _row_blocks(n))
+    return _knn_from_similarity(blocks, n, k)
 
 
 def dynamic_knn_population(h, k: int) -> np.ndarray:
     """Euclidean KNN on representation rows; constant w.r.t. gradients."""
     x = np.asarray(h.data if hasattr(h, "data") else h, dtype=np.float64)
-    return _knn_from_similarity(-pairwise_distances(x), k)
+    n = x.shape[0]
+    distances = pairwise_distances(x)
+    blocks = ((r0, r1, -distances[r0:r1]) for r0, r1 in _row_blocks(n))
+    return _knn_from_similarity(blocks, n, k)

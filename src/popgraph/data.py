@@ -57,9 +57,10 @@ class GraphBatch:
     the offsets are the one record of which rows each graph pools. The arrays
     are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
     :class:`Graph` of views. Every graph must have at least one node, a label
-    that is a whole number, one finite feature row per node, as many feature
-    columns as graph 0 and at least one, and edges between its own nodes,
-    each undirected edge once; a ``ValueError`` names the first that does not.
+    that is a whole number, a 2-D feature array of one finite row per node,
+    as many feature columns as graph 0 and at least one, and edges between its
+    own nodes, each undirected edge once; a ``ValueError`` names the first
+    that does not.
     """
 
     def __init__(self, graphs):
@@ -67,7 +68,12 @@ class GraphBatch:
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
         counts = np.array([g.node_count for g in graphs], dtype=np.intp)
-        feature_rows, widths = np.array([g.features.shape for g in graphs]).T
+        shapes = [g.features.shape for g in graphs]
+        for g, shape in enumerate(shapes):
+            if len(shape) != 2:
+                raise ValueError(f"graph {g} of the batch has features of shape {shape}, "
+                                 "not a 2-D array of one row per node")
+        feature_rows, widths = np.array(shapes).T
         bad = np.flatnonzero(feature_rows != counts)
         if bad.size:
             g = int(bad[0])

@@ -116,11 +116,14 @@ def degree_histogram(a_p: Tensor) -> Tensor:
 
     The degree of node j sums column j of ``a_p`` over its entries strictly
     above 0.5. Raises ``ShapeError`` naming the shape of an ``a_p`` that is not
-    a square matrix, and ``ValueError`` when ``a_p`` holds a NaN or an infinity.
+    a square matrix, and ``ValueError`` when ``a_p`` is empty or holds a NaN or an
+    infinity.
     """
     if a_p.ndim != 2 or a_p.shape[0] != a_p.shape[1]:
         raise ShapeError(f"degree_histogram needs a square adjacency, not shape {a_p.shape}")
     n = a_p.shape[0]
+    if n == 0:
+        raise ValueError("degree_histogram: the population is empty (a 0 x 0 adjacency)")
     degrees = _column_degrees(a_p.data)
     if not np.all(np.isfinite(degrees)):
         raise ValueError("degree_histogram: a_p contains non-finite values")

@@ -270,8 +270,8 @@ class LatentGraphParams:
             pairs[end:end + square.size] = square
         k = pairs.size // 2
         lo, hi = (k - 1, k) if pairs.size % 2 == 0 else (k, k + 1)
-        part = np.partition(pairs, (lo, hi))
-        median = 0.5 * (part[lo] + part[hi])
+        pairs.partition((lo, hi))  # in place: a copy would double the peak
+        median = 0.5 * (pairs[lo] + pairs[hi])
         self.theta.data = np.asarray(float(median) * self.temperature)
 
     def parameters(self):

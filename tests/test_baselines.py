@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from popgraph.baselines import (
+    ROW_BLOCK,
     dynamic_knn_population,
     knn_from_gram,
     random_population,
     wl_gram,
 )
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
-from popgraph.latent_graph import ROW_BLOCK
+from popgraph import latent_graph
+
+# three row blocks, the last one ragged
+BLOCKED_N = 2 * ROW_BLOCK + 5
 
 
 def graph(node_count, edges):
@@ -89,6 +93,15 @@ def test_wl_gram_matches_counter_oracle(topology, iterations):
         np.testing.assert_array_equal(gram, gram.T)
 
 
+def test_wl_gram_matches_counter_oracle_across_row_blocks():
+    spec = SyntheticSpec(classes=2, graphs_per_class=(BLOCKED_N + 1) // 2, nodes_min=3,
+                         nodes_max=9, topology="cycle_vs_star", feature_dim=2, noise_sigma=0.5,
+                         seed=7)
+    graphs = list(make_synthetic_dataset(spec))[:BLOCKED_N - 2] + [
+        graph(4, [(0, 0), (0, 1), (2, 2)]), graph(1, [(0, 0)])]
+    np.testing.assert_array_equal(wl_gram(GraphBatch(graphs), 2), counter_gram_oracle(graphs, 2))
+
+
 def test_wl_gram_rejects_negative_iterations():
     with pytest.raises(ValueError, match="iterations must be >= 0"):
         wl_gram(GraphBatch([TRIANGLE]), iterations=-1)
@@ -114,7 +127,7 @@ def test_knn_from_gram_breaks_ties_toward_lower_index():
 
 def test_knn_from_gram_matches_oracle_on_ties():
     rng = np.random.default_rng(5)
-    for n in (2, 3, 7, 40):
+    for n in (2, 3, 7, 40, BLOCKED_N):
         upper = np.triu(rng.integers(0, 3, size=(n, n)), k=1)
         gram = (upper + upper.T + 3 * np.eye(n)).astype(float)  # few distinct values
         norms = np.sqrt(np.diag(gram))
@@ -153,7 +166,8 @@ def test_knn_from_gram_rejects_non_finite_entry(value):
 
 def test_dynamic_knn_matches_oracle_on_ties():
     rng = np.random.default_rng(6)
-    for n in (2, 5, 9, 40, 2 * ROW_BLOCK + 5):  # the last crosses distance row blocks
+    # the last cross the row blocks of the distances and of the kNN
+    for n in (2, 5, 9, 40, *sorted({2 * latent_graph.ROW_BLOCK + 5, BLOCKED_N})):
         h = rng.integers(0, 3, size=(n, 2)).astype(float)  # integer points: tied distances
         d2 = ((h[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
         for k in range(1, min(n, 6)):
@@ -202,6 +216,15 @@ def test_random_population_extreme_degrees(n):
         np.testing.assert_array_equal(random_population(n, degree, seed=0), complete)
 
 
+@pytest.mark.parametrize("n", [2, 7, BLOCKED_N])
+def test_random_population_matches_one_unblocked_draw(n):
+    for degree in (0.0, 4.0, n - 1):
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            upper = np.triu(rng.random((n, n)) < min(1.0, degree / (n - 1)), k=1).astype(float)
+            np.testing.assert_array_equal(random_population(n, degree, seed), upper + upper.T)
+
+
 def test_random_population_mean_degree_near_target():
     # the mean degree is 2 * Binomial(124750, 0.02) / 500, whose sd is 0.2
     for seed in range(3):
@@ -218,3 +241,31 @@ def test_random_population_mean_degree_near_target():
 def test_random_population_rejects(n, degree, message):
     with pytest.raises(ValueError, match=message):
         random_population(n, degree, seed=0)
+
+
+def memory_case(builder):
+    """A builder's call at N = 512 and the N x N arrays it may hold: its result
+    and the N x N input that it makes itself."""
+    n = 512
+    rng = np.random.default_rng(13)
+    if builder == "wl_gram":
+        spec = SyntheticSpec(classes=2, graphs_per_class=n // 2, nodes_min=3, nodes_max=8,
+                             topology="ambiguous_features", feature_dim=2, noise_sigma=0.5)
+        return n, 1, (wl_gram, make_synthetic_dataset(spec))  # rings: no zero in the gram
+    if builder == "knn_from_gram":
+        x = rng.normal(size=(n, 8))
+        return n, 1, (knn_from_gram, x @ x.T, 5)
+    if builder == "dynamic_knn_population":
+        return n, 2, (dynamic_knn_population, rng.normal(size=(n, 8)), 5)
+    return n, 1, (random_population, n, 5.0, 0)
+
+
+@pytest.mark.parametrize(
+    "builder", ["wl_gram", "knn_from_gram", "dynamic_knn_population", "random_population"])
+def test_builders_hold_at_most_half_an_n_by_n_array_beyond_their_own(builder, traced):
+    # beyond its N x N arrays, a builder holds row blocks of ROW_BLOCK rows
+    n, squares, call = memory_case(builder)
+    adj, peak, _ = traced(*call)
+    assert adj.shape == (n, n)
+    bound = (squares + 0.5) * n * n * 8
+    assert peak <= bound, f"{peak} bytes at the peak, bound {bound}"

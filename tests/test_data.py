@@ -482,6 +482,15 @@ def test_batch_rejects_feature_rows_other_than_node_count(rows):
         GraphBatch(graphs)
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 1, 1), ()], ids=["1d", "3d", "0d"])
+def test_batch_rejects_features_that_are_not_2d(shape):
+    graphs = [Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(2, [], np.ones(shape), 1)]
+    for g, batch in ((1, graphs), (0, graphs[::-1])):
+        message = f"graph {g} of the batch has features of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GraphBatch(batch)
+
+
 def test_batch_rejects_feature_width_other_than_graph_0s():
     graphs = [Graph(2, [(0, 1)], np.ones((2, 2)), 0), Graph(3, [], np.ones((3, 2)), 1),
               Graph(2, [], np.ones((2, 3)), 0), Graph(2, [], np.ones((2, 1)), 1)]

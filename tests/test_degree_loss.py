@@ -350,3 +350,9 @@ def test_nan_in_adjacency_raises(entry):
 def test_degree_histogram_rejects_an_adjacency_that_is_not_square(shape):
     with pytest.raises(ShapeError, match=re.escape(f"not shape {shape}")):
         degree_histogram(Tensor(np.full(shape, 0.9)))
+
+
+def test_degree_histogram_rejects_the_empty_population():
+    with pytest.raises(ValueError, match="the population is empty"):
+        degree_histogram(Tensor(np.zeros((0, 0))))
+    np.testing.assert_array_equal(degree_histogram(Tensor(np.zeros((1, 1)))).data, [1.0])

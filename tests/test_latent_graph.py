@@ -306,6 +306,19 @@ def test_threshold_rejects_a_single_pair(second_row):
     assert params.theta.item() == theta
 
 
+def test_threshold_partitions_the_pair_distances_in_place(traced):
+    # the n(n-1)/2 pair distances set the peak; a partitioned copy would double it
+    n = 1024
+    rng = np.random.default_rng(14)
+    params = make_params([3, 8, 4], rng)
+    h = Tensor(rng.normal(size=(n, 3)))
+    _, peak, _ = traced(params.init_threshold, h)
+    # the kernel's block and its sums, and the copy of one block's right part
+    blocks = 3 * ROW_BLOCK * n * 8
+    bound = 1.25 * (n * (n - 1) // 2 * 8) + blocks
+    assert peak < bound, f"{peak} bytes at the peak, bound {bound}"
+
+
 def blocked_embedding(seed):
     """BLOCKED_N rows with equal rows inside a block and across block boundaries."""
     x = np.random.default_rng(seed).normal(size=(BLOCKED_N, 3))

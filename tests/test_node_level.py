@@ -1,6 +1,5 @@
 import functools
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -289,7 +288,7 @@ def test_f1_gradient_check_across_blocks(block_batch, pooling, dims):
         assert err < 1e-6, f"{param.name}: {err}"
 
 
-def test_f1_forward_keeps_only_layer_inputs_and_the_top_relu_sign(block_batch):
+def test_f1_forward_keeps_only_layer_inputs_and_the_top_relu_sign(block_batch, traced):
     """f1's op keeps, from forward to backward, each layer's input rows past
     the batch's own features (8 bytes an entry), the last layer's relu sign
     (1 byte an entry) and h: not each layer's neighbour sums or its output."""
@@ -300,13 +299,7 @@ def test_f1_forward_keeps_only_layer_inputs_and_the_top_relu_sign(block_batch):
     nodes = batch.total_nodes
     bound = (sum(8 * nodes * d for d in dims[:-1]) + nodes * dims[-1]
              + 8 * len(batch) * dims[-1] + 64 * 1024)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        h = module.forward(batch)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    h, _, retained = traced(module.forward, batch)
     assert h.shape == (len(batch), dims[-1])
     assert retained < bound, f"{retained} bytes kept, bound {bound}"
 

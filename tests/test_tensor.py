@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import weakref
 import zlib
 
@@ -134,7 +133,7 @@ def test_step_tape_is_freed_without_cycle_collector():
         gc.enable()
 
 
-def test_step_tape_holds_one_population_matrix_and_only_leaf_grads():
+def test_step_tape_holds_one_population_matrix_and_only_leaf_grads(traced):
     loss, a, _ = _training_step(graphs_per_class=512)()
     n = a.shape[0]
     tape = Tape.trace(loss)
@@ -143,12 +142,7 @@ def test_step_tape_holds_one_population_matrix_and_only_leaf_grads():
     # f3 and NDDL send the population graph its gradient as factors, and f2's
     # rule builds it a row block at a time: the backward allocates less than
     # one N x N array at any moment
-    tracemalloc.start()
-    try:
-        loss.backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(loss.backward)
     assert peak < n * n * 8
     assert [t for t in tape.entries if t._backward is not None and t.grad is not None] == []
     leaves = [t for t in tape.entries if t._backward is None and t.requires_grad]

@@ -19,11 +19,14 @@ similarities, their negation and their argsort in the kNN builders; its
 uniform draws in ``random_population``.
 """
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch
 from .latent_graph import _require_finite_rows, pairwise_distances
+from .tensor import ShapeError
 
 WL_DEFAULT_ITERATIONS = 3
 
@@ -108,8 +111,10 @@ def _knn_from_similarity(blocks, n: int, k: int) -> np.ndarray:
     """Top-k per row (self excluded, ties to the lower index), union-symmetrized.
 
     ``blocks`` yields ``(r0, r1, sim)``: the similarities of rows r0:r1 to
-    all n rows, a (r1 - r0) x n array.
+    all n rows, a (r1 - r0) x n array. ``k`` is an integer, not a bool.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k={k!r} is not an integer")
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if k >= n:
@@ -130,7 +135,10 @@ def _knn_from_similarity(blocks, n: int, k: int) -> np.ndarray:
 
 def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
     """kNN on cosine similarities of a kernel gram; a row with a NaN or
-    infinite entry, a negative diagonal entry or an all-zero row is rejected."""
+    infinite entry, a negative diagonal entry or an all-zero row is rejected,
+    and a gram that is not a square matrix raises ``ShapeError``."""
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ShapeError(f"knn_from_gram needs a square gram, not shape {gram.shape}")
     _require_finite_rows(gram, "gram")
     squared_norms = np.diag(gram)
     negative = np.flatnonzero(squared_norms < 0.0)

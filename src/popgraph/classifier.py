@@ -1,11 +1,13 @@
 """Classifier over the population graph: message passing plus a head.
 
 Each sample is a node of the population graph; :class:`~popgraph.nn.GraphConv`
-layers over its dense adjacency A, x' = relu(x W_self + (A x) W_neigh + b),
-mix the graph representations of similar samples, and a per-node MLP head
-turns each mixed representation into class probabilities. Gradients flow
-through a learned adjacency, so the edge-weight parameters learn from the
-classification loss.
+layers over its adjacency A, x' = relu(x W_self + (A x) W_neigh + b), mix
+the graph representations of similar samples, and a per-node MLP head turns
+each mixed representation into class probabilities. A learned adjacency is
+multiplied densely and gradients flow through it, so the edge-weight
+parameters learn from the classification loss; a constant one (a fixed
+graph) is multiplied through one cached CSR copy of its nonzeros, shared by
+every layer, and is read-only from its first use.
 """
 
 from dataclasses import dataclass

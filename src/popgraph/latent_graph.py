@@ -93,8 +93,11 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     Assembled from the upper blocks of ``_upper_distance_blocks``, each
     copied in place and its right part mirrored below the diagonal, so the
     result is exactly symmetric with an exactly-zero diagonal. Raises
-    ``ValueError`` naming the first row with a NaN or infinite entry.
+    ``ShapeError`` for an array that is not 2-D, and ``ValueError`` naming the
+    first row with a NaN or infinite entry.
     """
+    if x.ndim != 2:
+        raise ShapeError(f"pairwise distances expect a 2-D array of rows, got {x.shape}")
     _require_finite_rows(x)
     n = x.shape[0]
     out = np.empty((n, n))
@@ -264,7 +267,7 @@ class LatentGraphParams:
             b = i1 - i0
             right = d[:, b:]
             end -= right.size
-            pairs[end:end + right.size] = right.ravel()
+            pairs[end:end + right.size].reshape(right.shape)[...] = right  # no copy of the slice
             square = d[:, :b][_STRICT_LOWER[:b, :b].T]
             end -= square.size
             pairs[end:end + square.size] = square

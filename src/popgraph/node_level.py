@@ -25,7 +25,7 @@ product. On 1024 graphs of 10-30 nodes (20,777 node rows, widths 32, 32) the
 op keeps 6.0 MB from forward to backward (``tracemalloc``). The layer
 arithmetic, :func:`nn.conv_forward` and the relu, self and bias part of the
 backward, :func:`nn.conv_backward`, is the one ``nn.GraphConv`` runs over
-f3's dense adjacency.
+f3's population graph.
 """
 
 import weakref

@@ -6,7 +6,7 @@ of all elements, and log-softmax along the last axis; plus the
 finite-difference oracle the test suite leans on. The model's fused ops are
 built from the same ``_record`` and ``_accumulate``: f1, the per-graph stack
 of graph convolutions and its pooling, ``node_level.NodeLevelModule.forward``;
-f3's graph convolution over the dense population graph, ``nn.GraphConv``;
+f3's graph convolution over the population graph, ``nn.GraphConv``;
 and the population graph's edge weights and NDDL, in ``latent_graph`` and
 ``degree_loss``. Each of those modules documents its own op.
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from popgraph.baselines import (
 )
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
 from popgraph import latent_graph
+from popgraph.tensor import ShapeError
 
 # three row blocks, the last one ragged
 BLOCKED_N = 2 * ROW_BLOCK + 5
@@ -190,13 +192,41 @@ def test_dynamic_knn_rejects_non_finite_row(value):
         dynamic_knn_population(h, 2)
 
 
-def test_knn_builders_reject_negative_k_and_give_no_edges_at_k_0():
+def knn_builders_with_inputs():
+    """Each kNN builder with an input of 4 rows: a gram, or the rows themselves."""
     h = np.random.default_rng(1).normal(size=(4, 2))
     gram = h @ h.T + 10.0 * np.eye(4)  # positive diagonal
-    for build, x in ((knn_from_gram, gram), (dynamic_knn_population, h)):
+    return (knn_from_gram, gram), (dynamic_knn_population, h)
+
+
+def test_knn_builders_reject_negative_k_and_give_no_edges_at_k_0():
+    for build, x in knn_builders_with_inputs():
         np.testing.assert_array_equal(build(x, 0), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="k=-1 must be >= 0"):
             build(x, -1)
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_knn_builders_reject_a_k_that_is_not_an_integer(k):
+    for build, x in knn_builders_with_inputs():
+        with pytest.raises(ValueError, match=f"k={k!r} is not an integer"):
+            build(x, k)
+
+
+def test_knn_builders_take_a_numpy_integer_k():
+    for build, x in knn_builders_with_inputs():
+        np.testing.assert_array_equal(build(x, np.int64(2)), build(x, 2))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,)])
+def test_knn_from_gram_rejects_a_gram_that_is_not_square(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"not shape {shape}")):
+        knn_from_gram(np.ones(shape), 1)
+
+
+def test_dynamic_knn_rejects_rows_that_are_not_2d():
+    with pytest.raises(ShapeError, match=r"2-D array of rows, got \(3,\)"):
+        dynamic_knn_population(np.ones(3), 1)
 
 
 def test_random_population_is_a_seeded_simple_graph():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from popgraph import nn
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
 from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams
@@ -234,3 +235,21 @@ def test_leaf_adjacency_gets_a_dense_gradient_of_its_own():
         assert type(adjacency.grad) is np.ndarray and adjacency.grad.flags.owndata
         results.append(adjacency.grad)
     np.testing.assert_allclose(results[0], results[1], rtol=1e-12, atol=1e-15)
+
+
+def test_layers_over_one_constant_adjacency_build_one_csr(monkeypatch):
+    rng = np.random.default_rng(19)
+    clf = make_classifier(rng, gnn_dims=(5, 3))
+    built = []
+    csr_matrix = nn.sp.csr_matrix
+
+    def counted(a):
+        built.append(a)
+        return csr_matrix(a)
+
+    monkeypatch.setattr(nn.sp, "csr_matrix", counted)
+    h = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    a = Tensor((rng.random((6, 6)) < 0.4) * 1.0)
+    for _ in range(2):
+        (clf.forward(h, a)[1] * Tensor(rng.normal(size=(6, 2)))).sum().backward()
+    assert len(built) == 1

@@ -13,7 +13,7 @@ import popgraph
 from popgraph.degree_loss import degree_histogram
 from popgraph.latent_graph import (ROW_BLOCK, LatentGraphParams, logistic_edge_weights,
                                    pairwise_distances)
-from popgraph.tensor import Tensor, finite_difference_check
+from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
 def make_params(dims, rng=None):
@@ -313,10 +313,16 @@ def test_threshold_partitions_the_pair_distances_in_place(traced):
     params = make_params([3, 8, 4], rng)
     h = Tensor(rng.normal(size=(n, 3)))
     _, peak, _ = traced(params.init_threshold, h)
-    # the kernel's block and its sums, and the copy of one block's right part
-    blocks = 3 * ROW_BLOCK * n * 8
-    bound = 1.25 * (n * (n - 1) // 2 * 8) + blocks
+    # the pairs, the kernel's block and its sums, and 384 KiB for the rest;
+    # a copy of one block's right part (512 KB) would cross it
+    blocks = 2 * ROW_BLOCK * n * 8
+    bound = n * (n - 1) // 2 * 8 + blocks + 384 * 1024
     assert peak < bound, f"{peak} bytes at the peak, bound {bound}"
+
+
+def test_pairwise_distances_reject_an_array_that_is_not_2d():
+    with pytest.raises(ShapeError, match=r"2-D array of rows, got \(4,\)"):
+        pairwise_distances(np.ones(4))
 
 
 def blocked_embedding(seed):

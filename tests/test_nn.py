@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from popgraph import nn
 from popgraph import tensor as T
 from popgraph.data import Graph, GraphBatch
 from popgraph.latent_graph import LatentGraphParams
@@ -101,6 +105,14 @@ def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
     return x, adj, inputs + ([adj] if adj_kind == "dense_leaf" else [])
 
 
+def conv_results(forward, x, adj, mix, tensors):
+    """The output of ``forward(x, adj)`` and, after a backward through it,
+    the gradients of ``tensors``."""
+    out = forward(x, adj)
+    (out * mix).sum().backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
 CONV_INPUT_KINDS = [(x_leaf, adj_kind) for x_leaf in (False, True)
                     for adj_kind in ("dense_constant", "dense_leaf")]
 
@@ -122,15 +134,68 @@ def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
     layer = GraphConv(8, 32, rng)
     x, adj, inputs = conv_inputs(rng, 320, 8, x_leaf, adj_kind)
     mix = Tensor(rng.normal(size=(320, 32)))
-    results = []
-    for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj)):
-        out = forward(x, adj)
-        (out * mix).sum().backward()
-        results.append([out.data] + [t.grad for t in layer.parameters() + inputs])
+    results = [conv_results(forward, x, adj, mix, layer.parameters() + inputs)
+               for forward in (layer.forward, lambda x, adj: unfused_conv(layer, x, adj))]
     assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
     for fused, chain in zip(*results):
         np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
     assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
+    assert (adj in nn._csr_copies) == (adj_kind == "dense_constant")  # the branch taken
+
+
+def test_constant_adjacency_given_another_array_is_aggregated_over_it():
+    rng = np.random.default_rng(16)
+    layer = GraphConv(3, 4, rng)
+    x, adj, _ = conv_inputs(rng, 40, 3, True, "dense_constant")
+    mix = Tensor(rng.normal(size=(40, 4)))
+    layer.forward(x, adj)
+    adj.data = adj.data.T * rng.random((40, 40))  # other nonzeros, other weights
+    tensors = layer.parameters() + [x]
+    fused = conv_results(layer.forward, x, adj, mix, tensors)
+    chain = conv_results(lambda x, adj: unfused_conv(layer, x, adj), x, adj, mix, tensors)
+    for a, b in zip(fused, chain):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_constant_adjacency_is_read_only_once_used_and_a_leaf_stays_writable():
+    rng = np.random.default_rng(17)
+    layer = GraphConv(3, 4, rng)
+    for adj_kind in ("dense_constant", "dense_leaf"):
+        x, adj, _ = conv_inputs(rng, 8, 3, True, adj_kind)
+        (layer.forward(x, adj) * Tensor(rng.normal(size=(8, 4)))).sum().backward()
+        if adj_kind == "dense_leaf":
+            adj.data[0, 1] += 1.0
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                adj.data[0, 1] += 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_constant_csr_keeps_a_non_finite_entry(value):
+    a = np.zeros((3, 3))
+    a[0, 2] = value
+    csr = nn.constant_csr(Tensor(a))
+    assert csr.nnz == 1
+    np.testing.assert_array_equal(csr.toarray(), a)
+
+
+def test_constant_csr_is_freed_with_its_adjacency():
+    rng = np.random.default_rng(18)
+    layer = GraphConv(3, 4, rng)
+    x, adj, _ = conv_inputs(rng, 8, 3, True, "dense_constant")
+    gc.collect()
+    gc.disable()
+    try:
+        cached = len(nn._csr_copies)
+        out = layer.forward(x, adj)
+        (out * Tensor(rng.normal(size=(8, 4)))).sum().backward()
+        assert len(nn._csr_copies) == cached + 1
+        freed = weakref.ref(adj)
+        del adj, out
+        assert freed() is None
+        assert len(nn._csr_copies) == cached
+    finally:
+        gc.enable()
 
 
 def matmul_operands(rng, layout):

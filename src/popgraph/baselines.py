@@ -10,35 +10,23 @@ The WL subtree kernel is computed in its explicit feature-map form
 (Shervashidze et al., JMLR 2011): one sparse count matrix Phi, graphs x
 compressed labels of every refinement round, and the gram ``Phi Phi^T``.
 
-Every builder works in blocks of ``ROW_BLOCK`` rows, writing each block's
-rows of the N x N result in place, and their mirror where it is needed. A
-builder thus holds its result, its N x N input where it has one (the gram of
-``knn_from_gram``, the distances of ``dynamic_knn_population``) and the
-arrays of one row block: its sparse product in ``wl_gram``; its
+Every builder works in blocks of ``latent_graph.ROW_BLOCK`` rows, writing
+each block's rows of the N x N result in place, and their mirror where it is
+needed. A builder thus holds its result, its N x N input where it has one
+(the gram of ``knn_from_gram``, the distances of ``dynamic_knn_population``)
+and the arrays of one row block: its sparse product in ``wl_gram``; its
 similarities, their negation and their argsort in the kNN builders; its
 uniform draws in ``random_population``.
 """
 
-import numbers
-
 import numpy as np
 import scipy.sparse as sp
 
-from .data import GraphBatch
-from .latent_graph import _require_finite_rows, pairwise_distances
+from .data import GraphBatch, is_integer
+from .latent_graph import _require_finite_rows, pairwise_distances, row_blocks
 from .tensor import ShapeError
 
 WL_DEFAULT_ITERATIONS = 3
-
-# Rows per block of every builder. The kNN builders hold at most three
-# 64 x N arrays of 8-byte entries at once: 1.5 MB at N = 1024.
-ROW_BLOCK = 64
-
-
-def _row_blocks(n: int):
-    """Yield ``(r0, r1)``: the row blocks of an n-row array, ``ROW_BLOCK`` rows each."""
-    for r0 in range(0, n, ROW_BLOCK):
-        yield r0, min(r0 + ROW_BLOCK, n)
 
 
 def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
@@ -54,7 +42,7 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     p = min(1.0, expected_degree / (n - 1))
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n))
-    for r0, r1 in _row_blocks(n):
+    for r0, r1 in row_blocks(n):
         r, c = np.nonzero(np.triu(rng.random((r1 - r0, n)) < p, k=r0 + 1))
         r += r0
         adj[r, c] = adj[c, r] = 1.0
@@ -89,8 +77,11 @@ def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.nd
 
     Round 0 refines equal labels into degrees; row g of the sparse Phi counts
     graph g's nodes under each label of every round. Its entries are
-    integers, so the float64 gram is exact and exactly symmetric.
+    integers, so the float64 gram is exact and exactly symmetric. ``iterations``
+    is an integer, not a bool.
     """
+    if not is_integer(iterations):
+        raise ValueError(f"iterations={iterations!r} is not an integer")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rounds = [np.zeros(batch.total_nodes, dtype=np.intp)]
@@ -102,7 +93,7 @@ def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.nd
     phi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, cols.max() + 1))
     phi_t = phi.T.tocsr()
     gram = np.empty((n, n))
-    for r0, r1 in _row_blocks(n):
+    for r0, r1 in row_blocks(n):
         (phi[r0:r1] @ phi_t).toarray(out=gram[r0:r1])
     return gram
 
@@ -113,7 +104,7 @@ def _knn_from_similarity(blocks, n: int, k: int) -> np.ndarray:
     ``blocks`` yields ``(r0, r1, sim)``: the similarities of rows r0:r1 to
     all n rows, a (r1 - r0) x n array. ``k`` is an integer, not a bool.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if not is_integer(k):
         raise ValueError(f"k={k!r} is not an integer")
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
@@ -152,7 +143,7 @@ def knn_from_gram(gram: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"gram row {int(empty[0])} is all zero: its graph has no nodes")
     n = gram.shape[0]
     blocks = ((r0, r1, gram[r0:r1] / (norms[r0:r1, None] * norms[None, :]))
-              for r0, r1 in _row_blocks(n))
+              for r0, r1 in row_blocks(n))
     return _knn_from_similarity(blocks, n, k)
 
 
@@ -161,5 +152,5 @@ def dynamic_knn_population(h, k: int) -> np.ndarray:
     x = np.asarray(h.data if hasattr(h, "data") else h, dtype=np.float64)
     n = x.shape[0]
     distances = pairwise_distances(x)
-    blocks = ((r0, r1, -distances[r0:r1]) for r0, r1 in _row_blocks(n))
+    blocks = ((r0, r1, -distances[r0:r1]) for r0, r1 in row_blocks(n))
     return _knn_from_similarity(blocks, n, k)

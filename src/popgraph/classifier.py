@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import whole_numbers
 from .nn import MLP, GraphConv, check_widths
-from .tensor import Tensor, exp, log_softmax
+from .tensor import ShapeError, Tensor, exp, log_softmax
 
 
 @dataclass
@@ -62,21 +63,19 @@ class PopulationClassifier:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over samples of -log softmax(logits)[i, label_i], fused and stable.
 
-    Raises ``ValueError`` for logits of no rows, and naming the first index
-    whose label is not a whole number (NaN and infinite included).
+    Raises ``ShapeError`` naming the shape of logits that are not 2-D, and
+    ``ValueError`` for logits of no rows, and naming the first index whose
+    label is not a whole number (NaN and infinite included).
     """
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy needs 2-D logits, not shape {logits.shape}")
     n, c = logits.shape
     if n == 0:
         raise ValueError("cross_entropy needs at least one row: the mean of none is undefined")
     values = np.asarray(labels)
     if values.shape != (n,):
         raise ValueError(f"{values.shape[0] if values.ndim else 0} labels for {n} rows")
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
-        labels = values.astype(np.intp)
-    whole = labels == values
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise ValueError(f"label {values[i]} at index {i} is not a whole number")
+    labels = whole_numbers(values, "label {value} at index {i} is not a whole number")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label outside [0, {c})")
     onehot = np.zeros((n, c))

@@ -18,6 +18,7 @@ the first such line: only then are the lines parsed one at a time.
 
 import itertools
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -28,6 +29,24 @@ import scipy.sparse as sp
 
 class DatasetFormatError(ValueError):
     """A dataset file is missing or malformed."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def whole_numbers(values, message: str) -> np.ndarray:
+    """``values`` as ``np.intp``; ``ValueError(message)`` names, as ``{i}`` and
+    ``{value}``, the first entry that is not a whole number (NaN and inf included)."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
+        whole = values.astype(np.intp)
+    bad = np.flatnonzero(whole != values)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(message.format(i=i, value=values[i]))
+    return whole
 
 
 NODE_JITTER_SIGMA = 0.25  # per-node noise in the "ambiguous_features" generator
@@ -56,18 +75,19 @@ class GraphBatch:
     one entry. Graph g's node rows are ``node_offsets[g]:node_offsets[g + 1]``:
     the offsets are the one record of which rows each graph pools. The arrays
     are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
-    :class:`Graph` of views. Every graph must have at least one node, a label
-    that is a whole number, a 2-D feature array of one finite row per node,
-    as many feature columns as graph 0 and at least one, and edges between its
-    own nodes, each undirected edge once; a ``ValueError`` names the first
-    that does not.
+    :class:`Graph` of views. Every graph must have a node count and a label
+    that are whole numbers, at least one node, a 2-D feature array of one
+    finite row per node, as many feature columns as graph 0 and at least one,
+    and edges between its own nodes, each undirected edge once; a
+    ``ValueError`` names the first that does not.
     """
 
     def __init__(self, graphs):
         graphs = list(graphs)
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
-        counts = np.array([g.node_count for g in graphs], dtype=np.intp)
+        counts = whole_numbers([g.node_count for g in graphs],
+                               "graph {i} of the batch has node count {value}, not a whole number")
         shapes = [g.features.shape for g in graphs]
         for g, shape in enumerate(shapes):
             if len(shape) != 2:
@@ -101,13 +121,8 @@ class GraphBatch:
             raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
         self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.intp)
         self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.intp)
-        values = np.asarray(labels)
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
-            self.labels = values.astype(np.intp)
-        bad = np.flatnonzero(self.labels != values)
-        if bad.size:
-            g = int(bad[0])
-            raise ValueError(f"graph {g} of the batch has label {values[g]}, not a whole number")
+        self.labels = whole_numbers(labels,
+                                    "graph {i} of the batch has label {value}, not a whole number")
         if features.shape[1] == 0:  # saved, they would load back as the constant feature 1
             raise ValueError("the batch's node features have no columns")
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -184,6 +199,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("classes", "graphs_per_class", "nodes_min", "nodes_max", "feature_dim"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"synthetic spec: {name}={value!r} is not an integer")
         if self.classes < 2:
             raise ValueError("synthetic spec needs at least 2 classes")
         if self.graphs_per_class < 1:
@@ -192,8 +211,9 @@ class SyntheticSpec:
             raise ValueError("synthetic spec: need 3 <= nodes_min <= nodes_max")
         if self.feature_dim < 1:
             raise ValueError("synthetic spec: feature_dim must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("synthetic spec: noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"synthetic spec: noise_sigma={self.noise_sigma!r} must be "
+                             "finite and >= 0")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}")
         # class c's graphs are set by (c % 2, c % feature_dim) in cycle_vs_star, and
@@ -452,11 +472,14 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
 
     The test set is drawn once; remaining indices are dealt into k folds,
     each serving once as validation while the others train. Raises
-    ``ValueError`` naming the first index whose label is NaN or infinite,
-    which no class would claim.
+    ``ValueError`` naming an ``n`` or ``k`` that is not an integer, and the
+    first index whose label is NaN or infinite, which no class would claim.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
+    for name, value in (("n", n), ("k", k)):
+        if not is_integer(value):
+            raise ValueError(f"{name}={value!r} is not an integer")
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < k + 2:

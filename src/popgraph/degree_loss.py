@@ -14,17 +14,18 @@ mean.
 autograd op. A bin ``ASSIGN_REACH`` or more away from a node's degree gets
 an assignment of exactly 0.0 in float64, so each node scores only the
 2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The degrees
-are summed over row blocks of the adjacency, one pass with no N x N
-temporary and no mask kept; the rest of the forward and the backward are
-O(N * window). The adjacency's gradient, [a > 0.5] 1 g^T for the degrees'
-gradient g, is sent as its threshold and g (``tensor.FactoredGrad``), not as
-an N x N array.
+are summed over blocks of ``latent_graph.ROW_BLOCK`` adjacency rows, one pass
+with no N x N temporary and no mask kept; the rest of the forward and the
+backward are O(N * window). The adjacency's gradient, [a > 0.5] 1 g^T for the
+degrees' gradient g, is sent as its threshold and g (``tensor.FactoredGrad``),
+not as an N x N array.
 """
 
 import math
 
 import numpy as np
 
+from .latent_graph import ROW_BLOCK, row_blocks
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, exp, log, log_softmax
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
@@ -34,8 +35,6 @@ ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 ASSIGN_REACH = math.ceil(math.sqrt(ASSIGN_SIGMA * ASSIGN_SIGMA * 746.0 + 0.25))
 KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
 EDGE_THRESHOLD = 0.5  # an entry counts towards a degree when strictly above it
-# Adjacency rows per block of the degree sums: 512 KB at N = 1024.
-DEGREE_ROWS = 64
 
 
 class TargetDistribution:
@@ -82,6 +81,8 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
 
 def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     """Classification loss plus the degree penalty; alpha = 0 disables it."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0:
@@ -92,7 +93,7 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
 def _column_degrees(a: np.ndarray) -> np.ndarray:
     """Column sums of ``a`` over its entries above ``EDGE_THRESHOLD``.
 
-    Each block of ``DEGREE_ROWS`` rows is masked into a buffer whose first row
+    Each block of ``ROW_BLOCK`` rows is masked into a buffer whose first row
     holds the sums so far, and one column sum of the buffer gives the new
     sums: the rows are added in order, so the result equals
     ``(a * (a > 0.5)).sum(axis=0)`` bit for bit. A NaN anywhere reaches its
@@ -100,9 +101,9 @@ def _column_degrees(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[0]
     degrees = np.zeros(n)
-    buf = np.empty((min(n, DEGREE_ROWS) + 1, n))
-    for r0 in range(0, n, DEGREE_ROWS):
-        rows = a[r0:r0 + DEGREE_ROWS]
+    buf = np.empty((min(n, ROW_BLOCK) + 1, n))
+    for r0, r1 in row_blocks(n):
+        rows = a[r0:r1]
         block = buf[:len(rows) + 1]
         block[0] = degrees
         np.greater(rows, EDGE_THRESHOLD, out=block[1:])

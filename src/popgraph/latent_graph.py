@@ -31,10 +31,15 @@ import numpy as np
 from .nn import MLP
 from .tensor import ShapeError, Tensor, _accumulate, _record
 
-# Rows per block of the distance kernel. One block's buffers, 64 x N float64,
-# are 512 KB at N = 1024.
+# Rows per block of every N x N pass: f2's, NDDL's degrees and the baselines'.
+# One 64 x N float64 buffer is 512 KB at N = 1024.
 ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(ROW_BLOCK, k=-1, dtype=bool)
+
+
+def row_blocks(n: int) -> list:
+    """The ``(r0, r1)`` row blocks of an n-row array, ``ROW_BLOCK`` rows each, in order."""
+    return [(r0, min(r0 + ROW_BLOCK, n)) for r0 in range(0, n, ROW_BLOCK)]
 
 
 def _require_finite_rows(x: np.ndarray, what: str = "embedding") -> None:
@@ -61,15 +66,13 @@ def _upper_distance_blocks(x: np.ndarray, keep: bool = False):
     x = np.ascontiguousarray(x)
     n = x.shape[0]
     minus2x = -2.0 * x
-    starts = range(0, n, ROW_BLOCK)
+    blocks = row_blocks(n)
     rows = min(n, ROW_BLOCK)
-    store = np.empty(sum(min(ROW_BLOCK, n - i0) * (n - i0) for i0 in starts) if keep
-                     else rows * n)
+    store = np.empty(sum((i1 - i0) * (n - i0) for i0, i1 in blocks) if keep else rows * n)
     sums = np.empty(rows * n)
     norms = np.empty(n)
     offset = 0
-    for i0 in reversed(starts):
-        i1 = min(i0 + ROW_BLOCK, n)
+    for i0, i1 in reversed(blocks):
         b, w = i1 - i0, n - i0
         d = store[offset:offset + b * w].reshape(b, w)
         if keep:
@@ -215,10 +218,9 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
 
 @dataclass
 class PopulationGraph:
-    """Weighted adjacency over the current batch plus its embedding."""
+    """Weighted adjacency over the current batch."""
 
     a_p: Tensor
-    embedding: Tensor
 
 
 class LatentGraphParams:
@@ -234,9 +236,8 @@ class LatentGraphParams:
         return float(np.exp(self.t_raw.data))
 
     def forward(self, h: Tensor) -> PopulationGraph:
-        embedding = self.mlp.forward(h)
-        return PopulationGraph(a_p=logistic_edge_weights(embedding, self.t_raw, self.theta),
-                               embedding=embedding)
+        return PopulationGraph(a_p=logistic_edge_weights(self.mlp.forward(h), self.t_raw,
+                                                         self.theta))
 
     def init_threshold(self, h: Tensor) -> None:
         """Center theta on the median pairwise distance of an initial batch.

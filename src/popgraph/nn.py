@@ -1,12 +1,12 @@
 """Parameter containers, and the graph-convolution arithmetic, shared by the model modules."""
 
-import numbers
 import weakref
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
+from .data import is_integer
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, relu
 
 
@@ -19,7 +19,7 @@ def check_widths(field: str, widths) -> None:
     """Raise ``ValueError`` naming ``field`` and the entry unless every entry
     of ``widths`` is a positive integer."""
     for i, w in enumerate(widths):
-        if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+        if not is_integer(w) or w < 1:
             raise ValueError(f"{field}[{i}] is {w!r}, not a positive integer width")
 
 

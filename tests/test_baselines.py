@@ -4,15 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from popgraph.baselines import (
-    ROW_BLOCK,
-    dynamic_knn_population,
-    knn_from_gram,
-    random_population,
-    wl_gram,
-)
+from popgraph.baselines import dynamic_knn_population, knn_from_gram, random_population, wl_gram
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
-from popgraph import latent_graph
+from popgraph.latent_graph import ROW_BLOCK
 from popgraph.tensor import ShapeError
 
 # three row blocks, the last one ragged
@@ -109,6 +103,15 @@ def test_wl_gram_rejects_negative_iterations():
         wl_gram(GraphBatch([TRIANGLE]), iterations=-1)
 
 
+@pytest.mark.parametrize("iterations", [True, 1.5])
+def test_wl_gram_rejects_iterations_that_are_not_an_integer(iterations):
+    batch = GraphBatch([TRIANGLE, PATH3])
+    with pytest.raises(ValueError, match=f"iterations={iterations!r} is not an integer"):
+        wl_gram(batch, iterations)
+    np.testing.assert_array_equal(wl_gram(batch, np.int64(2)), wl_gram(batch, 2))
+    assert wl_gram(batch, 0).shape == (2, 2)
+
+
 def test_knn_from_gram_is_symmetric_with_min_degree_k():
     spec = SyntheticSpec(classes=2, graphs_per_class=6, nodes_min=3, nodes_max=8,
                          topology="cycle_vs_star", feature_dim=2, noise_sigma=0.3)
@@ -168,8 +171,8 @@ def test_knn_from_gram_rejects_non_finite_entry(value):
 
 def test_dynamic_knn_matches_oracle_on_ties():
     rng = np.random.default_rng(6)
-    # the last cross the row blocks of the distances and of the kNN
-    for n in (2, 5, 9, 40, *sorted({2 * latent_graph.ROW_BLOCK + 5, BLOCKED_N})):
+    # the last crosses the row blocks of the distances and of the kNN
+    for n in (2, 5, 9, 40, BLOCKED_N):
         h = rng.integers(0, 3, size=(n, 2)).astype(float)  # integer points: tied distances
         d2 = ((h[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
         for k in range(1, min(n, 6)):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from popgraph import nn
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
 from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams
-from popgraph.tensor import Tensor, finite_difference_check
+from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
 def make_classifier(rng, input_dim=4, gnn_dims=(3,), head_dims=(3, 2)):
@@ -128,6 +129,12 @@ def test_cross_entropy_rejects_bad_labels():
 def test_cross_entropy_rejects_a_label_that_is_not_a_whole_number(labels, entry):
     with pytest.raises(ValueError, match=entry):
         cross_entropy(Tensor([[5.0, 0.0], [0.0, 5.0]]), labels)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 2)], ids=["1d", "3d"])
+def test_cross_entropy_rejects_logits_that_are_not_2d(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"2-D logits, not shape {shape}")):
+        cross_entropy(Tensor(np.zeros(shape)), [0, 1])
 
 
 def test_cross_entropy_rejects_zero_rows():

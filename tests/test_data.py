@@ -297,6 +297,26 @@ def test_synthetic_rejects_degenerate_spec():
         make_synthetic_dataset(spec)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("classes", 2.0), ("graphs_per_class", 2.5), ("nodes_min", 3.5), ("nodes_max", 4.5),
+    ("feature_dim", True),
+])
+def test_synthetic_rejects_a_count_that_is_not_an_integer(field, value):
+    spec = SyntheticSpec(classes=2, graphs_per_class=20, nodes_min=3, nodes_max=4,
+                         topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0)
+    with pytest.raises(ValueError, match=f"synthetic spec: {field}={value!r} is not an integer"):
+        dataclasses.replace(spec, **{field: value}).validate()
+    dataclasses.replace(spec, **{field: np.int64(getattr(spec, field))}).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+def test_synthetic_rejects_a_noise_sigma_that_is_not_finite_and_non_negative(value):
+    spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
+                         topology="ambiguous_features", feature_dim=2, noise_sigma=value)
+    with pytest.raises(ValueError, match=f"noise_sigma={value!r} must be finite and >= 0"):
+        make_synthetic_dataset(spec)
+
+
 @pytest.mark.parametrize("topology,feature_dim,classes,period", [
     ("cycle_vs_star", 1, 3, 2),
     ("cycle_vs_star", 2, 3, 2),
@@ -346,6 +366,16 @@ def test_batch_rejects_a_label_that_is_not_a_whole_number(labels, entry):
               Graph(2, [], np.ones((2, 2)), labels[1])]
     with pytest.raises(ValueError, match=entry):
         GraphBatch(graphs)
+
+
+@pytest.mark.parametrize("count,entry", [(2.5, "2.5"), (np.nan, "nan")], ids=["fraction", "nan"])
+def test_batch_rejects_a_node_count_that_is_not_a_whole_number(count, entry):
+    graphs = [Graph(3, [(0, 1)], np.ones((3, 1)), 0), Graph(count, [], np.ones((2, 1)), 0)]
+    with pytest.raises(ValueError,
+                       match=f"graph 1 of the batch has node count {entry}, not a whole number"):
+        GraphBatch(graphs)
+    graphs[1].node_count = np.int64(2)
+    assert GraphBatch(graphs).node_offsets.tolist() == [0, 3, 5]
 
 
 def test_batch_keeps_whole_labels_of_any_sign_and_type():
@@ -398,6 +428,14 @@ def test_make_splits_rejects_non_finite_label(value, index):
     labels[9] = np.nan  # only the first is named
     with pytest.raises(ValueError, match=f"label {value} at index {index} is not finite"):
         make_splits(10, 0.2, 2, 0, labels=labels)
+
+
+@pytest.mark.parametrize("n,k,entry", [(20.5, 2, "n=20.5"), (20, 2.5, "k=2.5"),
+                                       (20, True, "k=True")])
+def test_make_splits_rejects_a_size_or_fold_count_that_is_not_an_integer(n, k, entry):
+    with pytest.raises(ValueError, match=f"{entry} is not an integer"):
+        make_splits(n, 0.2, k, 0)
+    assert len(make_splits(np.int64(20), 0.2, np.int64(2), 0).test_indices) == 4
 
 
 def test_make_splits_deterministic_and_stratified():

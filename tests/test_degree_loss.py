@@ -7,7 +7,6 @@ import pytest
 from popgraph.degree_loss import (
     ASSIGN_SIGMA,
     ASSIGN_REACH,
-    DEGREE_ROWS,
     KL_EPSILON,
     _column_degrees,
     TargetDistribution,
@@ -206,6 +205,12 @@ def test_total_loss_reduces_to_ce_at_zero_alpha():
     np.testing.assert_allclose(total_loss(ce, kl, 1.0).item(), 1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_total_loss_rejects_an_alpha_that_is_not_finite(alpha):
+    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
+        total_loss(Tensor(0.7), Tensor(0.3), alpha)
+
+
 def test_total_loss_gradient_linear_in_alpha():
     target = TargetDistribution.for_support(6)
     rng = np.random.default_rng(4)
@@ -322,7 +327,7 @@ def test_windowed_histogram_matches_dense_oracle():
 
 def test_blocked_degrees_equal_whole_column_sums():
     # the last block is ragged; a NaN entry in it reaches its own column only
-    a = random_population_matrix(np.random.default_rng(20), 2 * DEGREE_ROWS + 5)
+    a = random_population_matrix(np.random.default_rng(20), 2 * ROW_BLOCK + 5)
     expected = (a * (a > 0.5)).sum(axis=0)
     np.testing.assert_array_equal(_column_degrees(a), expected)
     a[-1, 3] = np.nan

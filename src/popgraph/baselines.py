@@ -19,10 +19,12 @@ similarities, their negation and their argsort in the kNN builders; its
 uniform draws in ``random_population``.
 """
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
-from .data import GraphBatch, is_integer
+from .data import GraphBatch, check_seed, is_integer
 from .latent_graph import _require_finite_rows, pairwise_distances, row_blocks
 from .tensor import ShapeError
 
@@ -35,10 +37,11 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     Row block r0:r1 draws ``rng.random((r1 - r0, n))``, the rows r0:r1 of one
     ``rng.random((n, n))`` draw, and keeps its pairs above the diagonal.
     """
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    if not np.isfinite(expected_degree) or expected_degree < 0:
-        raise ValueError(f"expected_degree must be finite and >= 0, got {expected_degree}")
+    if not is_integer(n) or n < 2:
+        raise ValueError(f"n={n!r}: need an integer of at least 2 nodes")
+    if not (isinstance(expected_degree, numbers.Real) and 0 <= expected_degree < np.inf):
+        raise ValueError(f"expected_degree must be finite and >= 0, got {expected_degree!r}")
+    check_seed(seed)
     p = min(1.0, expected_degree / (n - 1))
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n))

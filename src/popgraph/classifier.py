@@ -3,11 +3,9 @@
 Each sample is a node of the population graph; :class:`~popgraph.nn.GraphConv`
 layers over its adjacency A, x' = relu(x W_self + (A x) W_neigh + b), mix
 the graph representations of similar samples, and a per-node MLP head turns
-each mixed representation into class probabilities. A learned adjacency is
-multiplied densely and gradients flow through it, so the edge-weight
-parameters learn from the classification loss; a constant one (a fixed
-graph) is multiplied through one cached CSR copy of its nonzeros, shared by
-every layer, and is read-only from its first use.
+each mixed representation into class probabilities. Gradients flow through a
+learned adjacency, so the edge-weight parameters learn from the
+classification loss; how each layer multiplies by A is ``nn.GraphConv``'s.
 """
 
 from dataclasses import dataclass
@@ -44,15 +42,11 @@ class PopulationClassifier:
         ]
         self.head = MLP([dims[-1]] + list(config.head_dims), rng, name="f3.head")
 
-    def logits(self, h: Tensor, a: Tensor) -> Tensor:
-        x = h
-        for layer in self.gnn_layers:
-            x = layer.forward(x, a)
-        return self.head.forward(x)
-
     def forward(self, h: Tensor, a: Tensor):
         """Returns (probabilities, logits); probability rows sum to 1."""
-        z = self.logits(h, a)
+        for layer in self.gnn_layers:
+            h = layer.forward(h, a)
+        z = self.head.forward(h)
         return exp(log_softmax(z)), z
 
     def parameters(self):

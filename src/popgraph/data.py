@@ -7,9 +7,10 @@ label per graph. ``<name>_node_labels.txt`` and ``<name>_node_attributes.txt``
 are optional. The loader deduplicates edges to single undirected storage and
 remaps graph labels to a contiguous [0, C) range.
 
-Every file has one grammar: one row per line, fields separated by commas and
-read as ``np.loadtxt`` reads them (an integer is an optional sign and ASCII
-digits), blank lines skipped but counted, and every node attribute finite.
+Every file is UTF-8, whatever the locale, and has one grammar: one row per
+line, in ASCII, fields separated by commas and read as ``np.loadtxt`` reads
+them (an integer is an optional sign and digits), blank lines (of any Unicode
+whitespace) skipped but counted, and every node attribute finite.
 Each file is parsed as one array, and nodes, edges and features are grouped
 per graph with array operations. A malformed file raises
 :class:`DatasetFormatError` naming the file and, where one line is at fault,
@@ -34,6 +35,12 @@ class DatasetFormatError(ValueError):
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer, not a bool."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed={seed!r} is not a non-negative integer")
 
 
 def whole_numbers(values, message: str) -> np.ndarray:
@@ -203,6 +210,7 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValueError(f"synthetic spec: {name}={value!r} is not an integer")
+        check_seed(self.seed)
         if self.classes < 2:
             raise ValueError("synthetic spec needs at least 2 classes")
         if self.graphs_per_class < 1:
@@ -226,8 +234,14 @@ class SyntheticSpec:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text, read as UTF-8 whatever the locale."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise DatasetFormatError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def _numbered(text: str):
@@ -260,6 +274,10 @@ def _rows(path: str, text: str, dtype, what: str, width=None) -> np.ndarray:
     when that fails are the lines parsed one at a time, by the same call, to
     name the first line whose field does not parse or whose width differs.
     """
+    if not text.isascii():  # numpy's parse of a non-ASCII digit depends on the locale
+        for lineno, line in _numbered(text):
+            if not line.isascii():
+                raise DatasetFormatError(f"{path}:{lineno}: bad {what} {line!r}")
     try:
         values = _loadtxt(text.splitlines(), dtype)
     except (ValueError, Warning):
@@ -417,11 +435,15 @@ def save_tu_dataset(batch: GraphBatch, directory: str, name: str) -> None:
     pairs = np.stack([edges, edges[:, ::-1]], axis=1)[both_ways]
     os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, name)
-    np.savetxt(f"{prefix}_graph_indicator.txt",
-               np.repeat(np.arange(1, len(batch) + 1), np.diff(batch.node_offsets)), fmt="%d")
-    np.savetxt(f"{prefix}_graph_labels.txt", batch.labels, fmt="%d")
-    np.savetxt(f"{prefix}_A.txt", pairs, fmt="%d", delimiter=", ")
-    with open(f"{prefix}_node_attributes.txt", "w") as fh:
+    columns = {
+        "graph_indicator": np.repeat(np.arange(1, len(batch) + 1), np.diff(batch.node_offsets)),
+        "graph_labels": batch.labels,
+        "A": pairs,
+    }
+    for suffix, values in columns.items():
+        with open(f"{prefix}_{suffix}.txt", "w", encoding="utf-8") as fh:
+            np.savetxt(fh, values, fmt="%d", delimiter=", ")
+    with open(f"{prefix}_node_attributes.txt", "w", encoding="utf-8") as fh:
         fh.writelines(", ".join(map(repr, row)) + "\n" for row in batch.features.tolist())
 
 
@@ -472,14 +494,16 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
 
     The test set is drawn once; remaining indices are dealt into k folds,
     each serving once as validation while the others train. Raises
-    ``ValueError`` naming an ``n`` or ``k`` that is not an integer, and the
-    first index whose label is NaN or infinite, which no class would claim.
+    ``ValueError`` naming an ``n`` or ``k`` that is not an integer, a ``seed``
+    that is not a non-negative integer, and the first index whose label is
+    NaN or infinite, which no class would claim.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
     for name, value in (("n", n), ("k", k)):
         if not is_integer(value):
             raise ValueError(f"{name}={value!r} is not an integer")
+    check_seed(seed)
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < k + 2:

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .data import is_integer
 from .latent_graph import ROW_BLOCK, row_blocks
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, exp, log, log_softmax
 
@@ -57,6 +58,9 @@ class TargetDistribution:
 
     @classmethod
     def for_support(cls, n: int) -> "TargetDistribution":
+        """The starting target over degrees 0..n-1, for a positive integer ``n``."""
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"n={n!r} is not a positive integer support size")
         # start below half density: sparse graphs with room for dense nodes
         return cls(mu=n / 4.0, sigma=n / 8.0)
 

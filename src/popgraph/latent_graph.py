@@ -48,7 +48,7 @@ def _require_finite_rows(x: np.ndarray, what: str = "embedding") -> None:
         raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
 
 
-def _upper_distance_blocks(x: np.ndarray, keep: bool = False):
+def _upper_distance_blocks(x: np.ndarray):
     """Yield ``(i0, i1, d)``: the distances of rows i0:i1 to rows i0:, a contiguous block.
 
     Squared distances are taken in the expanded form |x_p|^2 + |x_q|^2 - 2 x_p.x_q
@@ -59,24 +59,17 @@ def _upper_distance_blocks(x: np.ndarray, keep: bool = False):
     already made. The square part of a block is mirrored from its upper
     triangle and its diagonal is exactly 0. Equal rows in different blocks
     also get exactly 0 where BLAS rounds every dot product of a gemm alike.
-
-    Unless ``keep`` is set, every block is a view of one buffer, overwritten
-    by the next block.
+    Every block is a view of one buffer, overwritten by the next block.
     """
     x = np.ascontiguousarray(x)
     n = x.shape[0]
     minus2x = -2.0 * x
-    blocks = row_blocks(n)
-    rows = min(n, ROW_BLOCK)
-    store = np.empty(sum((i1 - i0) * (n - i0) for i0, i1 in blocks) if keep else rows * n)
-    sums = np.empty(rows * n)
+    store = np.empty(min(n, ROW_BLOCK) * n)
+    sums = np.empty_like(store)
     norms = np.empty(n)
-    offset = 0
-    for i0, i1 in reversed(blocks):
+    for i0, i1 in reversed(row_blocks(n)):
         b, w = i1 - i0, n - i0
-        d = store[offset:offset + b * w].reshape(b, w)
-        if keep:
-            offset += b * w
+        d = store[:b * w].reshape(b, w)
         np.matmul(x[i0:i1], minus2x[i0:].T, out=d)  # -2 x_p.x_q
         square = d[:, :b]
         np.copyto(square, square.T, where=_STRICT_LOWER[:b, :b])
@@ -148,8 +141,8 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     a = np.empty((n, n))
     blocks = []
     chain = np.empty(min(n, ROW_BLOCK) * n)
-    for i0, i1, d in _upper_distance_blocks(x, keep=True):
-        blocks.append((i0, i1, d))
+    for i0, i1, d in _upper_distance_blocks(x):
+        blocks.append((i0, i1, d.copy()))
         b, w = d.shape
         e = chain[:b * w].reshape(b, w)
         np.multiply(d, t, out=e)

@@ -137,7 +137,8 @@ def constant_csr(adj: Tensor) -> sp.csr_matrix:
 
 class GraphConv:
     """x' = relu(x @ W_self + (A @ x) @ W_neigh + b), one layer of message
-    passing over the population graph: f3's layer.
+    passing over the population graph: f3's layer. Both widths, ``d_in`` and
+    ``d_out``, are positive integers.
 
     ``adj`` is the n x n dense adjacency Tensor of the graph whose n nodes
     are the rows of ``x``. The layer is one autograd op with a hand-derived
@@ -168,6 +169,7 @@ class GraphConv:
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="conv"):
+        check_widths(f"{name} dims", (d_in, d_out))
         self.w_self = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
                              name=f"{name}.w_self")
         self.w_neigh = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,

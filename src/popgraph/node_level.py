@@ -57,15 +57,6 @@ class NodeBlock(NamedTuple):
     aggregated: np.ndarray  # rows x features, read-only: adjacency @ the rows' features
 
 
-def _csr_block(m, r0: int, r1: int):
-    """Rows and columns r0:r1 of the CSR matrix ``m``, whose rows r0:r1 have no
-    entry outside those columns: its values are a view of ``m``'s, in ``m``'s
-    order, so a product with it sums as ``m``'s does."""
-    e0, e1 = int(m.indptr[r0]), int(m.indptr[r1])
-    return sp.csr_matrix((m.data[e0:e1], m.indices[e0:e1] - r0, m.indptr[r0:r1 + 1] - e0),
-                         shape=(r1 - r0, r1 - r0))
-
-
 # Each batch's plan, kept while the batch lives. A plan holds arrays of its
 # batch but never the batch, so the batch's last reference still frees both.
 _plans = weakref.WeakKeyDictionary()
@@ -76,8 +67,8 @@ def node_blocks(batch: GraphBatch) -> tuple:
     consecutive whole graphs grouped into blocks (:class:`NodeBlock`) of at
     most ``NODE_BLOCK`` node rows, a larger graph being a block of its own. No
     edge leaves its graph, so a block's rows need no other block's. Each
-    block's adjacency is sliced from the batch's CSR arrays, and its pooling
-    rows come from the node offsets."""
+    block's adjacency is the batch adjacency's diagonal block, a CSR copy in
+    the batch's entry order, and its pooling rows come from the node offsets."""
     plan = _plans.get(batch)
     if plan is not None:
         return plan
@@ -90,7 +81,7 @@ def node_blocks(batch: GraphBatch) -> tuple:
         r1 = int(offsets[g1])
         rows = np.arange(r1 - r0)  # one entry per row, in the row's graph
         membership = sp.csr_matrix((np.ones(rows.size), rows, offsets[g0:g1 + 1] - r0))
-        adjacency = _csr_block(batch.adjacency, r0, r1)
+        adjacency = batch.adjacency[r0:r1, r0:r1]
         aggregated = adjacency @ batch.features[r0:r1]
         aggregated.setflags(write=False)
         blocks.append(NodeBlock(slice(r0, r1), slice(g0, g1), adjacency, membership,
@@ -133,8 +124,8 @@ class NodeLevelModule:
         if batch.features.shape[1] != d_in:
             raise ShapeError(
                 f"batch features of width {batch.features.shape[1]} for input width {d_in}")
-        params = self.parameters()
-        weights = [tuple(p.data for p in layer.parameters()) for layer in self.layers]
+        layer_params = [layer.parameters() for layer in self.layers]
+        weights = [tuple(p.data for p in params) for params in layer_params]
         counts = np.diff(batch.node_offsets)
         scale = 1.0 / counts[:, None] if self.config.pooling == "mean" else 1.0  # 1 is exact
         h = np.empty((len(batch), weights[-1][2].shape[0]))
@@ -153,7 +144,6 @@ class NodeLevelModule:
 
         def backward(g_h):
             g_h = g_h * scale
-            grads = [[np.zeros_like(w) for w in layer] for layer in weights]
             for block, (inputs, top_mask) in zip(blocks, saved):
                 g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
                 for i in reversed(range(len(weights))):
@@ -167,12 +157,10 @@ class NodeLevelModule:
                         g = add_matmul(ag @ w_neigh.T, g, w_self.T)
                     else:
                         g_w_neigh = block.aggregated.T @ g
-                    for acc, grad in zip(grads[i], (g_w_self, g_w_neigh, g_bias)):
-                        acc += grad
-            for p, grad in zip(params, (grad for layer in grads for grad in layer)):
-                _accumulate(p, grad)
+                    for p, grad in zip(layer_params[i], (g_w_self, g_w_neigh, g_bias)):
+                        _accumulate(p, grad)
 
-        return _record(h, params, backward)
+        return _record(h, self.parameters(), backward)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]

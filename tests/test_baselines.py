@@ -268,12 +268,21 @@ def test_random_population_mean_degree_near_target():
 @pytest.mark.parametrize(
     "n,degree,message",
     [(1, 0.0, "at least 2 nodes"), (5, -1.0, "expected_degree"),
-     (5, float("nan"), "expected_degree"), (5, float("inf"), "expected_degree")],
-    ids=["one_node", "negative", "nan", "inf"],
+     (5, float("nan"), "expected_degree"), (5, float("inf"), "expected_degree"),
+     (20.5, 5.0, "n=20.5"), (True, 1.0, "n=True"), (5, None, "expected_degree")],
+    ids=["one_node", "negative", "nan", "inf", "fractional_nodes", "bool_nodes", "no_degree"],
 )
 def test_random_population_rejects(n, degree, message):
     with pytest.raises(ValueError, match=message):
         random_population(n, degree, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, True, -1])
+def test_random_population_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=rf"seed={seed!r} is not a non-negative integer"):
+        random_population(5, 2.0, seed)
+    np.testing.assert_array_equal(random_population(5, 2.0, np.int64(3)),
+                                  random_population(5, 2.0, 3))
 
 
 def memory_case(builder):

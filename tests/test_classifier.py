@@ -154,6 +154,12 @@ def test_config_rejects_a_width_that_is_not_a_positive_integer(gnn_dims, head_di
         ClassifierConfig(gnn_dims=gnn_dims, head_dims=head_dims)
 
 
+@pytest.mark.parametrize("input_dim", [0, 2.5, True, -3])
+def test_classifier_rejects_an_input_width_that_is_not_a_positive_integer(input_dim):
+    with pytest.raises(ValueError, match=rf"f3.conv0 dims\[0\] is {input_dim!r}"):
+        make_classifier(np.random.default_rng(0), input_dim=input_dim)
+
+
 @pytest.mark.parametrize("head_dims", [[], [1], [8, 1]])
 def test_config_rejects_a_head_of_fewer_than_two_classes(head_dims):
     with pytest.raises(ValueError, match="at least 2"):

@@ -24,13 +24,13 @@ from popgraph.node_level import node_blocks
 
 
 def write_fixture(tmp_path, name="TOY", node_labels=None, attributes=None):
-    (tmp_path / f"{name}_A.txt").write_text("1, 2\n2, 1\n3, 4\n4, 3\n")
-    (tmp_path / f"{name}_graph_indicator.txt").write_text("1\n1\n2\n2\n")
-    (tmp_path / f"{name}_graph_labels.txt").write_text("1\n-1\n")
+    (tmp_path / f"{name}_A.txt").write_text("1, 2\n2, 1\n3, 4\n4, 3\n", encoding="utf-8")
+    (tmp_path / f"{name}_graph_indicator.txt").write_text("1\n1\n2\n2\n", encoding="utf-8")
+    (tmp_path / f"{name}_graph_labels.txt").write_text("1\n-1\n", encoding="utf-8")
     if node_labels is not None:
-        (tmp_path / f"{name}_node_labels.txt").write_text(node_labels)
+        (tmp_path / f"{name}_node_labels.txt").write_text(node_labels, encoding="utf-8")
     if attributes is not None:
-        (tmp_path / f"{name}_node_attributes.txt").write_text(attributes)
+        (tmp_path / f"{name}_node_attributes.txt").write_text(attributes, encoding="utf-8")
     return str(tmp_path)
 
 
@@ -59,7 +59,7 @@ def test_load_missing_file_names_it(tmp_path):
 
 def test_load_cross_graph_edge_reports_line(tmp_path):
     write_fixture(tmp_path)
-    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, 1\n3, 4\n2, 3\n")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, 1\n3, 4\n2, 3\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="TOY_A.txt:4"):
         load_tu_dataset(str(tmp_path), "TOY")
 
@@ -99,7 +99,7 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
 )
 def test_malformed_file_reports_file_and_line(tmp_path, filename, content, message):
     write_fixture(tmp_path)
-    (tmp_path / f"TOY_{filename}.txt").write_text(content)
+    (tmp_path / f"TOY_{filename}.txt").write_text(content, encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=message):
         load_tu_dataset(str(tmp_path), "TOY")
 
@@ -117,20 +117,51 @@ def test_malformed_file_reports_file_and_line(tmp_path, filename, content, messa
 def test_fields_np_loadtxt_rejects_fail_at_line_1(tmp_path, filename, content):
     # Python's int() reads each of these lines, the comma-separated grammar does not
     write_fixture(tmp_path)
-    (tmp_path / f"TOY_{filename}.txt").write_text(content)
+    (tmp_path / f"TOY_{filename}.txt").write_text(content, encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=rf"TOY_{filename}.txt:1: bad "):
         load_tu_dataset(str(tmp_path), "TOY")
 
 
 def test_blank_lines_of_spaces_are_skipped_but_counted(tmp_path):
     expected = load_tu_dataset(write_fixture(tmp_path), "TOY")
-    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n\t\n3, 4\n\xa0\n4, 3\n")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n\t\n3, 4\n\xa0\n4, 3\n", encoding="utf-8")
     assert edge_lists(load_tu_dataset(str(tmp_path), "TOY")) == edge_lists(expected)
-    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n3, 4\n4, y\n")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n  \n2, 1\n3, 4\n4, y\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=r"TOY_A.txt:5: bad edge '4, y'"):
         load_tu_dataset(str(tmp_path), "TOY")
-    (tmp_path / "TOY_A.txt").write_text(" \n")
+    (tmp_path / "TOY_A.txt").write_text(" \n", encoding="utf-8")
     assert edge_lists(load_tu_dataset(str(tmp_path), "TOY")) == [[], []]
+
+
+def test_a_file_that_is_not_utf8_is_reported_at_its_line(tmp_path):
+    write_fixture(tmp_path)
+    (tmp_path / "TOY_graph_indicator.txt").write_bytes(b"1\n1\n\xff\n2\n")
+    with pytest.raises(DatasetFormatError, match="TOY_graph_indicator.txt:3: not UTF-8"):
+        load_tu_dataset(str(tmp_path), "TOY")
+
+
+LOCALE_PROBE = """
+import sys
+from popgraph.data import DatasetFormatError, load_tu_dataset
+sys.stdout.reconfigure(encoding="utf-8")
+try:
+    load_tu_dataset(sys.argv[1], "TOY")
+except DatasetFormatError as err:
+    print(err)
+"""
+
+
+def test_a_non_ascii_line_is_a_bad_row_under_the_c_locale(tmp_path):
+    # there numpy reads the full-width digit in "1, \uff12" as 65250
+    write_fixture(tmp_path)
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, 1\n\u3000\n1, \uff12\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(popgraph.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", LOCALE_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, encoding="utf-8", timeout=60,
+                         check=True)
+    assert run.stdout.endswith("TOY_A.txt:4: bad edge '1, \uff12'\n")
 
 
 def test_interleaved_graph_ids_keep_file_order(tmp_path):
@@ -139,10 +170,14 @@ def test_interleaved_graph_ids_keep_file_order(tmp_path):
     graph_ids = np.random.default_rng(3).integers(1, 4, size=300)
     members = [np.flatnonzero(graph_ids == g) for g in (1, 2, 3)]
     chains = [(a + 1, b + 1) for nodes in members for a, b in zip(nodes[:-1], nodes[1:])]
-    (tmp_path / "IL_graph_indicator.txt").write_text("".join(f"{g}\n" for g in graph_ids))
-    (tmp_path / "IL_graph_labels.txt").write_text("0\n1\n0\n")
-    (tmp_path / "IL_A.txt").write_text("".join(f"{b}, {a}\n{a}, {b}\n" for a, b in chains))
-    (tmp_path / "IL_node_attributes.txt").write_text("".join(f"{i}.0\n" for i in range(300)))
+    files = {
+        "graph_indicator": "".join(f"{g}\n" for g in graph_ids),
+        "graph_labels": "0\n1\n0\n",
+        "A": "".join(f"{b}, {a}\n{a}, {b}\n" for a, b in chains),
+        "node_attributes": "".join(f"{i}.0\n" for i in range(300)),
+    }
+    for suffix, text in files.items():
+        (tmp_path / f"IL_{suffix}.txt").write_text(text, encoding="utf-8")
     graphs = load_tu_dataset(str(tmp_path), "IL")
     for g, nodes in zip(graphs, members):
         np.testing.assert_array_equal(g.features[:, 0], nodes)
@@ -232,18 +267,20 @@ def test_bad_token_is_reported_at_its_file_and_line(tmp_path_factory, graphs, da
     save_tu_dataset(GraphBatch(graphs), str(out), "RT")
     nodes = sum(g.node_count for g in graphs)
     node_labels = data.draw(st.lists(st.integers(-3, 3), min_size=nodes, max_size=nodes))
-    (out / "RT_node_labels.txt").write_text("".join(f"{x}\n" for x in node_labels))
+    (out / "RT_node_labels.txt").write_text("".join(f"{x}\n" for x in node_labels),
+                                            encoding="utf-8")
     load_tu_dataset(str(out), "RT")
-    name = data.draw(st.sampled_from([f for f in TU_FILES if (out / f"RT_{f}.txt").read_text()]))
+    name = data.draw(st.sampled_from(
+        [f for f in TU_FILES if (out / f"RT_{f}.txt").read_text(encoding="utf-8")]))
     path = out / f"RT_{name}.txt"
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     row = data.draw(st.integers(0, len(lines) - 1))
     fields = lines[row].split(", ")
     fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(BAD_TOKENS))
     lines[row] = ", ".join(fields)
     blank = data.draw(st.integers(0, len(lines)))  # a blank line still counts as a line
     lines.insert(blank, "")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     lineno = row + 1 + (blank <= row)
     with pytest.raises(DatasetFormatError, match=re.escape(f"RT_{name}.txt:{lineno}: ")):
         load_tu_dataset(str(out), "RT")
@@ -399,7 +436,7 @@ def test_data_module_imports_no_other_popgraph_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import popgraph.data; "
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'popgraph')))")
     run = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
-                         timeout=60, check=True)
+                         encoding="utf-8", timeout=60, check=True)
     assert run.stdout.split() == ["popgraph", "popgraph.data"]
 
 
@@ -436,6 +473,18 @@ def test_make_splits_rejects_a_size_or_fold_count_that_is_not_an_integer(n, k, e
     with pytest.raises(ValueError, match=f"{entry} is not an integer"):
         make_splits(n, 0.2, k, 0)
     assert len(make_splits(np.int64(20), 0.2, np.int64(2), 0).test_indices) == 4
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, True, -1])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
+    entry = re.escape(f"seed={seed!r} is not a non-negative integer")
+    with pytest.raises(ValueError, match=entry):
+        make_splits(20, 0.2, 2, seed)
+    spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
+                         topology="cycle_vs_star", feature_dim=2, noise_sigma=0.1, seed=seed)
+    with pytest.raises(ValueError, match=entry):
+        make_synthetic_dataset(spec)
+    assert make_splits(20, 0.2, 2, np.int64(3)) == make_splits(20, 0.2, 2, 3)
 
 
 def test_make_splits_deterministic_and_stratified():

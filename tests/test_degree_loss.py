@@ -59,6 +59,13 @@ def histogram(a):
     return p.data
 
 
+@pytest.mark.parametrize("n", [0, 2.5, True, -3])
+def test_target_for_support_rejects_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match=rf"n={n!r} is not a positive integer"):
+        TargetDistribution.for_support(n)
+    assert TargetDistribution.for_support(np.int64(8)).sigma == 1.0
+
+
 def test_threshold_keeps_values_above_half():
     a = [[0.0, 0.9], [0.9, 0.0]]
     np.testing.assert_allclose(histogram(a), histogram_oracle([0.9, 0.9], 2), atol=1e-12)

@@ -417,6 +417,6 @@ def test_theta_and_t_gradients_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
+                             text=True, encoding="utf-8", timeout=120, check=True)
         outputs.append(run.stdout.split())
     assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

@@ -182,6 +182,14 @@ def test_config_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
         NodeLevelConfig(layer_dims=dims)
 
 
+@pytest.mark.parametrize("input_dim", [0, 2.5, True, -3])
+def test_f1_rejects_an_input_width_that_is_not_a_positive_integer(input_dim):
+    with pytest.raises(ValueError, match=rf"f1.conv0 dims\[0\] is {input_dim!r}"):
+        make_module(np.random.default_rng(0), input_dim=input_dim)
+    module = make_module(np.random.default_rng(0), input_dim=np.int64(3))
+    assert module.layers[0].w_self.shape == (3, 5)
+
+
 def test_config_accepts_numpy_integer_widths():
     assert NodeLevelConfig(layer_dims=list(np.array([4, 2]))).layer_dims == [4, 2]
 

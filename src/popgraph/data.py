@@ -63,12 +63,15 @@ TOPOLOGIES = ("cycle_vs_star", "ambiguous_features")
 
 @dataclass
 class Graph:
-    """One input sample: undirected topology plus node features and a label."""
+    """One input sample: undirected topology, one feature row per node, and a label."""
 
-    node_count: int
     edges: list | np.ndarray  # local (u, v), each undirected edge once: pairs or an (e, 2) array
     features: np.ndarray
     label: int
+
+    @property
+    def node_count(self) -> int:
+        return len(self.features)
 
 
 class GraphBatch:
@@ -82,9 +85,9 @@ class GraphBatch:
     one entry. Graph g's node rows are ``node_offsets[g]:node_offsets[g + 1]``:
     the offsets are the one record of which rows each graph pools. The arrays
     are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
-    :class:`Graph` of views. Every graph must have a node count and a label
-    that are whole numbers, at least one node, a 2-D feature array of one
-    finite row per node, as many feature columns as graph 0 and at least one,
+    :class:`Graph` of views. A graph's nodes are its feature rows. Every graph
+    must have a 2-D feature array of at least one row, finite entries, and as
+    many columns as graph 0 and at least one; a label that is a whole number;
     and edges between its own nodes, each undirected edge once; a
     ``ValueError`` names the first that does not.
     """
@@ -93,19 +96,12 @@ class GraphBatch:
         graphs = list(graphs)
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
-        counts = whole_numbers([g.node_count for g in graphs],
-                               "graph {i} of the batch has node count {value}, not a whole number")
         shapes = [g.features.shape for g in graphs]
         for g, shape in enumerate(shapes):
             if len(shape) != 2:
                 raise ValueError(f"graph {g} of the batch has features of shape {shape}, "
                                  "not a 2-D array of one row per node")
-        feature_rows, widths = np.array(shapes).T
-        bad = np.flatnonzero(feature_rows != counts)
-        if bad.size:
-            g = int(bad[0])
-            raise ValueError(
-                f"graph {g} of the batch has {feature_rows[g]} feature rows for {counts[g]} nodes")
+        counts, widths = np.array(shapes, dtype=np.intp).T
         bad = np.flatnonzero(widths != widths[0])
         if bad.size:
             g = int(bad[0])
@@ -166,8 +162,7 @@ class GraphBatch:
     def __getitem__(self, g):
         g = range(len(self))[g]  # a negative g counts from the end; IndexError ends iteration
         start, stop = self.node_offsets[g:g + 2]
-        return Graph(node_count=int(stop - start),
-                     edges=self.edges[self.edge_offsets[g]:self.edge_offsets[g + 1]],
+        return Graph(edges=self.edges[self.edge_offsets[g]:self.edge_offsets[g + 1]],
                      features=self.features[start:stop], label=int(self.labels[g]))
 
     @property
@@ -485,7 +480,7 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed=None) -> GraphBatch:
                     mean[c % spec.feature_dim] = 1.0
                 offset = spec.noise_sigma * rng.normal(size=spec.feature_dim)
                 feats = mean + offset + NODE_JITTER_SIGMA * rng.normal(size=(n, spec.feature_dim))
-            graphs.append(Graph(node_count=n, edges=edges, features=feats, label=c))
+            graphs.append(Graph(edges=edges, features=feats, label=c))
     return GraphBatch(graphs)
 
 

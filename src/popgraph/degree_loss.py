@@ -22,6 +22,7 @@ not as an N x N array.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -38,17 +39,25 @@ KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
 EDGE_THRESHOLD = 0.5  # an entry counts towards a degree when strictly above it
 
 
+def _check_support_size(n) -> None:
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"n={n!r} is not a positive integer support size")
+
+
 class TargetDistribution:
     """Discrete Gaussian over integer degrees with learnable mean and width.
 
-    ``mu`` and ``sigma`` must be finite, ``sigma`` positive. The width is
-    stored as a log so it stays positive; densities are evaluated at the
-    integer support 0..N-1 and renormalized, so the target is always a
+    ``mu`` and ``sigma`` must be finite real numbers, not bools, and
+    ``sigma`` positive; a support size ``n`` must be a positive integer. The
+    width is stored as a log so it stays positive; densities are evaluated at
+    the integer support 0..N-1 and renormalized, so the target is always a
     proper distribution under truncation.
     """
 
     def __init__(self, mu: float, sigma: float):
         for name, value in (("mu", mu), ("sigma", sigma)):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name}={value!r} is not a real number")
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if sigma <= 0:
@@ -58,9 +67,8 @@ class TargetDistribution:
 
     @classmethod
     def for_support(cls, n: int) -> "TargetDistribution":
-        """The starting target over degrees 0..n-1, for a positive integer ``n``."""
-        if not is_integer(n) or n < 1:
-            raise ValueError(f"n={n!r} is not a positive integer support size")
+        """The starting target over degrees 0..n-1."""
+        _check_support_size(n)
         # start below half density: sparse graphs with room for dense nodes
         return cls(mu=n / 4.0, sigma=n / 8.0)
 
@@ -69,6 +77,8 @@ class TargetDistribution:
         return float(np.exp(self.sigma_raw.data))
 
     def log_distribution(self, n: int) -> Tensor:
+        """The log of the target over degrees 0..n-1."""
+        _check_support_size(n)
         bins = Tensor(np.arange(n, dtype=np.float64))
         centered = bins - self.mu
         inv_two_var = exp(self.sigma_raw * -2.0) * 0.5

@@ -114,7 +114,9 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     overflows to inf and the weight is exactly 0.0, as ``expit`` gives there;
     the overflow raises no warning. Elsewhere the two differ by less than
     1e-15 relative wherever ``expit`` is at least 1e-300. A row with a NaN
-    gives NaN weights in its row and column.
+    gives NaN weights in its row and column. Raises ``ShapeError`` for an
+    embedding that is not 2-D, and naming a ``t_raw`` or ``theta`` that is not
+    0-d.
 
     The backward works on the same upper blocks with the symmetric
     S = a (1 - a) (G + G^T), where G is the weights' gradient, the gradient of
@@ -135,6 +137,9 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     """
     if z.data.ndim != 2:
         raise ShapeError(f"edge weights expect a 2-D embedding, got {z.data.shape}")
+    for name, param in (("t_raw", t_raw), ("theta", theta)):
+        if param.data.ndim != 0:  # a vector theta would break the weights' symmetry
+            raise ShapeError(f"edge weights expect a scalar {name}, got shape {param.data.shape}")
     x = z.data
     n, k = x.shape
     t = float(np.exp(t_raw.data))

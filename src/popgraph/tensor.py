@@ -363,10 +363,11 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
     ``f`` must map the current tensor state to a scalar Tensor; ``x`` is
     perturbed coordinate-by-coordinate in place. Error per coordinate is
     |analytic - numeric| / max(1, |analytic|); NaN anywhere propagates to
-    the returned value.
+    the returned value. Raises ``ValueError`` naming a ``step`` that is not
+    finite and positive, and when ``f`` gives ``x`` no gradient.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step={step!r} is not finite and positive")
     loss = f(x)
     loss.backward()
     if x.grad is None:

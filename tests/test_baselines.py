@@ -15,7 +15,7 @@ BLOCKED_N = 2 * ROW_BLOCK + 5
 
 def graph(node_count, edges):
     # two features, as many as the generated graphs below, so both stack in one batch
-    return Graph(node_count=node_count, edges=edges, features=np.ones((node_count, 2)), label=0)
+    return Graph(edges=edges, features=np.ones((node_count, 2)), label=0)
 
 
 TRIANGLE = graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -118,6 +118,8 @@ def test_cross_entropy_matches_direct_oracle():
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError, match="label"):
         cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
+    with pytest.raises(ValueError, match="3 labels for 2 rows"):
+        cross_entropy(Tensor(np.zeros((2, 2))), [0, 1, 0])
 
 
 @pytest.mark.parametrize("labels,entry", [

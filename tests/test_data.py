@@ -105,6 +105,24 @@ def test_malformed_file_reports_file_and_line(tmp_path, filename, content, messa
 
 
 @pytest.mark.parametrize(
+    "filename,content,message",
+    [
+        ("graph_indicator", "\n", "TOY_graph_indicator.txt: no nodes"),
+        ("graph_labels", "1\n-1\n0\n", "TOY_graph_labels.txt: 3 labels for 2 graphs"),
+        ("node_labels", "7\n9\n9\n", "TOY_node_labels.txt: 3 rows for 4 nodes"),
+        ("node_attributes", "0.5\n1.5\n2.5\n3.5\n4.5\n",
+         "TOY_node_attributes.txt: 5 rows for 4 nodes"),
+    ],
+    ids=["no_nodes", "labels", "node_labels", "node_attributes"],
+)
+def test_a_file_of_the_wrong_length_is_reported(tmp_path, filename, content, message):
+    write_fixture(tmp_path)
+    (tmp_path / f"TOY_{filename}.txt").write_text(content, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=message):
+        load_tu_dataset(str(tmp_path), "TOY")
+
+
+@pytest.mark.parametrize(
     "filename,content",
     [
         ("A", "1 2\n2 1\n3 4\n4 3\n"),
@@ -227,7 +245,7 @@ def tu_datasets(draw):
         values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                                min_size=n * dim, max_size=n * dim))
         label = draw(st.integers(min_value=-3, max_value=3))
-        graphs.append(Graph(n, edges, np.array(values).reshape(n, dim), label))
+        graphs.append(Graph(edges, np.array(values).reshape(n, dim), label))
     return graphs
 
 
@@ -334,6 +352,20 @@ def test_synthetic_rejects_degenerate_spec():
         make_synthetic_dataset(spec)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"classes": 1}, "at least 2 classes"),
+    ({"nodes_min": 5, "nodes_max": 4}, "need 3 <= nodes_min <= nodes_max"),
+    ({"nodes_min": 2}, "need 3 <= nodes_min <= nodes_max"),
+    ({"feature_dim": 0}, "feature_dim must be positive"),
+    ({"topology": "grid"}, "unknown topology 'grid'"),
+], ids=["one_class", "nodes_out_of_order", "two_nodes", "no_features", "topology"])
+def test_synthetic_rejects_a_spec_out_of_range(change, message):
+    spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
+                         topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, **change).validate()
+
+
 @pytest.mark.parametrize("field,value", [
     ("classes", 2.0), ("graphs_per_class", 2.5), ("nodes_min", 3.5), ("nodes_max", 4.5),
     ("feature_dim", True),
@@ -399,30 +431,20 @@ def test_batch_preserves_edge_counts_and_offsets():
     ([-np.inf, 0], "graph 0 of the batch has label -inf, not a whole number"),
 ], ids=["fractions", "fraction_after_an_integer", "nan", "inf"])
 def test_batch_rejects_a_label_that_is_not_a_whole_number(labels, entry):
-    graphs = [Graph(3, [(0, 1)], np.ones((3, 2)), labels[0]),
-              Graph(2, [], np.ones((2, 2)), labels[1])]
+    graphs = [Graph([(0, 1)], np.ones((3, 2)), labels[0]),
+              Graph([], np.ones((2, 2)), labels[1])]
     with pytest.raises(ValueError, match=entry):
         GraphBatch(graphs)
 
 
-@pytest.mark.parametrize("count,entry", [(2.5, "2.5"), (np.nan, "nan")], ids=["fraction", "nan"])
-def test_batch_rejects_a_node_count_that_is_not_a_whole_number(count, entry):
-    graphs = [Graph(3, [(0, 1)], np.ones((3, 1)), 0), Graph(count, [], np.ones((2, 1)), 0)]
-    with pytest.raises(ValueError,
-                       match=f"graph 1 of the batch has node count {entry}, not a whole number"):
-        GraphBatch(graphs)
-    graphs[1].node_count = np.int64(2)
-    assert GraphBatch(graphs).node_offsets.tolist() == [0, 3, 5]
-
-
 def test_batch_keeps_whole_labels_of_any_sign_and_type():
-    graphs = [Graph(1, [], np.ones((1, 1)), label) for label in (-2, 3.0, np.int64(1), True)]
+    graphs = [Graph([], np.ones((1, 1)), label) for label in (-2, 3.0, np.int64(1), True)]
     labels = GraphBatch(graphs).labels
     assert labels.tolist() == [-2, 3, 1, 1] and labels.dtype == np.intp
 
 
 def test_batch_features_are_a_read_only_float64_array():
-    graphs = [Graph(2, [(0, 1)], np.array([[1, 2], [3, 4]]), 0), Graph(1, [], np.ones((1, 2)), 1)]
+    graphs = [Graph([(0, 1)], np.array([[1, 2], [3, 4]]), 0), Graph([], np.ones((1, 2)), 1)]
     batch = GraphBatch(graphs)
     assert type(batch.features) is np.ndarray and batch.features.dtype == np.float64
     np.testing.assert_array_equal(batch.features, [[1.0, 2.0], [3.0, 4.0], [1.0, 1.0]])
@@ -440,9 +462,14 @@ def test_data_module_imports_no_other_popgraph_module():
     assert run.stdout.split() == ["popgraph", "popgraph.data"]
 
 
+def test_batch_rejects_no_graphs():
+    with pytest.raises(ValueError, match="GraphBatch needs at least one graph"):
+        GraphBatch([])
+
+
 def test_batch_rejects_empty_graph():
-    graphs = [Graph(2, [(0, 1)], np.ones((2, 2)), 0), Graph(0, [], np.ones((0, 2)), 1),
-              Graph(2, [], np.ones((2, 2)), 0)]
+    graphs = [Graph([(0, 1)], np.ones((2, 2)), 0), Graph([], np.ones((0, 2)), 1),
+              Graph([], np.ones((2, 2)), 0)]
     with pytest.raises(ValueError, match="graph 1 .*no nodes"):
         GraphBatch(graphs)
 
@@ -451,6 +478,17 @@ def test_make_splits_small_example():
     plan = make_splits(10, test_fraction=0.1, k=3, seed=0)
     assert len(plan.test_indices) == 1
     assert [len(v) for v in plan.fold_validation] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("test_fraction,k,labels,message", [
+    (0.0, 2, None, r"test_fraction must be in \(0, 1\)"),
+    (1.0, 2, None, r"test_fraction must be in \(0, 1\)"),
+    (0.2, 1, None, "k must be at least 2"),
+    (0.2, 2, [0, 1] * 4, "labels length must equal n"),
+], ids=["fraction_0", "fraction_1", "one_fold", "short_labels"])
+def test_make_splits_rejects_an_argument_out_of_range(test_fraction, k, labels, message):
+    with pytest.raises(ValueError, match=message):
+        make_splits(10, test_fraction, k, 0, labels)
 
 
 def test_make_splits_rejects_tiny_dataset():
@@ -540,7 +578,7 @@ def test_split_partition_property(n, k, test_fraction, seed, classes):
 
 def test_batch_rejects_out_of_range_edge():
     # stacked unchecked, edge (0, 5) would join graph 0 to node 3 of graph 1
-    graphs = [Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)]
+    graphs = [Graph([(0, 5)], np.ones((2, 1)), 0), Graph([], np.ones((6, 1)), 1)]
     message = r"graph 0 of the batch has edge \(0, 5\) outside \[0, 2\)"
     with pytest.raises(ValueError, match=message):
         GraphBatch(graphs)
@@ -554,24 +592,14 @@ def test_batch_rejects_out_of_range_edge():
 )
 def test_batch_rejects_repeated_edge(edges, repeat):
     # stacked unchecked, the repeat would give its edge weight 2
-    graphs = [Graph(3, [(0, 1)], np.ones((3, 1)), 0), Graph(3, edges, np.ones((3, 1)), 1)]
+    graphs = [Graph([(0, 1)], np.ones((3, 1)), 0), Graph(edges, np.ones((3, 1)), 1)]
     with pytest.raises(ValueError, match="graph 1 of the batch repeats edge " + re.escape(repeat)):
-        GraphBatch(graphs)
-
-
-@pytest.mark.parametrize("rows", [1, 3])
-def test_batch_rejects_feature_rows_other_than_node_count(rows):
-    # stacked unchecked, every later graph's features would shift
-    graphs = [Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(2, [(0, 1)], np.ones((rows, 1)), 1),
-              Graph(2, [], np.ones((2, 1)), 0)]
-    message = f"graph 1 of the batch has {rows} feature rows for 2 nodes"
-    with pytest.raises(ValueError, match=message):
         GraphBatch(graphs)
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 1, 1), ()], ids=["1d", "3d", "0d"])
 def test_batch_rejects_features_that_are_not_2d(shape):
-    graphs = [Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(2, [], np.ones(shape), 1)]
+    graphs = [Graph([(0, 1)], np.ones((2, 1)), 0), Graph([], np.ones(shape), 1)]
     for g, batch in ((1, graphs), (0, graphs[::-1])):
         message = f"graph {g} of the batch has features of shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -579,21 +607,21 @@ def test_batch_rejects_features_that_are_not_2d(shape):
 
 
 def test_batch_rejects_feature_width_other_than_graph_0s():
-    graphs = [Graph(2, [(0, 1)], np.ones((2, 2)), 0), Graph(3, [], np.ones((3, 2)), 1),
-              Graph(2, [], np.ones((2, 3)), 0), Graph(2, [], np.ones((2, 1)), 1)]
+    graphs = [Graph([(0, 1)], np.ones((2, 2)), 0), Graph([], np.ones((3, 2)), 1),
+              Graph([], np.ones((2, 3)), 0), Graph([], np.ones((2, 1)), 1)]
     with pytest.raises(ValueError, match="graph 2 of the batch has 3 feature columns, graph 0 has 2"):
         GraphBatch(graphs)
 
 
 @pytest.mark.parametrize(
     "graphs,message",
-    [([Graph(2, [(0, 1)], np.ones((2, 1)), 0), Graph(0, [], np.ones((0, 1)), 1),
-       Graph(2, [], np.ones((2, 1)), 0)], "graph 1 of the batch has no nodes"),
-     ([Graph(2, [(0, 5)], np.ones((2, 1)), 0), Graph(6, [], np.ones((6, 1)), 1)],
+    [([Graph([(0, 1)], np.ones((2, 1)), 0), Graph([], np.ones((0, 1)), 1),
+       Graph([], np.ones((2, 1)), 0)], "graph 1 of the batch has no nodes"),
+     ([Graph([(0, 5)], np.ones((2, 1)), 0), Graph([], np.ones((6, 1)), 1)],
       r"graph 0 of the batch has edge \(0, 5\) outside"),
-     ([Graph(1, [], np.ones((1, 1)), 0), Graph(2, [], np.array([[0.5], [np.inf]]), 1)],
+     ([Graph([], np.ones((1, 1)), 0), Graph([], np.array([[0.5], [np.inf]]), 1)],
       "graph 1 of the batch has a non-finite feature"),
-     ([Graph(2, [(0, 1)], np.ones((2, 0)), 0)], "node features have no columns")],
+     ([Graph([(0, 1)], np.ones((2, 0)), 0)], "node features have no columns")],
     ids=["zero_node_graph", "edge_past_its_graph", "infinite_feature", "zero_feature_columns"],
 )
 def test_save_writes_no_file_for_graphs_the_loader_rejects(tmp_path, graphs, message):
@@ -641,14 +669,15 @@ def test_batch_of_a_batch_reproduces_it(tmp_path):
 
 def test_batch_indexes_to_its_input_graphs():
     rng = np.random.default_rng(8)
-    graphs = [Graph(3, [(0, 1), (2, 2)], rng.normal(size=(3, 2)), 1),
-              Graph(1, [], rng.normal(size=(1, 2)), 0),
-              Graph(4, [(3, 0), (1, 2)], rng.normal(size=(4, 2)), 2)]
+    graphs = [Graph([(0, 1), (2, 2)], rng.normal(size=(3, 2)), 1),
+              Graph([], rng.normal(size=(1, 2)), 0),
+              Graph([(3, 0), (1, 2)], rng.normal(size=(4, 2)), 2)]
     batch = GraphBatch(graphs)
     assert len(batch) == 3 and batch.graphs is batch
+    assert [f.name for f in dataclasses.fields(Graph)] == ["edges", "features", "label"]
     for g, graph in enumerate(graphs):
         view = batch[g]
-        assert (view.node_count, view.label) == (graph.node_count, graph.label)
+        assert (view.node_count, view.label) == (len(graph.features), graph.label)
         assert view.edges.shape == (len(graph.edges), 2)
         assert view.edges.tolist() == [list(e) for e in graph.edges]
         np.testing.assert_array_equal(view.features, graph.features)

@@ -63,7 +63,11 @@ def histogram(a):
 def test_target_for_support_rejects_a_size_that_is_not_a_positive_integer(n):
     with pytest.raises(ValueError, match=rf"n={n!r} is not a positive integer"):
         TargetDistribution.for_support(n)
-    assert TargetDistribution.for_support(np.int64(8)).sigma == 1.0
+    target = TargetDistribution.for_support(np.int64(8))
+    assert target.sigma == 1.0
+    with pytest.raises(ValueError, match=rf"n={n!r} is not a positive integer"):
+        target.log_distribution(n)
+    assert target.log_distribution(np.int64(8)).shape == (8,)
 
 
 def test_threshold_keeps_values_above_half():
@@ -199,6 +203,10 @@ def test_target_distribution_is_positive_and_normalized():
     (1.0, np.inf, "sigma must be finite"),  # would be a uniform target
     (1.0, 0.0, "sigma must be positive"),
     (1.0, -2.0, "sigma must be positive"),
+    (True, 1.0, "mu=True is not a real number"),
+    (1.0, True, "sigma=True is not a real number"),
+    (None, 1.0, "mu=None is not a real number"),
+    (1.0, "1", "sigma='1' is not a real number"),
 ])
 def test_target_distribution_rejects_a_non_finite_or_non_positive_argument(mu, sigma, message):
     with pytest.raises(ValueError, match=message):
@@ -216,6 +224,11 @@ def test_total_loss_reduces_to_ce_at_zero_alpha():
 def test_total_loss_rejects_an_alpha_that_is_not_finite(alpha):
     with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
         total_loss(Tensor(0.7), Tensor(0.3), alpha)
+
+
+def test_total_loss_rejects_a_negative_alpha():
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        total_loss(Tensor(0.7), Tensor(0.3), -1.0)
 
 
 def test_total_loss_gradient_linear_in_alpha():

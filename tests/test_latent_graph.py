@@ -306,6 +306,14 @@ def test_threshold_rejects_a_single_pair(second_row):
     assert params.theta.item() == theta
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_threshold_of_fewer_than_two_rows_leaves_theta_unchanged(n):
+    params = make_params([3, 2])
+    theta = params.theta.item()
+    params.init_threshold(Tensor(np.ones((n, 3))))
+    assert params.theta.item() == theta
+
+
 def test_threshold_partitions_the_pair_distances_in_place(traced):
     # the n(n-1)/2 pair distances set the peak; a partitioned copy would double it
     n = 1024
@@ -323,6 +331,18 @@ def test_threshold_partitions_the_pair_distances_in_place(traced):
 def test_pairwise_distances_reject_an_array_that_is_not_2d():
     with pytest.raises(ShapeError, match=r"2-D array of rows, got \(4,\)"):
         pairwise_distances(np.ones(4))
+
+
+@pytest.mark.parametrize("z,t_raw,theta,entry", [
+    (np.ones(3), 0.0, 1.0, r"2-D embedding, got \(3,\)"),
+    (np.eye(3), [0.0], 1.0, r"scalar t_raw, got shape \(1,\)"),
+    (np.eye(3), 0.0, [1.0, 2.0, 3.0], r"scalar theta, got shape \(3,\)"),
+], ids=["embedding", "t_raw", "theta"])
+def test_edge_weights_reject_an_input_of_the_wrong_rank(z, t_raw, theta, entry):
+    # a theta per row would give an asymmetric a_p and theta a gradient of the wrong shape
+    with pytest.raises(ShapeError, match=entry):
+        logistic_edge_weights(Tensor(z), Tensor(t_raw, requires_grad=True),
+                              Tensor(theta, requires_grad=True))
 
 
 def blocked_embedding(seed):

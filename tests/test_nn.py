@@ -12,8 +12,8 @@ from popgraph.nn import MLP, GraphConv, add_matmul
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
-def single_graph_batch(n, edges, features, label=0):
-    return GraphBatch([Graph(node_count=n, edges=edges, features=np.asarray(features, dtype=float), label=label)])
+def single_graph_batch(edges, features, label=0):
+    return GraphBatch([Graph(edges=edges, features=np.asarray(features, dtype=float), label=label)])
 
 
 def dense_adjacency(n, edges):
@@ -35,7 +35,7 @@ def unfused_conv(layer, x, adj):
 def test_edgeless_graph_only_self_term():
     rng = np.random.default_rng(0)
     layer = GraphConv(3, 2, rng)
-    batch = single_graph_batch(4, [], rng.normal(size=(4, 3)))
+    batch = single_graph_batch([], rng.normal(size=(4, 3)))
     out = conv(layer, batch)
     expected = np.maximum(batch.features @ layer.w_self.data + layer.bias.data, 0.0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -47,7 +47,7 @@ def test_two_node_identity_hand_sum():
     layer.w_self.data = np.eye(1)
     layer.w_neigh.data = np.eye(1)
     layer.bias.data = np.zeros(1)
-    batch = single_graph_batch(2, [(0, 1)], [[1.0], [2.0]])
+    batch = single_graph_batch([(0, 1)], [[1.0], [2.0]])
     out = conv(layer, batch)
     np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
 
@@ -56,7 +56,7 @@ def test_graph_conv_matches_dense_oracle():
     rng = np.random.default_rng(1)
     layer = GraphConv(4, 3, rng)
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]
-    batch = single_graph_batch(5, edges, rng.normal(size=(5, 4)))
+    batch = single_graph_batch(edges, rng.normal(size=(5, 4)))
     out = conv(layer, batch)
     a = dense_adjacency(5, edges)
     oracle = np.maximum(
@@ -74,12 +74,14 @@ def test_graph_conv_rejects_wrong_rows():
         layer.forward(Tensor(np.zeros((5, 2))), Tensor(np.zeros((3, 3))))
     with pytest.raises(ShapeError, match=r"\(4, 5\) for 4 node rows"):
         layer.forward(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError, match=r"node rows of shape \(4, 3\) for input width 2"):
+        layer.forward(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 4))))
 
 
 def test_graph_conv_rejects_a_sparse_adjacency():
     rng = np.random.default_rng(2)
     layer = GraphConv(2, 2, rng)
-    batch = single_graph_batch(3, [(0, 1)], np.zeros((3, 2)))
+    batch = single_graph_batch([(0, 1)], np.zeros((3, 2)))
     with pytest.raises(TypeError, match="dense adjacency Tensor"):
         layer.forward(Tensor(batch.features), batch.adjacency)
 
@@ -88,7 +90,7 @@ def test_graph_conv_nan_pre_activation_gives_zero():
     rng = np.random.default_rng(13)
     layer = GraphConv(3, 2, rng)
     layer.bias.data[0] = np.nan
-    batch = single_graph_batch(4, [(0, 1), (1, 2)], rng.normal(size=(4, 3)))
+    batch = single_graph_batch([(0, 1), (1, 2)], rng.normal(size=(4, 3)))
     x, adj = Tensor(batch.features), Tensor(batch.adjacency.toarray())
     out = layer.forward(x, adj).data
     np.testing.assert_array_equal(out, unfused_conv(layer, x, adj).data)
@@ -98,7 +100,7 @@ def test_graph_conv_nan_pre_activation_gives_zero():
 def conv_inputs(rng, n, d_in, x_leaf, adj_kind):
     """(x, dense adjacency, gradient inputs) for one of the layer's input kinds."""
     edges = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 3.0 / n]
-    adj = single_graph_batch(n, edges, np.zeros((n, 1))).adjacency
+    adj = single_graph_batch(edges, np.zeros((n, 1))).adjacency
     adj = Tensor(adj.toarray() * rng.random((n, n)), requires_grad=adj_kind == "dense_leaf")
     x = Tensor(rng.normal(size=(n, d_in)), requires_grad=x_leaf)
     inputs = [x] if x_leaf else []
@@ -252,4 +254,10 @@ def test_mlp_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
     with pytest.raises(ValueError, match=entry + ", not a positive integer width"):
         LatentGraphParams(dims, np.random.default_rng(0))
     with pytest.raises(ValueError, match="MLP dims"):
+        MLP(dims, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dims", [[], [4]])
+def test_mlp_rejects_fewer_than_two_dims(dims):
+    with pytest.raises(ValueError, match="MLP needs at least input and output dims"):
         MLP(dims, np.random.default_rng(0))

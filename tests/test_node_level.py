@@ -26,8 +26,8 @@ def test_sparse_and_dense_adjacency_agree():
     module = make_module(rng, dims=(2,), pooling="add")
     layer = module.layers[0]
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)]
-    batch = GraphBatch([Graph(4, edges, rng.normal(size=(4, 3)), 0),
-                        Graph(3, [(0, 2)], rng.normal(size=(3, 3)), 1)])
+    batch = GraphBatch([Graph(edges, rng.normal(size=(4, 3)), 0),
+                        Graph([(0, 2)], rng.normal(size=(3, 3)), 1)])
     mix = Tensor(rng.normal(size=(2, 2)))
     results = []
     for forward in (module.forward,
@@ -52,7 +52,7 @@ def identity_module(width, pooling):
 
 
 def test_global_pool_singletons_identity():
-    graphs = [Graph(1, [], np.array([[float(i), 1.0]]), 0) for i in range(3)]
+    graphs = [Graph([], np.array([[float(i), 1.0]]), 0) for i in range(3)]
     batch = GraphBatch(graphs)
     for mode in ("mean", "add"):
         h = identity_module(2, mode).forward(batch)
@@ -60,14 +60,14 @@ def test_global_pool_singletons_identity():
 
 
 def test_global_pool_arithmetic():
-    batch = single_graph_batch(2, [(0, 1)], [[1.0, 1.0], [3.0, 3.0]])
+    batch = single_graph_batch([(0, 1)], [[1.0, 1.0], [3.0, 3.0]])
     np.testing.assert_array_equal(identity_module(2, "mean").forward(batch).data, [[2.0, 2.0]])
     np.testing.assert_array_equal(identity_module(2, "add").forward(batch).data, [[4.0, 4.0]])
 
 
 def test_add_pool_scales_with_node_count():
     sizes = [1, 3, 5]
-    graphs = [Graph(n, [], np.ones((n, 2)), 0) for n in sizes]
+    graphs = [Graph([], np.ones((n, 2)), 0) for n in sizes]
     batch = GraphBatch(graphs)
     pooled = identity_module(2, "add").forward(batch).data
     np.testing.assert_array_equal(pooled, np.array(sizes, dtype=float)[:, None] * np.ones(2))
@@ -87,7 +87,7 @@ def random_graph(rng, n, d, p=0.4, label=0):
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
-    return Graph(n, edges, rng.normal(size=(n, d)), label)
+    return Graph(edges, rng.normal(size=(n, d)), label)
 
 
 def test_zero_final_layer_gives_zero_h():
@@ -108,14 +108,14 @@ def sparse_graph(rng, n, d, label=0):
     chords = rng.integers(0, n, size=(n // 2, 2))
     edges = np.concatenate([ring, chords, [[0, 0]]])
     edges = np.unique(np.sort(edges, axis=1), axis=0)
-    return Graph(n, edges, rng.normal(size=(n, d)), label)
+    return Graph(edges, rng.normal(size=(n, d)), label)
 
 
 def permute_graph(g, perm):
     inv = {old: new for new, old in enumerate(perm)}
     edges = [(min(inv[u], inv[v]), max(inv[u], inv[v])) for u, v in g.edges]
     feats = g.features[list(perm)]
-    return Graph(g.node_count, sorted(edges), feats, g.label)
+    return Graph(sorted(edges), feats, g.label)
 
 
 def test_node_permutation_invariance():
@@ -342,7 +342,7 @@ def test_block_plan_splits_the_batch_into_whole_graphs(monkeypatch):
     monkeypatch.setattr(node_level, "NODE_BLOCK", 10)
     rng = np.random.default_rng(12)
     sizes = [3, 4, 2, 15, 9, 1, 10, 4, 5]
-    graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, 0)],
+    graphs = [Graph([(i, (i + 1) % n) for i in range(n - 1)] + [(0, 0)],
                     rng.normal(size=(n, 2)), 0) for n in sizes]
     batch = GraphBatch(graphs)
     blocks = node_blocks(batch)

@@ -192,6 +192,26 @@ def test_tensor_of_a_bool_mask_is_a_float64_constant():
     assert not mask.requires_grad
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_log_softmax_rejects_a_non_finite_input(value):
+    with pytest.raises(ValueError, match="log_softmax: input contains non-finite values"):
+        T.log_softmax(Tensor([[1.0, value]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3, 2)], ids=["1d", "3d"])
+def test_matmul_rejects_an_operand_that_is_not_2d(shape):
+    with pytest.raises(ShapeError, match="matmul expects 2-D operands"):
+        T.matmul(Tensor(np.ones(shape)), Tensor(np.ones((3, 2))))
+
+
+def test_factored_grad_to_dense_sums_every_term():
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=(2, 4, 2))
+    c, extra, a = rng.normal(size=4), rng.normal(size=(4, 4)), rng.random((4, 4))
+    grad = T.FactoredGrad(outer=[(u, v)], masked=[(0.5, c)], dense=[extra])
+    np.testing.assert_allclose(grad.to_dense(a), u @ v.T + (a > 0.5) * c + extra, rtol=1e-15)
+
+
 def test_leaf_does_not_alias_source_array():
     source = np.array([[1.0, 2.0], [3.0, 4.0]])
     leaf = Tensor(source, requires_grad=True)
@@ -223,6 +243,21 @@ def test_finite_difference_catches_wrong_gradient_of_shifted_scalar():
         return t * 0.0 + Tensor(3.0 * t.data)
 
     assert finite_difference_check(f, x) > 1.0
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
+def test_finite_difference_rejects_a_step_that_is_not_finite_and_positive(step):
+    # a NaN or infinite step would return NaN, which no tolerance flags
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ValueError, match=f"step={step!r} is not finite and positive"):
+        finite_difference_check(lambda t: t.sum(), x, step=step)
+
+
+def test_finite_difference_rejects_an_x_the_loss_does_not_reach():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    other = Tensor([3.0], requires_grad=True)
+    with pytest.raises(ValueError, match="x does not receive a gradient from f"):
+        finite_difference_check(lambda t: (other * other).sum(), x)
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,10 @@ similarities, their negation and their argsort in the kNN builders; its
 uniform draws in ``random_population``.
 """
 
-import numbers
-
 import numpy as np
 import scipy.sparse as sp
 
-from .data import GraphBatch, check_seed, is_integer
+from .data import GraphBatch, check_integer, check_real
 from .latent_graph import _require_finite_rows, pairwise_distances, row_blocks
 from .tensor import ShapeError
 
@@ -37,11 +35,9 @@ def random_population(n: int, expected_degree: float, seed: int) -> np.ndarray:
     Row block r0:r1 draws ``rng.random((r1 - r0, n))``, the rows r0:r1 of one
     ``rng.random((n, n))`` draw, and keeps its pairs above the diagonal.
     """
-    if not is_integer(n) or n < 2:
-        raise ValueError(f"n={n!r}: need an integer of at least 2 nodes")
-    if not (isinstance(expected_degree, numbers.Real) and 0 <= expected_degree < np.inf):
-        raise ValueError(f"expected_degree must be finite and >= 0, got {expected_degree!r}")
-    check_seed(seed)
+    check_integer("n", n, 2)
+    check_real("expected_degree", expected_degree, 0)
+    check_integer("seed", seed, 0)
     p = min(1.0, expected_degree / (n - 1))
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n))
@@ -81,12 +77,9 @@ def wl_gram(batch: GraphBatch, iterations: int = WL_DEFAULT_ITERATIONS) -> np.nd
     Round 0 refines equal labels into degrees; row g of the sparse Phi counts
     graph g's nodes under each label of every round. Its entries are
     integers, so the float64 gram is exact and exactly symmetric. ``iterations``
-    is an integer, not a bool.
+    is an integer of at least 0.
     """
-    if not is_integer(iterations):
-        raise ValueError(f"iterations={iterations!r} is not an integer")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    check_integer("iterations", iterations, 0)
     rounds = [np.zeros(batch.total_nodes, dtype=np.intp)]
     for _ in range(iterations + 1):
         rounds.append(_wl_round(rounds[-1], batch.adjacency))
@@ -105,12 +98,9 @@ def _knn_from_similarity(blocks, n: int, k: int) -> np.ndarray:
     """Top-k per row (self excluded, ties to the lower index), union-symmetrized.
 
     ``blocks`` yields ``(r0, r1, sim)``: the similarities of rows r0:r1 to
-    all n rows, a (r1 - r0) x n array. ``k`` is an integer, not a bool.
+    all n rows, a (r1 - r0) x n array. ``k`` is an integer from 0 to n - 1.
     """
-    if not is_integer(k):
-        raise ValueError(f"k={k!r} is not an integer")
-    if k < 0:
-        raise ValueError(f"k={k} must be >= 0")
+    check_integer("k", k, 0)
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
     adj = np.zeros((n, n))

@@ -69,7 +69,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     values = np.asarray(labels)
     if values.shape != (n,):
         raise ValueError(f"{values.shape[0] if values.ndim else 0} labels for {n} rows")
-    labels = whole_numbers(values, "label {value} at index {i} is not a whole number")
+    labels = whole_numbers(values, lambda i: f"label {values[i]} at index {i} is not a whole number")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label outside [0, {c})")
     onehot = np.zeros((n, c))

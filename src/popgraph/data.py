@@ -22,7 +22,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,27 +32,35 @@ class DatasetFormatError(ValueError):
     """A dataset file is missing or malformed."""
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_real(name: str, value, minimum=None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    number, not a bool, and at least ``minimum`` when one is given."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
+        raise ValueError(f"{name}={value!r} is not a finite real number")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}={value!r} is below {minimum}")
 
 
-def check_seed(seed) -> None:
-    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer, not a bool."""
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed={seed!r} is not a non-negative integer")
+def check_integer(name: str, value, minimum=None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
+    numpy integer, not a bool, and at least ``minimum`` when one is given."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    check_real(name, value, minimum)
 
 
-def whole_numbers(values, message: str) -> np.ndarray:
-    """``values`` as ``np.intp``; ``ValueError(message)`` names, as ``{i}`` and
-    ``{value}``, the first entry that is not a whole number (NaN and inf included)."""
+def whole_numbers(values, message) -> np.ndarray:
+    """``values`` as ``np.intp``. Raises ``ValueError(message(i))`` for the
+    first index ``i`` along the first axis whose entry, or any entry of whose
+    row, is not a whole number (NaN and inf included)."""
     values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
         whole = values.astype(np.intp)
-    bad = np.flatnonzero(whole != values)
+    bad = whole != values
+    bad = np.flatnonzero(bad.any(axis=1) if bad.ndim == 2 else bad)
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(message.format(i=i, value=values[i]))
+        raise ValueError(message(int(bad[0])))
     return whole
 
 
@@ -86,28 +94,39 @@ class GraphBatch:
     the offsets are the one record of which rows each graph pools. The arrays
     are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
     :class:`Graph` of views. A graph's nodes are its feature rows. Every graph
-    must have a 2-D feature array of at least one row, finite entries, and as
-    many columns as graph 0 and at least one; a label that is a whole number;
-    and edges between its own nodes, each undirected edge once; a
-    ``ValueError`` names the first that does not.
+    must have a 2-D feature array of real numbers, at least one row, finite
+    entries, and as many columns as graph 0 and at least one; a label that is
+    a whole number; and (u, v) pairs of whole numbers as edges, between its own
+    nodes, each undirected edge once; a ``ValueError`` names the first that
+    does not. Edges of an integer dtype are taken as they are.
     """
 
     def __init__(self, graphs):
         graphs = list(graphs)
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
-        shapes = [g.features.shape for g in graphs]
-        for g, shape in enumerate(shapes):
-            if len(shape) != 2:
-                raise ValueError(f"graph {g} of the batch has features of shape {shape}, "
+        edges = []
+        for g, graph in enumerate(graphs):
+            features, e = graph.features, np.asarray(graph.edges)
+            if features.ndim != 2:
+                raise ValueError(f"graph {g} of the batch has features of shape {features.shape}, "
                                  "not a 2-D array of one row per node")
-        counts, widths = np.array(shapes, dtype=np.intp).T
+            if features.dtype.kind not in "biuf":
+                raise ValueError(f"graph {g} of the batch has features of dtype {features.dtype}, "
+                                 "not real numbers")
+            if e.shape != (0,) and (e.ndim != 2 or e.shape[1] != 2):
+                raise ValueError(f"graph {g} of the batch has edges of shape {e.shape}, "
+                                 "not (u, v) pairs")
+            if e.dtype.kind not in "iuf":
+                raise ValueError(f"graph {g} of the batch has edges of dtype {e.dtype}, "
+                                 "not node indices")
+            edges.append(e.reshape(-1, 2))
+        counts, widths = np.array([g.features.shape for g in graphs], dtype=np.intp).T
         bad = np.flatnonzero(widths != widths[0])
         if bad.size:
             g = int(bad[0])
             raise ValueError(
                 f"graph {g} of the batch has {widths[g]} feature columns, graph 0 has {widths[0]}")
-        edges = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) for g in graphs]
         self._stack(counts, np.concatenate(edges), [len(e) for e in edges],
                     np.concatenate([g.features for g in graphs]), [g.label for g in graphs])
 
@@ -124,8 +143,8 @@ class GraphBatch:
             raise ValueError(f"graph {int(empty[0])} of the batch has no nodes")
         self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.intp)
         self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.intp)
-        self.labels = whole_numbers(labels,
-                                    "graph {i} of the batch has label {value}, not a whole number")
+        self.labels = whole_numbers(labels, lambda g: f"graph {g} of the batch has label "
+                                    f"{labels[g]}, not a whole number")
         if features.shape[1] == 0:  # saved, they would load back as the constant feature 1
             raise ValueError("the batch's node features have no columns")
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -134,6 +153,11 @@ class GraphBatch:
             raise ValueError(f"graph {g} of the batch has a non-finite feature")
         n = self.total_nodes
         edge_graph = np.repeat(np.arange(len(node_counts)), edge_counts)
+        if edges.dtype.kind in "iu":  # the loader's and the generator's edges: no pass
+            edges = edges.astype(np.intp, copy=False)
+        else:
+            edges = whole_numbers(edges, lambda e: f"graph {edge_graph[e]} of the batch has edge "
+                                  f"({edges[e, 0]}, {edges[e, 1]}), not a pair of whole numbers")
         bad = np.flatnonzero(((edges < 0) | (edges >= node_counts[edge_graph, None])).any(axis=1))
         if bad.size:
             g, (a, b) = edge_graph[bad[0]], edges[bad[0]]
@@ -179,12 +203,9 @@ class GraphBatch:
 class SplitPlan:
     """A fixed test split plus k train/validation folds over the rest."""
 
-    seed: int
-    test_fraction: float
-    folds: int
     test_indices: list
-    fold_train: list = field(default_factory=list)
-    fold_validation: list = field(default_factory=list)
+    fold_train: list
+    fold_validation: list
 
 
 @dataclass
@@ -201,22 +222,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("classes", "graphs_per_class", "nodes_min", "nodes_max", "feature_dim"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"synthetic spec: {name}={value!r} is not an integer")
-        check_seed(self.seed)
-        if self.classes < 2:
-            raise ValueError("synthetic spec needs at least 2 classes")
-        if self.graphs_per_class < 1:
-            raise ValueError("synthetic spec: class with 0 samples")
-        if not (3 <= self.nodes_min <= self.nodes_max):
-            raise ValueError("synthetic spec: need 3 <= nodes_min <= nodes_max")
-        if self.feature_dim < 1:
-            raise ValueError("synthetic spec: feature_dim must be positive")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"synthetic spec: noise_sigma={self.noise_sigma!r} must be "
-                             "finite and >= 0")
+        for name, minimum in (("classes", 2), ("graphs_per_class", 1), ("nodes_min", 3),
+                              ("nodes_max", None), ("feature_dim", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        check_real("noise_sigma", self.noise_sigma, 0)
+        if self.nodes_min > self.nodes_max:
+            raise ValueError(f"synthetic spec: nodes_min={self.nodes_min} is above "
+                             f"nodes_max={self.nodes_max}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}")
         # class c's graphs are set by (c % 2, c % feature_dim) in cycle_vs_star, and
@@ -489,18 +501,17 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
 
     The test set is drawn once; remaining indices are dealt into k folds,
     each serving once as validation while the others train. Raises
-    ``ValueError`` naming an ``n`` or ``k`` that is not an integer, a ``seed``
-    that is not a non-negative integer, and the first index whose label is
-    NaN or infinite, which no class would claim.
+    ``ValueError`` naming an ``n``, ``k`` or ``seed`` that is not an integer,
+    a ``test_fraction`` that is not a real number, any of them out of range,
+    and the first index whose label is NaN or infinite, which no class would
+    claim.
     """
+    check_integer("n", n)
+    check_integer("k", k, 2)
+    check_integer("seed", seed, 0)
+    check_real("test_fraction", test_fraction)
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
-    for name, value in (("n", n), ("k", k)):
-        if not is_integer(value):
-            raise ValueError(f"{name}={value!r} is not an integer")
-    check_seed(seed)
-    if k < 2:
-        raise ValueError("k must be at least 2")
     if n < k + 2:
         raise ValueError(f"dataset of size {n} too small for k={k}")
     rng = np.random.default_rng(seed)
@@ -525,9 +536,6 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
     pool = np.concatenate(pools)
     fold = np.arange(pool.size) % k  # round-robin keeps folds stratified too
     return SplitPlan(
-        seed=seed,
-        test_fraction=test_fraction,
-        folds=k,
         test_indices=np.sort(np.concatenate(test)).tolist(),
         fold_train=[np.sort(pool[fold != f]).tolist() for f in range(k)],
         fold_validation=[np.sort(pool[fold == f]).tolist() for f in range(k)],

@@ -22,11 +22,10 @@ not as an N x N array.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .data import is_integer
+from .data import check_integer, check_real
 from .latent_graph import ROW_BLOCK, row_blocks
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, exp, log, log_softmax
 
@@ -39,27 +38,19 @@ KL_EPSILON = 1e-12  # guards log of exact-zero empirical mass
 EDGE_THRESHOLD = 0.5  # an entry counts towards a degree when strictly above it
 
 
-def _check_support_size(n) -> None:
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n={n!r} is not a positive integer support size")
-
-
 class TargetDistribution:
     """Discrete Gaussian over integer degrees with learnable mean and width.
 
-    ``mu`` and ``sigma`` must be finite real numbers, not bools, and
-    ``sigma`` positive; a support size ``n`` must be a positive integer. The
+    ``mu`` and ``sigma`` are finite real numbers, not bools, and ``sigma``
+    is positive; a support size ``n`` is a positive integer. The
     width is stored as a log so it stays positive; densities are evaluated at
     the integer support 0..N-1 and renormalized, so the target is always a
     proper distribution under truncation.
     """
 
     def __init__(self, mu: float, sigma: float):
-        for name, value in (("mu", mu), ("sigma", sigma)):
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name}={value!r} is not a real number")
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_real("mu", mu)
+        check_real("sigma", sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.mu = Tensor(float(mu), requires_grad=True, name="target.mu")
@@ -68,7 +59,7 @@ class TargetDistribution:
     @classmethod
     def for_support(cls, n: int) -> "TargetDistribution":
         """The starting target over degrees 0..n-1."""
-        _check_support_size(n)
+        check_integer("n", n, 1)
         # start below half density: sparse graphs with room for dense nodes
         return cls(mu=n / 4.0, sigma=n / 8.0)
 
@@ -78,7 +69,7 @@ class TargetDistribution:
 
     def log_distribution(self, n: int) -> Tensor:
         """The log of the target over degrees 0..n-1."""
-        _check_support_size(n)
+        check_integer("n", n, 1)
         bins = Tensor(np.arange(n, dtype=np.float64))
         centered = bins - self.mu
         inv_two_var = exp(self.sigma_raw * -2.0) * 0.5
@@ -94,11 +85,9 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
 
 
 def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
-    """Classification loss plus the degree penalty; alpha = 0 disables it."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    """Classification loss plus the degree penalty; alpha, a finite real
+    number of at least 0, weights it, and alpha = 0 disables it."""
+    check_real("alpha", alpha, 0)
     if alpha == 0:
         return ce
     return ce + kl * alpha

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
-from .data import is_integer
+from .data import check_integer
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, relu
 
 
@@ -19,8 +19,7 @@ def check_widths(field: str, widths) -> None:
     """Raise ``ValueError`` naming ``field`` and the entry unless every entry
     of ``widths`` is a positive integer."""
     for i, w in enumerate(widths):
-        if not is_integer(w) or w < 1:
-            raise ValueError(f"{field}[{i}] is {w!r}, not a positive integer width")
+        check_integer(f"{field}[{i}]", w, 1)
 
 
 def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,24 +113,36 @@ def conv_backward(g, x, mask):
     return g, x.T @ g, np.ones(len(g)) @ g
 
 
-# Each constant adjacency's CSR copy, kept while its Tensor lives: the pair
-# (array, CSR of it). An entry never refers to its Tensor, so the Tensor's
-# last reference frees both.
+# A constant adjacency with fewer nonzeros than this share of its entries is
+# multiplied through a CSR copy of them, any other densely. With 32 columns
+# and one BLAS thread, a use's two cached CSR products (A x, and A^T g for
+# x's gradient) cost what the dense ones do at ~9% nonzeros for N = 256,
+# ~11% for N = 1024 and ~15% for N = 2048.
+CSR_MAX_DENSITY = 0.1
+
+# Each constant adjacency's route, kept while its Tensor lives: the pair
+# (array, CSR copy of it or None). An entry never refers to its Tensor, so
+# the Tensor's last reference frees both.
 _csr_copies = weakref.WeakKeyDictionary()
 
 
-def constant_csr(adj: Tensor) -> sp.csr_matrix:
-    """The CSR copy of ``adj.data``'s nonzeros, built on the first call for
-    the array and then reused. A NaN or inf entry is a nonzero, so it is kept.
+def constant_csr(adj: Tensor):
+    """The CSR copy of ``adj.data``'s nonzeros, or None when they are at
+    least ``CSR_MAX_DENSITY`` of its entries. The route is decided, and the
+    copy built, on the first call for the array and then reused. A NaN or
+    inf entry is a nonzero, so it is counted and kept.
 
-    The array is made read-only when its copy is cached, so an in-place write
-    raises ``ValueError`` instead of leaving the copy stale. Assigning another
-    array to ``adj.data`` builds a new copy.
+    An array with a copy is made read-only, so an in-place write raises
+    ``ValueError`` instead of leaving the copy stale; a dense one stays
+    writable. Assigning another array to ``adj.data`` decides again.
     """
     entry = _csr_copies.get(adj)
     if entry is None or entry[0] is not adj.data:
-        adj.data.setflags(write=False)
-        entry = _csr_copies[adj] = (adj.data, sp.csr_matrix(adj.data))
+        csr = None
+        if np.count_nonzero(adj.data) < CSR_MAX_DENSITY * adj.data.size:
+            adj.data.setflags(write=False)
+            csr = sp.csr_matrix(adj.data)
+        entry = _csr_copies[adj] = (adj.data, csr)
     return entry[1]
 
 
@@ -150,19 +161,20 @@ class GraphConv:
     gradient as (A x)^T g: f1's form, x^T (A^T g), would cost an extra
     adjacency product whenever ``x`` needs no gradient.
 
-    ``adj.requires_grad`` alone chooses how A is multiplied:
-    - A constant adjacency (a fixed graph: WL-kNN, random, oracle) is
-      multiplied through the CSR copy of its nonzeros,
-      :func:`constant_csr`, as A x forward and A^T g_ax for x's gradient,
-      g_ax being the gradient of A x. Its array is read-only from its first
-      use. A row's sum runs over its nonzeros in column order, so a NaN in
-      ``x`` reaches only its neighbours' sums. On a k = 5 WL-kNN graph at
-      n = 1024 (0.9% dense), d_in = 32, the two products took 0.23-0.29
-      ms against 3.2-3.4 ms densely, and building the copy 5.6-5.7 ms
-      (one BLAS thread). A dense constant runs slower through its copy,
-      and one rebuilt every step pays the build every step.
-    - An adjacency that needs a gradient (f2's learned graph) is multiplied
-      densely. Its gradient, g_ax x^T, is sent as its two n x d_in factors
+    A is multiplied by one of two routes:
+    - A constant adjacency under ``CSR_MAX_DENSITY`` nonzeros (a fixed
+      graph: WL-kNN, random, oracle) is multiplied through the CSR copy of
+      its nonzeros, :func:`constant_csr`, as A x forward and A^T g_ax for
+      x's gradient, g_ax being the gradient of A x. Its array is read-only
+      from its first use. A row's sum runs over its nonzeros in column
+      order, so a NaN in ``x`` reaches only its neighbours' sums. On a
+      k = 5 WL-kNN graph at n = 1024 (0.9% dense), d_in = 32, the two
+      products took 0.23-0.29 ms against 3.2-3.4 ms densely, and building
+      the copy 5.6-5.7 ms (one BLAS thread).
+    - Any other adjacency is multiplied densely: one that needs a gradient
+      (f2's learned graph), and a dense constant, such as the learned graph
+      evaluated with gradients off, which gives the same output bit for bit.
+      A needed gradient, g_ax x^T, is sent as its two n x d_in factors
       (``tensor.FactoredGrad``), never as an n x n array. A^T g_ax runs
       only when ``x`` needs a gradient, as (g_ax^T A)^T, which took 1.8 ms
       against 3.2 ms for A^T g_ax at n = 1024, d_in = 32 (one BLAS thread).

@@ -28,6 +28,8 @@ that owns its memory, zero when nothing accumulated into it.
 
 import numpy as np
 
+from .data import check_real
+
 
 class ShapeError(ValueError):
     """Operand shapes do not conform."""
@@ -363,11 +365,12 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5) -> float:
     ``f`` must map the current tensor state to a scalar Tensor; ``x`` is
     perturbed coordinate-by-coordinate in place. Error per coordinate is
     |analytic - numeric| / max(1, |analytic|); NaN anywhere propagates to
-    the returned value. Raises ``ValueError`` naming a ``step`` that is not
-    finite and positive, and when ``f`` gives ``x`` no gradient.
+    the returned value. Raises ``ValueError`` naming a ``step`` that is not a
+    finite positive real number, and when ``f`` gives ``x`` no gradient.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step={step!r} is not finite and positive")
+    check_real("step", step)
+    if step <= 0:
+        raise ValueError(f"step={step!r} is not positive")
     loss = f(x)
     loss.backward()
     if x.grad is None:

@@ -99,7 +99,7 @@ def test_wl_gram_matches_counter_oracle_across_row_blocks():
 
 
 def test_wl_gram_rejects_negative_iterations():
-    with pytest.raises(ValueError, match="iterations must be >= 0"):
+    with pytest.raises(ValueError, match="iterations=-1 is below 0"):
         wl_gram(GraphBatch([TRIANGLE]), iterations=-1)
 
 
@@ -205,7 +205,7 @@ def knn_builders_with_inputs():
 def test_knn_builders_reject_negative_k_and_give_no_edges_at_k_0():
     for build, x in knn_builders_with_inputs():
         np.testing.assert_array_equal(build(x, 0), np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="k=-1 must be >= 0"):
+        with pytest.raises(ValueError, match="k=-1 is below 0"):
             build(x, -1)
 
 
@@ -267,7 +267,7 @@ def test_random_population_mean_degree_near_target():
 
 @pytest.mark.parametrize(
     "n,degree,message",
-    [(1, 0.0, "at least 2 nodes"), (5, -1.0, "expected_degree"),
+    [(1, 0.0, "n=1 is below 2"), (5, -1.0, "expected_degree"),
      (5, float("nan"), "expected_degree"), (5, float("inf"), "expected_degree"),
      (20.5, 5.0, "n=20.5"), (True, 1.0, "n=True"), (5, None, "expected_degree")],
     ids=["one_node", "negative", "nan", "inf", "fractional_nodes", "bool_nodes", "no_degree"],
@@ -277,9 +277,15 @@ def test_random_population_rejects(n, degree, message):
         random_population(n, degree, seed=0)
 
 
+def test_random_population_rejects_a_bool_expected_degree():
+    with pytest.raises(ValueError, match="expected_degree=True is not a finite real number"):
+        random_population(4, True, 0)
+
+
 @pytest.mark.parametrize("seed", [None, 1.5, True, -1])
 def test_random_population_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match=rf"seed={seed!r} is not a non-negative integer"):
+    message = f"seed={seed!r} is below 0" if seed == -1 else f"seed={seed!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
         random_population(5, 2.0, seed)
     np.testing.assert_array_equal(random_population(5, 2.0, np.int64(3)),
                                   random_population(5, 2.0, 3))

@@ -145,11 +145,11 @@ def test_cross_entropy_rejects_zero_rows():
 
 
 @pytest.mark.parametrize("gnn_dims,head_dims,entry", [
-    ([0], [2], r"gnn_dims\[0\] is 0"),
-    ([4, 2.5], [2], r"gnn_dims\[1\] is 2.5"),
-    ([4], [0], r"head_dims\[0\] is 0"),
-    ([4], [3, -2], r"head_dims\[1\] is -2"),
-    ([4], ["2"], r"head_dims\[0\] is '2'"),
+    ([0], [2], r"gnn_dims\[0\]=0 is below 1"),
+    ([4, 2.5], [2], r"gnn_dims\[1\]=2.5 is not an integer"),
+    ([4], [0], r"head_dims\[0\]=0 is below 1"),
+    ([4], [3, -2], r"head_dims\[1\]=-2 is below 1"),
+    ([4], ["2"], r"head_dims\[0\]='2' is not an integer"),
 ])
 def test_config_rejects_a_width_that_is_not_a_positive_integer(gnn_dims, head_dims, entry):
     with pytest.raises(ValueError, match=entry):
@@ -158,7 +158,7 @@ def test_config_rejects_a_width_that_is_not_a_positive_integer(gnn_dims, head_di
 
 @pytest.mark.parametrize("input_dim", [0, 2.5, True, -3])
 def test_classifier_rejects_an_input_width_that_is_not_a_positive_integer(input_dim):
-    with pytest.raises(ValueError, match=rf"f3.conv0 dims\[0\] is {input_dim!r}"):
+    with pytest.raises(ValueError, match=rf"f3.conv0 dims\[0\]={input_dim!r} is "):
         make_classifier(np.random.default_rng(0), input_dim=input_dim)
 
 
@@ -263,8 +263,27 @@ def test_layers_over_one_constant_adjacency_build_one_csr(monkeypatch):
         return csr_matrix(a)
 
     monkeypatch.setattr(nn.sp, "csr_matrix", counted)
-    h = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    a = Tensor((rng.random((6, 6)) < 0.4) * 1.0)
-    for _ in range(2):
-        (clf.forward(h, a)[1] * Tensor(rng.normal(size=(6, 2)))).sum().backward()
-    assert len(built) == 1
+    # a constant of 40% nonzeros is multiplied densely, one of 5% through a copy
+    for n, share, copies in ((6, 0.4, 0), (40, 0.05, 1)):
+        built.clear()
+        h = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        a = Tensor((rng.random((n, n)) < share) * 1.0)
+        for _ in range(2):
+            (clf.forward(h, a)[1] * Tensor(rng.normal(size=(n, 2)))).sum().backward()
+        assert len(built) == copies
+
+
+def test_a_learned_graph_with_gradients_off_is_aggregated_densely_bit_for_bit():
+    rng = np.random.default_rng(24)
+    params = LatentGraphParams([3, 4], rng)
+    classifier = make_classifier(rng, input_dim=3, gnn_dims=(4, 4), head_dims=(2,))
+    h = Tensor(rng.normal(size=(POPULATION, 3)), requires_grad=True)
+    params.init_threshold(h)
+    probabilities = []
+    for requires_grad in (True, False):
+        for t in [h] + params.parameters() + classifier.parameters():
+            t.requires_grad = requires_grad
+        a = params.forward(h).a_p
+        probabilities.append(classifier.forward(h, a)[0].data)
+    np.testing.assert_array_equal(probabilities[1], probabilities[0])
+    assert nn.constant_csr(a) is None and a.data.flags.writeable  # the dense route

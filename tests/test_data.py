@@ -15,6 +15,8 @@ from popgraph.data import (
     Graph,
     GraphBatch,
     SyntheticSpec,
+    check_integer,
+    check_real,
     load_tu_dataset,
     make_splits,
     make_synthetic_dataset,
@@ -348,15 +350,15 @@ def test_synthetic_rejects_degenerate_spec():
         classes=2, graphs_per_class=0, nodes_min=4, nodes_max=6,
         topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0,
     )
-    with pytest.raises(ValueError, match="0 samples"):
+    with pytest.raises(ValueError, match="graphs_per_class=0 is below 1"):
         make_synthetic_dataset(spec)
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"classes": 1}, "at least 2 classes"),
-    ({"nodes_min": 5, "nodes_max": 4}, "need 3 <= nodes_min <= nodes_max"),
-    ({"nodes_min": 2}, "need 3 <= nodes_min <= nodes_max"),
-    ({"feature_dim": 0}, "feature_dim must be positive"),
+    ({"classes": 1}, "classes=1 is below 2"),
+    ({"nodes_min": 5, "nodes_max": 4}, "nodes_min=5 is above nodes_max=4"),
+    ({"nodes_min": 2}, "nodes_min=2 is below 3"),
+    ({"feature_dim": 0}, "feature_dim=0 is below 1"),
     ({"topology": "grid"}, "unknown topology 'grid'"),
 ], ids=["one_class", "nodes_out_of_order", "two_nodes", "no_features", "topology"])
 def test_synthetic_rejects_a_spec_out_of_range(change, message):
@@ -373,7 +375,7 @@ def test_synthetic_rejects_a_spec_out_of_range(change, message):
 def test_synthetic_rejects_a_count_that_is_not_an_integer(field, value):
     spec = SyntheticSpec(classes=2, graphs_per_class=20, nodes_min=3, nodes_max=4,
                          topology="cycle_vs_star", feature_dim=2, noise_sigma=0.0)
-    with pytest.raises(ValueError, match=f"synthetic spec: {field}={value!r} is not an integer"):
+    with pytest.raises(ValueError, match=f"{field}={value!r} is not an integer"):
         dataclasses.replace(spec, **{field: value}).validate()
     dataclasses.replace(spec, **{field: np.int64(getattr(spec, field))}).validate()
 
@@ -382,8 +384,34 @@ def test_synthetic_rejects_a_count_that_is_not_an_integer(field, value):
 def test_synthetic_rejects_a_noise_sigma_that_is_not_finite_and_non_negative(value):
     spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
                          topology="ambiguous_features", feature_dim=2, noise_sigma=value)
-    with pytest.raises(ValueError, match=f"noise_sigma={value!r} must be finite and >= 0"):
+    message = "is below 0" if np.isfinite(value) else "is not a finite real number"
+    with pytest.raises(ValueError, match=f"noise_sigma={value!r} {message}"):
         make_synthetic_dataset(spec)
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_synthetic_rejects_a_noise_sigma_that_is_not_a_real_number(value):
+    spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
+                         topology="ambiguous_features", feature_dim=2, noise_sigma=value)
+    with pytest.raises(ValueError, match=f"noise_sigma={value!r} is not a finite real number"):
+        make_synthetic_dataset(spec)
+
+
+def test_scalar_checks_take_numpy_numbers_and_reject_bools_and_strings():
+    for value in (3, np.int64(3), np.uint8(3)):
+        check_integer("x", value, 3)
+    for value in (0.5, np.float32(0.5), 3, np.int64(3), 10**400):
+        check_real("x", value, 0)
+    for value in (True, np.True_, 3.0, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"x={value!r} is not an integer")):
+            check_integer("x", value)
+    for value in (True, np.True_, np.nan, -np.inf, "0.5", None, 1j):
+        with pytest.raises(ValueError, match=re.escape(f"x={value!r} is not a finite real number")):
+            check_real("x", value)
+    with pytest.raises(ValueError, match="x=2 is below 3"):
+        check_integer("x", 2, 3)
+    with pytest.raises(ValueError, match="x=-0.5 is below 0"):
+        check_real("x", -0.5, 0)
 
 
 @pytest.mark.parametrize("topology,feature_dim,classes,period", [
@@ -483,7 +511,7 @@ def test_make_splits_small_example():
 @pytest.mark.parametrize("test_fraction,k,labels,message", [
     (0.0, 2, None, r"test_fraction must be in \(0, 1\)"),
     (1.0, 2, None, r"test_fraction must be in \(0, 1\)"),
-    (0.2, 1, None, "k must be at least 2"),
+    (0.2, 1, None, "k=1 is below 2"),
     (0.2, 2, [0, 1] * 4, "labels length must equal n"),
 ], ids=["fraction_0", "fraction_1", "one_fold", "short_labels"])
 def test_make_splits_rejects_an_argument_out_of_range(test_fraction, k, labels, message):
@@ -515,7 +543,8 @@ def test_make_splits_rejects_a_size_or_fold_count_that_is_not_an_integer(n, k, e
 
 @pytest.mark.parametrize("seed", [None, 1.5, True, -1])
 def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
-    entry = re.escape(f"seed={seed!r} is not a non-negative integer")
+    entry = re.escape(f"seed={seed!r} is below 0" if seed == -1
+                      else f"seed={seed!r} is not an integer")
     with pytest.raises(ValueError, match=entry):
         make_splits(20, 0.2, 2, seed)
     spec = SyntheticSpec(classes=2, graphs_per_class=2, nodes_min=3, nodes_max=4,
@@ -582,6 +611,46 @@ def test_batch_rejects_out_of_range_edge():
     message = r"graph 0 of the batch has edge \(0, 5\) outside \[0, 2\)"
     with pytest.raises(ValueError, match=message):
         GraphBatch(graphs)
+
+
+@pytest.mark.parametrize(
+    "edge,shown",
+    [((0.5, 1), "(0.5, 1.0)"), ((-0.5, 1), "(-0.5, 1.0)"), ((1.9, 0), "(1.9, 0.0)"),
+     ((np.nan, 1), "(nan, 1.0)"), ((0, np.inf), "(0.0, inf)")],
+    ids=["half", "minus_half", "near_two", "nan", "inf"],
+)
+def test_batch_rejects_an_edge_that_is_not_a_pair_of_whole_numbers(edge, shown):
+    # cast unchecked, (0.5, 1) and (-0.5, 1) would both be stored as (0, 1)
+    graphs = [Graph([(0, 1)], np.ones((2, 1)), 0), Graph([(0, 1), edge], np.ones((3, 1)), 1)]
+    message = f"graph 1 of the batch has edge {shown}, not a pair of whole numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GraphBatch(graphs)
+
+
+def test_batch_takes_whole_float_edges_as_integers():
+    batch = GraphBatch([Graph([(0.0, 1.0), (2.0, 1.0)], np.ones((3, 1)), 0)])
+    assert batch.edges.tolist() == [[0, 1], [2, 1]] and batch.edges.dtype == np.intp
+
+
+@pytest.mark.parametrize("edges,shape", [([(0, 1, 2)], (1, 3)), ([0, 1], (2,)),
+                                         ([[(0, 1)]], (1, 1, 2))],
+                         ids=["three_fields", "flat", "nested"])
+def test_batch_rejects_edges_that_are_not_pairs(edges, shape):
+    graphs = [Graph([(0, 1)], np.ones((2, 1)), 0), Graph(edges, np.ones((3, 1)), 1)]
+    message = f"graph 1 of the batch has edges of shape {shape}, not (u, v) pairs"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GraphBatch(graphs)
+
+
+def test_batch_rejects_edges_or_features_that_are_not_real_numbers():
+    # cast unchecked, the strings would parse and the imaginary parts be dropped
+    first = Graph([(0, 1)], np.ones((2, 1)), 0)
+    with pytest.raises(ValueError, match="graph 1 of the batch has edges of dtype <U1, "
+                                         "not node indices"):
+        GraphBatch([first, Graph([("0", "1")], np.ones((2, 1)), 1)])
+    with pytest.raises(ValueError, match="graph 1 of the batch has features of dtype "
+                                         "complex128, not real numbers"):
+        GraphBatch([first, Graph([], np.ones((2, 1)) + 1j, 1)])
 
 
 @pytest.mark.parametrize(

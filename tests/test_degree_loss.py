@@ -61,11 +61,12 @@ def histogram(a):
 
 @pytest.mark.parametrize("n", [0, 2.5, True, -3])
 def test_target_for_support_rejects_a_size_that_is_not_a_positive_integer(n):
-    with pytest.raises(ValueError, match=rf"n={n!r} is not a positive integer"):
+    entry = f"n={n!r} is below 1" if n in (0, -3) else f"n={n!r} is not an integer"
+    with pytest.raises(ValueError, match=entry):
         TargetDistribution.for_support(n)
     target = TargetDistribution.for_support(np.int64(8))
     assert target.sigma == 1.0
-    with pytest.raises(ValueError, match=rf"n={n!r} is not a positive integer"):
+    with pytest.raises(ValueError, match=entry):
         target.log_distribution(n)
     assert target.log_distribution(np.int64(8)).shape == (8,)
 
@@ -196,17 +197,17 @@ def test_target_distribution_is_positive_and_normalized():
 
 
 @pytest.mark.parametrize("mu,sigma,message", [
-    (np.nan, 1.0, "mu must be finite"),
-    (np.inf, 1.0, "mu must be finite"),
-    (-np.inf, 1.0, "mu must be finite"),
-    (1.0, np.nan, "sigma must be finite"),
-    (1.0, np.inf, "sigma must be finite"),  # would be a uniform target
+    (np.nan, 1.0, "mu=nan is not a finite real number"),
+    (np.inf, 1.0, "mu=inf is not a finite real number"),
+    (-np.inf, 1.0, "mu=-inf is not a finite real number"),
+    (1.0, np.nan, "sigma=nan is not a finite real number"),
+    (1.0, np.inf, "sigma=inf is not a finite real number"),  # would be a uniform target
     (1.0, 0.0, "sigma must be positive"),
     (1.0, -2.0, "sigma must be positive"),
-    (True, 1.0, "mu=True is not a real number"),
-    (1.0, True, "sigma=True is not a real number"),
-    (None, 1.0, "mu=None is not a real number"),
-    (1.0, "1", "sigma='1' is not a real number"),
+    (True, 1.0, "mu=True is not a finite real number"),
+    (1.0, True, "sigma=True is not a finite real number"),
+    (None, 1.0, "mu=None is not a finite real number"),
+    (1.0, "1", "sigma='1' is not a finite real number"),
 ])
 def test_target_distribution_rejects_a_non_finite_or_non_positive_argument(mu, sigma, message):
     with pytest.raises(ValueError, match=message):
@@ -222,13 +223,22 @@ def test_total_loss_reduces_to_ce_at_zero_alpha():
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
 def test_total_loss_rejects_an_alpha_that_is_not_finite(alpha):
-    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
+    with pytest.raises(ValueError, match=f"alpha={alpha!r} is not a finite real number"):
         total_loss(Tensor(0.7), Tensor(0.3), alpha)
 
 
 def test_total_loss_rejects_a_negative_alpha():
-    with pytest.raises(ValueError, match="alpha must be >= 0"):
+    with pytest.raises(ValueError, match="alpha=-1.0 is below 0"):
         total_loss(Tensor(0.7), Tensor(0.3), -1.0)
+
+
+@pytest.mark.parametrize("alpha", [True, "1"])
+def test_total_loss_rejects_an_alpha_that_is_not_a_real_number(alpha):
+    # True would train at alpha 1
+    with pytest.raises(ValueError, match=f"alpha={alpha!r} is not a finite real number"):
+        total_loss(Tensor(0.7), Tensor(0.3), alpha)
+    for weight in (2, np.float64(2.0)):
+        np.testing.assert_allclose(total_loss(Tensor(0.7), Tensor(0.3), weight).item(), 1.3)
 
 
 def test_total_loss_gradient_linear_in_alpha():

@@ -163,8 +163,8 @@ def test_constant_adjacency_is_read_only_once_used_and_a_leaf_stays_writable():
     rng = np.random.default_rng(17)
     layer = GraphConv(3, 4, rng)
     for adj_kind in ("dense_constant", "dense_leaf"):
-        x, adj, _ = conv_inputs(rng, 8, 3, True, adj_kind)
-        (layer.forward(x, adj) * Tensor(rng.normal(size=(8, 4)))).sum().backward()
+        x, adj, _ = conv_inputs(rng, 40, 3, True, adj_kind)  # under 10% nonzeros: CSR
+        (layer.forward(x, adj) * Tensor(rng.normal(size=(40, 4)))).sum().backward()
         if adj_kind == "dense_leaf":
             adj.data[0, 1] += 1.0
         else:
@@ -174,11 +174,33 @@ def test_constant_adjacency_is_read_only_once_used_and_a_leaf_stays_writable():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_constant_csr_keeps_a_non_finite_entry(value):
-    a = np.zeros((3, 3))
+    a = np.zeros((4, 4))  # one nonzero in 16: under CSR_MAX_DENSITY
     a[0, 2] = value
     csr = nn.constant_csr(Tensor(a))
     assert csr.nnz == 1
     np.testing.assert_array_equal(csr.toarray(), a)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_a_constant_adjacency_takes_the_csr_route_below_the_crossover_only(side):
+    rng = np.random.default_rng(19)
+    n = 20
+    crossover = int(np.ceil(nn.CSR_MAX_DENSITY * n * n))  # the fewest nonzeros kept dense
+    nonzeros = crossover - 1 if side == "below" else crossover + 1
+    a = np.zeros(n * n)
+    a[rng.choice(n * n, nonzeros, replace=False)] = rng.random(nonzeros) + 0.5
+    adj = Tensor(a.reshape(n, n))
+    layer = GraphConv(3, 4, rng)
+    x = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+    mix = Tensor(rng.normal(size=(n, 4)))
+    tensors = layer.parameters() + [x]
+    fused = conv_results(layer.forward, x, adj, mix, tensors)
+    chain = conv_results(lambda x, adj: unfused_conv(layer, x, adj), x, adj, mix, tensors)
+    for got, expected in zip(fused, chain):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    sparse = side == "below"
+    assert (nn.constant_csr(adj) is not None) == sparse
+    assert adj.data.flags.writeable != sparse  # only an array with a copy is read-only
 
 
 def test_constant_csr_is_freed_with_its_adjacency():
@@ -245,13 +267,13 @@ def test_add_matmul_of_no_rows_is_a_no_op():
     assert add_matmul(out, np.zeros((0, 5)), np.ones((5, 4))) is out
 
 
-@pytest.mark.parametrize("dims,entry", [([4, 0, 2], r"g dims\[1\] is 0"),
-                                        ([3.0, 2], r"g dims\[0\] is 3.0"),
-                                        ([4, True], r"g dims\[1\] is True"),
-                                        ([4, -1], r"g dims\[1\] is -1")],
+@pytest.mark.parametrize("dims,entry", [([4, 0, 2], r"g dims\[1\]=0 is below 1"),
+                                        ([3.0, 2], r"g dims\[0\]=3.0 is not an integer"),
+                                        ([4, True], r"g dims\[1\]=True is not an integer"),
+                                        ([4, -1], r"g dims\[1\]=-1 is below 1")],
                          ids=["zero", "float", "bool", "negative"])
 def test_mlp_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
-    with pytest.raises(ValueError, match=entry + ", not a positive integer width"):
+    with pytest.raises(ValueError, match=entry):
         LatentGraphParams(dims, np.random.default_rng(0))
     with pytest.raises(ValueError, match="MLP dims"):
         MLP(dims, np.random.default_rng(0))

@@ -172,11 +172,11 @@ def test_config_validation():
         NodeLevelConfig(layer_dims=[8], pooling="median")
 
 
-@pytest.mark.parametrize("dims,entry", [([0], r"layer_dims\[0\] is 0"),
-                                        ([4, 0], r"layer_dims\[1\] is 0"),
-                                        ([2.5], r"layer_dims\[0\] is 2.5"),
-                                        ([4, -1], r"layer_dims\[1\] is -1"),
-                                        ([True], r"layer_dims\[0\] is True")])
+@pytest.mark.parametrize("dims,entry", [([0], r"layer_dims\[0\]=0 is below 1"),
+                                        ([4, 0], r"layer_dims\[1\]=0 is below 1"),
+                                        ([2.5], r"layer_dims\[0\]=2.5 is not an integer"),
+                                        ([4, -1], r"layer_dims\[1\]=-1 is below 1"),
+                                        ([True], r"layer_dims\[0\]=True is not an integer")])
 def test_config_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
     with pytest.raises(ValueError, match=entry):
         NodeLevelConfig(layer_dims=dims)
@@ -184,7 +184,7 @@ def test_config_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
 
 @pytest.mark.parametrize("input_dim", [0, 2.5, True, -3])
 def test_f1_rejects_an_input_width_that_is_not_a_positive_integer(input_dim):
-    with pytest.raises(ValueError, match=rf"f1.conv0 dims\[0\] is {input_dim!r}"):
+    with pytest.raises(ValueError, match=rf"f1.conv0 dims\[0\]={input_dim!r} is "):
         make_module(np.random.default_rng(0), input_dim=input_dim)
     module = make_module(np.random.default_rng(0), input_dim=np.int64(3))
     assert module.layers[0].w_self.shape == (3, 5)

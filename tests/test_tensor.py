@@ -249,7 +249,15 @@ def test_finite_difference_catches_wrong_gradient_of_shifted_scalar():
 def test_finite_difference_rejects_a_step_that_is_not_finite_and_positive(step):
     # a NaN or infinite step would return NaN, which no tolerance flags
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(ValueError, match=f"step={step!r} is not finite and positive"):
+    message = "is not positive" if np.isfinite(step) else "is not a finite real number"
+    with pytest.raises(ValueError, match=f"step={step!r} {message}"):
+        finite_difference_check(lambda t: t.sum(), x, step=step)
+
+
+@pytest.mark.parametrize("step", [True, "1e-5"])
+def test_finite_difference_rejects_a_step_that_is_not_a_real_number(step):
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ValueError, match=f"step={step!r} is not a finite real number"):
         finite_difference_check(lambda t: t.sum(), x, step=step)
 
 

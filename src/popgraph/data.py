@@ -90,15 +90,16 @@ class GraphBatch:
     node rows and ``edges``, (E, 2) local (u, v) pairs. ``features`` is the
     float64 array of the node rows. ``adjacency`` is the batch-global CSR
     adjacency: each undirected edge contributes both directions, a self-loop
-    one entry. Graph g's node rows are ``node_offsets[g]:node_offsets[g + 1]``:
-    the offsets are the one record of which rows each graph pools. The arrays
-    are read-only. A batch is a sequence of graphs: ``batch[g]`` is a
-    :class:`Graph` of views. A graph's nodes are its feature rows. Every graph
-    must have a 2-D feature array of real numbers, at least one row, finite
-    entries, and as many columns as graph 0 and at least one; a label that is
-    a whole number; and (u, v) pairs of whole numbers as edges, between its own
-    nodes, each undirected edge once; a ``ValueError`` names the first that
-    does not. Edges of an integer dtype are taken as they are.
+    one entry, and :func:`save_tu_dataset` writes these entries. Graph g's
+    node rows are ``node_offsets[g]:node_offsets[g + 1]``: the offsets are the
+    one record of which rows each graph pools. The arrays are read-only. A
+    batch is a sequence of graphs: ``batch[g]`` is a :class:`Graph` of views.
+    A graph's nodes are its feature rows. Every graph must have a 2-D feature
+    array of real numbers, at least one row, finite entries, and as many
+    columns as graph 0 and at least one; a label that is a whole number; and
+    (u, v) pairs of whole numbers as edges, between its own nodes, each
+    undirected edge once; a ``ValueError`` names the first that does not.
+    Edges of an integer dtype are taken as they are.
     """
 
     def __init__(self, graphs):
@@ -107,7 +108,12 @@ class GraphBatch:
             raise ValueError("GraphBatch needs at least one graph")
         edges = []
         for g, graph in enumerate(graphs):
-            features, e = graph.features, np.asarray(graph.edges)
+            features = graph.features
+            try:
+                e = np.asarray(graph.edges)
+            except ValueError:  # ragged: numpy makes no array of it
+                raise ValueError(
+                    f"graph {g} of the batch has edges that are not (u, v) pairs") from None
             if features.ndim != 2:
                 raise ValueError(f"graph {g} of the batch has features of shape {features.shape}, "
                                  "not a 2-D array of one row per node")
@@ -432,20 +438,17 @@ def load_tu_dataset(directory: str, name: str):
 def save_tu_dataset(batch: GraphBatch, directory: str, name: str) -> None:
     """Write a batch as TU files, its features as node attributes in ``repr``.
 
-    Each graph's edges go in sorted (u, v) order, both ways, a self-loop once.
-    A batch holds only graphs the loader accepts, so the files load back.
+    ``A.txt`` holds the entries of ``batch.adjacency``, 1-based, in its CSR
+    order: each undirected edge both ways, a self-loop once. A batch holds
+    only graphs the loader accepts, so the files load back.
     """
-    edge_graph = np.repeat(np.arange(len(batch)), np.diff(batch.edge_offsets))
-    edges = batch.edges + batch.node_offsets[edge_graph, None] + 1
-    edges = edges[np.lexsort(edges.T[::-1])]  # ids ascend by graph: graph by graph, then (u, v)
-    both_ways = np.column_stack([np.ones(len(edges), dtype=bool), edges[:, 0] != edges[:, 1]])
-    pairs = np.stack([edges, edges[:, ::-1]], axis=1)[both_ways]
+    adjacency = batch.adjacency.tocoo()
     os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, name)
     columns = {
         "graph_indicator": np.repeat(np.arange(1, len(batch) + 1), np.diff(batch.node_offsets)),
         "graph_labels": batch.labels,
-        "A": pairs,
+        "A": np.column_stack([adjacency.row, adjacency.col]) + 1,
     }
     for suffix, values in columns.items():
         with open(f"{prefix}_{suffix}.txt", "w", encoding="utf-8") as fh:

@@ -270,7 +270,13 @@ def test_tu_round_trip_property(tmp_path_factory, graphs):
 @given(graphs=tu_datasets())
 def test_tu_round_trip_builds_a_batch(tmp_path_factory, graphs):
     out = tmp_path_factory.mktemp("rt")
-    save_tu_dataset(GraphBatch(graphs), str(out), "RT")
+    original = GraphBatch(graphs)
+    save_tu_dataset(original, str(out), "RT")
+    # A.txt holds each entry of the batch's adjacency once, 1-based
+    text = (out / "RT_A.txt").read_text(encoding="utf-8")
+    rows = [tuple(map(int, line.split(", "))) for line in text.splitlines()]
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == {(u + 1, v + 1) for u, v in zip(*original.adjacency.nonzero())}
     batch = load_tu_dataset(str(out), "RT")  # a GraphBatch: raises on a malformed graph
     loops = sum(u == v for g in graphs for u, v in g.edges)
     assert batch.adjacency.nnz == 2 * sum(len(g.edges) for g in graphs) - loops
@@ -632,12 +638,18 @@ def test_batch_takes_whole_float_edges_as_integers():
     assert batch.edges.tolist() == [[0, 1], [2, 1]] and batch.edges.dtype == np.intp
 
 
-@pytest.mark.parametrize("edges,shape", [([(0, 1, 2)], (1, 3)), ([0, 1], (2,)),
-                                         ([[(0, 1)]], (1, 1, 2))],
-                         ids=["three_fields", "flat", "nested"])
-def test_batch_rejects_edges_that_are_not_pairs(edges, shape):
+@pytest.mark.parametrize(
+    "edges,problem",
+    [([(0, 1, 2)], "of shape (1, 3), not"), ([0, 1], "of shape (2,), not"),
+     ([[(0, 1)]], "of shape (1, 1, 2), not"),
+     # ragged: numpy makes no array of them, and its message names no graph
+     ([(0, 1), (2,)], "that are not"), ([(0, 1), (1, 2, 0)], "that are not"),
+     ([[0, 1], [1]], "that are not")],
+    ids=["three_fields", "flat", "nested", "ragged_short", "ragged_long", "ragged_lists"],
+)
+def test_batch_rejects_edges_that_are_not_pairs(edges, problem):
     graphs = [Graph([(0, 1)], np.ones((2, 1)), 0), Graph(edges, np.ones((3, 1)), 1)]
-    message = f"graph 1 of the batch has edges of shape {shape}, not (u, v) pairs"
+    message = f"graph 1 of the batch has edges {problem} (u, v) pairs"
     with pytest.raises(ValueError, match=re.escape(message)):
         GraphBatch(graphs)
 

@@ -20,6 +20,12 @@ def test_matmul_identity():
     np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_repr_names_shape_gradient_flag_and_name():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert (repr(Tensor(1.0, requires_grad=True, name="t"))
+            == "Tensor(shape=(), requires_grad=True, name='t')")
+
+
 def test_backward_quadratic():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     loss = (x * x).sum()

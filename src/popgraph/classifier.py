@@ -25,7 +25,7 @@ class ClassifierConfig:
     def __post_init__(self):
         check_widths("gnn_dims", self.gnn_dims)
         check_widths("head_dims", self.head_dims)
-        if not self.head_dims or self.head_dims[-1] < 2:
+        if len(self.head_dims) == 0 or self.head_dims[-1] < 2:
             raise ValueError(
                 f"head_dims must end in the class count, at least 2: {self.head_dims!r}")
 
@@ -58,8 +58,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over samples of -log softmax(logits)[i, label_i], fused and stable.
 
     Raises ``ShapeError`` naming the shape of logits that are not 2-D, and
-    ``ValueError`` for logits of no rows, and naming the first index whose
-    label is not a whole number (NaN and infinite included).
+    ``ValueError`` for logits of no rows, naming the shape of labels that are
+    not one per row, and naming the first index whose label is not a whole
+    number (NaN and infinite included).
     """
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, not shape {logits.shape}")
@@ -68,7 +69,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError("cross_entropy needs at least one row: the mean of none is undefined")
     values = np.asarray(labels)
     if values.shape != (n,):
-        raise ValueError(f"{values.shape[0] if values.ndim else 0} labels for {n} rows")
+        raise ValueError(
+            f"labels of shape {values.shape} for {n} rows, expected shape {(n,)}")
     labels = whole_numbers(values, lambda i: f"label {values[i]} at index {i} is not a whole number")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label outside [0, {c})")

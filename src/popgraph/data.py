@@ -356,17 +356,19 @@ def load_tu_dataset(directory: str, name: str):
         lineno, line = _line_of_row(indicator_text, bad[0])
         raise DatasetFormatError(f"{indicator_path}:{lineno}: bad graph id {line!r}")
     graph_of_node = graph_ids - 1
-    num_graphs = int(graph_of_node.max()) + 1
-    total_nodes = graph_of_node.size
-    node_counts = np.bincount(graph_of_node, minlength=num_graphs)
-    empty = np.flatnonzero(node_counts == 0)
-    if empty.size:
-        missing = int(empty[0])
+    # the ids present, sorted: no array is sized by the largest id before a
+    # gap is ruled out, so a huge id is reported rather than allocated
+    present = np.unique(graph_of_node)
+    num_graphs = present.size
+    if present[-1] != num_graphs - 1:
+        missing = int(np.argmax(present != np.arange(num_graphs)))
         lineno, line = _line_of_row(indicator_text, np.argmax(graph_of_node > missing))
         raise DatasetFormatError(
             f"{indicator_path}:{lineno}: graph id {line} skips graph {missing + 1}, "
             "which has no nodes"
         )
+    total_nodes = graph_of_node.size
+    node_counts = np.bincount(graph_of_node, minlength=num_graphs)
     # Nodes grouped by graph, in file order within each: node order[r] is
     # row r of the stacked graphs, and rank is its inverse.
     order = np.argsort(graph_of_node, kind="stable")
@@ -506,8 +508,8 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
     each serving once as validation while the others train. Raises
     ``ValueError`` naming an ``n``, ``k`` or ``seed`` that is not an integer,
     a ``test_fraction`` that is not a real number, any of them out of range,
-    and the first index whose label is NaN or infinite, which no class would
-    claim.
+    the shape of ``labels`` other than (n,), and the first index whose label
+    is NaN or infinite, which no class would claim.
     """
     check_integer("n", n)
     check_integer("k", k, 2)
@@ -523,7 +525,7 @@ def make_splits(n: int, test_fraction: float, k: int, seed: int, labels=None) ->
     else:
         labels = np.asarray(labels)
         if labels.shape != (n,):
-            raise ValueError("labels length must equal n")
+            raise ValueError(f"labels of shape {labels.shape} for n={n}, expected shape {(n,)}")
         if np.issubdtype(labels.dtype, np.inexact) and not np.isfinite(labels).all():
             i = int(np.argmin(np.isfinite(labels)))
             raise ValueError(f"label {labels[i]} at index {i} is not finite")

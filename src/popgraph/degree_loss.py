@@ -2,7 +2,7 @@
 
 ``degree_loss`` thresholds the weighted adjacency strictly above 0.5 (the
 mask is a constant, so gradients flow only through the surviving entries)
-and sums each column into a soft node degree. A Gaussian kernel scores each
+and sums each row into a soft node degree. A Gaussian kernel scores each
 node's degree against the integer bins 0..N-1, a softmax over the bins turns
 the scores into the node's soft assignment, and the mean over nodes is the
 degree histogram ``p``. The loss is D_KL(p || q) to a learnable discrete
@@ -16,7 +16,7 @@ an assignment of exactly 0.0 in float64, so each node scores only the
 2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The degrees
 are summed over blocks of ``latent_graph.ROW_BLOCK`` adjacency rows, one pass
 with no N x N temporary and no mask kept; the rest of the forward and the
-backward are O(N * window). The adjacency's gradient, [a > 0.5] 1 g^T for the
+backward are O(N * window). The adjacency's gradient, [a > 0.5] g 1^T for the
 degrees' gradient g, is sent as its threshold and g (``tensor.FactoredGrad``),
 not as an N x N array.
 """
@@ -93,32 +93,10 @@ def total_loss(ce: Tensor, kl: Tensor, alpha: float) -> Tensor:
     return ce + kl * alpha
 
 
-def _column_degrees(a: np.ndarray) -> np.ndarray:
-    """Column sums of ``a`` over its entries above ``EDGE_THRESHOLD``.
-
-    Each block of ``ROW_BLOCK`` rows is masked into a buffer whose first row
-    holds the sums so far, and one column sum of the buffer gives the new
-    sums: the rows are added in order, so the result equals
-    ``(a * (a > 0.5)).sum(axis=0)`` bit for bit. A NaN anywhere reaches its
-    column, as 0 * NaN is NaN.
-    """
-    n = a.shape[0]
-    degrees = np.zeros(n)
-    buf = np.empty((min(n, ROW_BLOCK) + 1, n))
-    for r0, r1 in row_blocks(n):
-        rows = a[r0:r1]
-        block = buf[:len(rows) + 1]
-        block[0] = degrees
-        np.greater(rows, EDGE_THRESHOLD, out=block[1:])
-        block[1:] *= rows
-        block.sum(axis=0, out=degrees)
-    return degrees
-
-
 def degree_histogram(a_p: Tensor) -> Tensor:
     """Histogram of the soft node degrees of an N x N adjacency over bins 0..N-1.
 
-    The degree of node j sums column j of ``a_p`` over its entries strictly
+    The degree of node i sums row i of ``a_p`` over its entries strictly
     above 0.5. Raises ``ShapeError`` naming the shape of an ``a_p`` that is not
     a square matrix, and ``ValueError`` when ``a_p`` is empty or holds a NaN or an
     infinity.
@@ -128,7 +106,17 @@ def degree_histogram(a_p: Tensor) -> Tensor:
     n = a_p.shape[0]
     if n == 0:
         raise ValueError("degree_histogram: the population is empty (a 0 x 0 adjacency)")
-    degrees = _column_degrees(a_p.data)
+    # one block of rows at a time, masked into a buffer and summed: rows
+    # reduce independently, so the result is (a * (a > 0.5)).sum(axis=1) bit
+    # for bit, and a NaN reaches its own degree, as 0 * NaN is NaN
+    a = a_p.data
+    degrees = np.empty(n)
+    buf = np.empty((min(n, ROW_BLOCK), n))
+    for r0, r1 in row_blocks(n):
+        block = buf[:r1 - r0]
+        np.greater(a[r0:r1], EDGE_THRESHOLD, out=block)
+        block *= a[r0:r1]
+        block.sum(axis=1, out=degrees[r0:r1])
     if not np.all(np.isfinite(degrees)):
         raise ValueError("degree_histogram: a_p contains non-finite values")
     # each node's window: the bins within ASSIGN_REACH of its degree

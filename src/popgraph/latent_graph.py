@@ -125,7 +125,7 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     G[I, J] + G[J, I]^T from every term:
     - outer products U V^T, all of them in one gemm,
       [U_I | V_I] [V_J | U_J]^T;
-    - masked columns [a > h] 1 c^T, as [a_IJ > h] (c_I 1^T + 1 c_J^T), the
+    - masked rows [a > h] c 1^T, as [a_IJ > h] (c_I 1^T + 1 c_J^T), the
       mask taken from the block of the (exactly symmetric) weights;
     - dense arrays, read in place as G[I, J] and G[J, I]^T.
     The square part of the block holds each pair twice, so it is halved.

@@ -97,7 +97,7 @@ class NodeLevelConfig:
     pooling: str = "mean"
 
     def __post_init__(self):
-        if not self.layer_dims:
+        if len(self.layer_dims) == 0:
             raise ValueError("layer_dims must be non-empty")
         check_widths("layer_dims", self.layer_dims)
         if self.pooling not in POOLING_MODES:

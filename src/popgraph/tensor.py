@@ -149,7 +149,7 @@ class FactoredGrad:
     """An n x n gradient held as a sum of terms.
 
     Its terms are outer products u v^T, from pairs of n x r arrays (u, v);
-    masked column broadcasts [a > threshold] 1 c^T, from pairs (threshold, c)
+    masked row broadcasts [a > threshold] c 1^T, from pairs (threshold, c)
     of a float and a length-n vector, where a is the data of the tensor the
     gradient belongs to; and plain n x n arrays. A rule sends a parent one
     term as ``FactoredGrad(outer=[(u, v)])`` or
@@ -173,7 +173,7 @@ class FactoredGrad:
         as an array gradient may.
         """
         parts = ([u @ v.T for u, v in self.outer]
-                 + [(a > threshold) * c for threshold, c in self.masked] + self.dense)
+                 + [(a > threshold) * c[:, None] for threshold, c in self.masked] + self.dense)
         total = parts[0]
         for part in parts[1:]:
             total = total + part

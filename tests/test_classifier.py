@@ -118,8 +118,11 @@ def test_cross_entropy_matches_direct_oracle():
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError, match="label"):
         cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
-    with pytest.raises(ValueError, match="3 labels for 2 rows"):
-        cross_entropy(Tensor(np.zeros((2, 2))), [0, 1, 0])
+    for rows, labels, shape in ((2, [0, 1, 0], r"\(3,\)"), (4, np.zeros((4, 1)), r"\(4, 1\)"),
+                                (1, 0, r"\(\)")):
+        message = rf"labels of shape {shape} for {rows} rows, expected shape \({rows},\)"
+        with pytest.raises(ValueError, match=message):
+            cross_entropy(Tensor(np.zeros((rows, 2))), labels)
 
 
 @pytest.mark.parametrize("labels,entry", [
@@ -162,10 +165,17 @@ def test_classifier_rejects_an_input_width_that_is_not_a_positive_integer(input_
         make_classifier(np.random.default_rng(0), input_dim=input_dim)
 
 
-@pytest.mark.parametrize("head_dims", [[], [1], [8, 1]])
+@pytest.mark.parametrize("head_dims", [[], [1], [8, 1], np.array([], dtype=int), np.array([8, 1])])
 def test_config_rejects_a_head_of_fewer_than_two_classes(head_dims):
     with pytest.raises(ValueError, match="at least 2"):
         ClassifierConfig(gnn_dims=[4], head_dims=head_dims)
+
+
+def test_config_accepts_widths_given_as_numpy_arrays():
+    config = ClassifierConfig(gnn_dims=np.array([4]), head_dims=np.array([3, 2]))
+    classifier = PopulationClassifier(config, 5, np.random.default_rng(0))
+    probs, logits = classifier.forward(Tensor(np.ones((6, 5))), Tensor(np.eye(6)))
+    assert probs.shape == logits.shape == (6, 2)
 
 
 POPULATION = 2 * ROW_BLOCK + 22  # three row blocks of f2, the last one ragged

@@ -70,6 +70,10 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
     "filename,content,message",
     [
         ("graph_indicator", "1\n1\n3\n3\n", r"TOY_graph_indicator.txt:3: graph id 3 skips graph 2"),
+        # a count per id up to this one would need 728 TiB
+        ("graph_indicator", "1\n1\n100000000000000\n",
+         r"TOY_graph_indicator.txt:3: graph id 100000000000000 skips graph 2, "
+         "which has no nodes"),
         ("graph_indicator", "0\n0\n1\n1\n", r"TOY_graph_indicator.txt:1: bad graph id '0'"),
         ("graph_labels", "1\nx\n", r"TOY_graph_labels.txt:2: bad graph label 'x'"),
         ("node_labels", "7\n9\n9.5\n7\n", r"TOY_node_labels.txt:3: bad node label '9.5'"),
@@ -93,9 +97,10 @@ def test_load_cross_graph_edge_reports_line(tmp_path):
         ("node_attributes", "0.5\n\n1.5\n2.5\n1e400\n",
          r"TOY_node_attributes.txt:5: non-finite attribute in '1e400'"),
     ],
-    ids=["graph_id_gap", "graph_id_zero", "graph_label", "node_label", "ragged_attributes",
-         "non_numeric_attributes", "edge_node_id", "edge_node_id_after_blank_line",
-         "edge_three_ids", "edge_node_id_out_of_range", "edge_line_of_commas",
+    ids=["graph_id_gap", "graph_id_huge", "graph_id_zero", "graph_label", "node_label",
+         "ragged_attributes", "non_numeric_attributes", "edge_node_id",
+         "edge_node_id_after_blank_line", "edge_three_ids", "edge_node_id_out_of_range",
+         "edge_line_of_commas",
          "graph_id_line_5000", "graph_id_zero_line_5000", "nan_attribute", "infinite_attribute",
          "overflowing_attribute"],
 )
@@ -518,8 +523,10 @@ def test_make_splits_small_example():
     (0.0, 2, None, r"test_fraction must be in \(0, 1\)"),
     (1.0, 2, None, r"test_fraction must be in \(0, 1\)"),
     (0.2, 1, None, "k=1 is below 2"),
-    (0.2, 2, [0, 1] * 4, "labels length must equal n"),
-], ids=["fraction_0", "fraction_1", "one_fold", "short_labels"])
+    (0.2, 2, [0, 1] * 4, r"labels of shape \(8,\) for n=10, expected shape \(10,\)"),
+    (0.2, 2, np.zeros((10, 1)), r"labels of shape \(10, 1\) for n=10, expected shape \(10,\)"),
+    (0.2, 2, 0, r"labels of shape \(\) for n=10, expected shape \(10,\)"),
+], ids=["fraction_0", "fraction_1", "one_fold", "short_labels", "column_labels", "scalar_label"])
 def test_make_splits_rejects_an_argument_out_of_range(test_fraction, k, labels, message):
     with pytest.raises(ValueError, match=message):
         make_splits(10, test_fraction, k, 0, labels)

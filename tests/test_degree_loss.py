@@ -8,7 +8,6 @@ from popgraph.degree_loss import (
     ASSIGN_SIGMA,
     ASSIGN_REACH,
     KL_EPSILON,
-    _column_degrees,
     TargetDistribution,
     degree_histogram,
     degree_loss,
@@ -16,7 +15,12 @@ from popgraph.degree_loss import (
     total_loss,
 )
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
-from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams, pairwise_distances
+from popgraph.latent_graph import (
+    ROW_BLOCK,
+    LatentGraphParams,
+    logistic_edge_weights,
+    pairwise_distances,
+)
 from popgraph.tensor import ShapeError, Tensor, exp, finite_difference_check, log
 
 
@@ -94,16 +98,16 @@ def test_gradient_only_through_surviving_entries():
     kl.backward()
     survives = a.data > 0.5
     np.testing.assert_array_equal(a.grad[~survives], 0.0)
-    # a surviving a_ij moves only the degree of node j
-    degrees = (a.data * survives).sum(axis=0)
+    # a surviving a_ij moves only the degree of node i
+    degrees = (a.data * survives).sum(axis=1)
     step = 1e-6
     d_kl = np.array([
         (kl_oracle(degrees + step * e, target, 3) - kl_oracle(degrees - step * e, target, 3))
         / (2.0 * step)
         for e in np.eye(3)
     ])
-    np.testing.assert_allclose(a.grad[survives], np.broadcast_to(d_kl, (3, 3))[survives],
-                               rtol=1e-6)
+    np.testing.assert_allclose(a.grad[survives],
+                               np.broadcast_to(d_kl[:, None], (3, 3))[survives], rtol=1e-6)
     assert np.all(a.grad[survives] != 0.0)
 
 
@@ -117,10 +121,10 @@ def test_node_degrees_arithmetic():
 
 def test_node_degrees_match_independent_row_sums():
     rng = np.random.default_rng(0)
-    a = rng.random((7, 7))  # not symmetric: the degree of node j sums column j
+    a = rng.random((7, 7))  # not symmetric: the degree of node i sums row i
     np.fill_diagonal(a, 0.0)
     a_bar = a * (a > 0.5)
-    oracle = np.array([sum(a_bar[i][j] for i in range(7)) for j in range(7)])
+    oracle = np.array([sum(a_bar[i][j] for j in range(7)) for i in range(7)])
     np.testing.assert_allclose(histogram(a), histogram_oracle(oracle, 7), atol=1e-10)
 
 
@@ -156,7 +160,7 @@ def test_degree_distribution_concentrates_at_common_degree():
 
 
 def test_degree_distribution_two_nodes():
-    p = histogram([[0.0, 1.0], [0.0, 0.0]])  # degrees 0 and 1
+    p = histogram([[0.0, 1.0], [0.0, 0.0]])  # degrees 1 and 0
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
 
@@ -263,7 +267,7 @@ def test_state_invariants_on_random_matrices():
         a = random_population_matrix(rng, n)
         target = TargetDistribution.for_support(n)
         kl, p = degree_loss(Tensor(a), target)
-        degrees = np.where(a > 0.5, a, 0.0).sum(axis=0)
+        degrees = np.where(a > 0.5, a, 0.0).sum(axis=1)
         assert p.shape == (n,) and np.all(p.data >= 0)
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-10)
         np.testing.assert_allclose(p.data, histogram_oracle(degrees, n), atol=1e-10)
@@ -331,13 +335,13 @@ def test_end_to_end_gradient_check_through_f3_and_nddl():
 
 
 def spread_degree_matrix(rng, n):
-    """Zero-diagonal matrix whose column degrees span 0..n-1: near-empty
-    columns, near-full ones and random ones, every entry >= 1e-3 from 0.5."""
+    """Zero-diagonal matrix whose row degrees span 0..n-1: near-empty rows,
+    near-full ones and random ones, every entry >= 1e-3 from 0.5."""
     a = rng.random((n, n))
-    a[:, :4] *= 0.4  # degree 0
-    a[0, 3] = 0.8  # degree 0.8
-    a[:, 4:7] = 0.9995 - 0.002 * rng.random((n, 3))  # degree above n - 2
-    a[:, 7:12] = 0.5 + 0.5 * a[:, 7:12]  # every entry survives
+    a[:4] *= 0.4  # degree 0
+    a[3, 0] = 0.8  # degree 0.8
+    a[4:7] = 0.9995 - 0.002 * rng.random((3, n))  # degree above n - 2
+    a[7:12] = 0.5 + 0.5 * a[7:12]  # every entry survives
     a[np.abs(a - 0.5) < 1e-3] += 2e-3
     np.fill_diagonal(a, 0.0)
     return a
@@ -347,7 +351,7 @@ def test_windowed_histogram_matches_dense_oracle():
     n = 128  # past the window's width, so its clipping runs at both ends
     assert n > 2 * ASSIGN_REACH + 1
     a = spread_degree_matrix(np.random.default_rng(7), n)
-    degrees = np.where(a > 0.5, a, 0.0).sum(axis=0)
+    degrees = np.where(a > 0.5, a, 0.0).sum(axis=1)
     assert degrees.min() == 0.0 and degrees[3] < 1.0 and degrees.max() > n - 2
     target = TargetDistribution.for_support(n)
     kl, p = degree_loss(Tensor(a), target)
@@ -355,14 +359,49 @@ def test_windowed_histogram_matches_dense_oracle():
     np.testing.assert_allclose(kl.item(), kl_oracle(degrees, target, n), rtol=0, atol=1e-12)
 
 
-def test_blocked_degrees_equal_whole_column_sums():
-    # the last block is ragged; a NaN entry in it reaches its own column only
+def blocked_degrees(a, monkeypatch):
+    """The degrees degree_histogram sums block by block from ``a``, as its
+    finiteness check sees them."""
+    seen = []
+    isfinite = np.isfinite
+
+    def spy(x):
+        seen.append(np.array(x))
+        return isfinite(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "isfinite", spy)
+        try:
+            degree_histogram(Tensor(a))
+        except ValueError:
+            pass
+    return seen[0]
+
+
+def test_blocked_degrees_equal_whole_row_sums(monkeypatch):
+    # the last block is ragged; a NaN entry in it reaches its own row only
     a = random_population_matrix(np.random.default_rng(20), 2 * ROW_BLOCK + 5)
-    expected = (a * (a > 0.5)).sum(axis=0)
-    np.testing.assert_array_equal(_column_degrees(a), expected)
+    expected = (a * (a > 0.5)).sum(axis=1)
+    np.testing.assert_array_equal(blocked_degrees(a, monkeypatch), expected)
     a[-1, 3] = np.nan
-    degrees = _column_degrees(a)
-    assert np.isnan(degrees[3]) and np.count_nonzero(np.isnan(degrees)) == 1
+    degrees = blocked_degrees(a, monkeypatch)
+    assert np.isnan(degrees[-1]) and np.count_nonzero(np.isnan(degrees)) == 1
+
+
+def test_degree_loss_on_edge_weights_matches_column_sums():
+    # f2's weights are exactly symmetric, so their row degrees are their
+    # column degrees up to summation order
+    n = 2 * ROW_BLOCK + 5
+    rng = np.random.default_rng(28)
+    z = Tensor(rng.normal(size=(n, 3)))
+    d = pairwise_distances(z.data)[~np.eye(n, dtype=bool)]
+    a = logistic_edge_weights(z, Tensor(0.0), Tensor(float(np.median(d))))
+    degrees = np.where(a.data > 0.5, a.data, 0.0).sum(axis=0)
+    assert 0 < np.count_nonzero(a.data > 0.5) < n * (n - 1)
+    target = TargetDistribution.for_support(n)
+    kl, p = degree_loss(a, target)
+    np.testing.assert_allclose(p.data, histogram_oracle(degrees, n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kl.item(), kl_oracle(degrees, target, n), rtol=0, atol=1e-12)
 
 
 def test_degree_histogram_gradient_check():

@@ -192,6 +192,11 @@ def test_f1_rejects_an_input_width_that_is_not_a_positive_integer(input_dim):
 
 def test_config_accepts_numpy_integer_widths():
     assert NodeLevelConfig(layer_dims=list(np.array([4, 2]))).layer_dims == [4, 2]
+    config = NodeLevelConfig(layer_dims=np.array([2, 3]))
+    module = NodeLevelModule(config, 3, np.random.default_rng(0))
+    assert [layer.w_self.shape for layer in module.layers] == [(3, 2), (2, 3)]
+    with pytest.raises(ValueError, match="layer_dims must be non-empty"):
+        NodeLevelConfig(layer_dims=np.array([], dtype=int))
 
 
 def test_f1_rejects_features_of_another_width():

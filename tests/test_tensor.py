@@ -215,7 +215,8 @@ def test_factored_grad_to_dense_sums_every_term():
     u, v = rng.normal(size=(2, 4, 2))
     c, extra, a = rng.normal(size=4), rng.normal(size=(4, 4)), rng.random((4, 4))
     grad = T.FactoredGrad(outer=[(u, v)], masked=[(0.5, c)], dense=[extra])
-    np.testing.assert_allclose(grad.to_dense(a), u @ v.T + (a > 0.5) * c + extra, rtol=1e-15)
+    np.testing.assert_allclose(grad.to_dense(a), u @ v.T + (a > 0.5) * c[:, None] + extra,
+                               rtol=1e-15)
 
 
 def test_leaf_does_not_alias_source_array():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import whole_numbers
-from .nn import MLP, GraphConv, check_widths
+from .nn import MLP, GraphConv, check_widths, stacked
 from .tensor import ShapeError, Tensor, exp, log_softmax
 
 
@@ -24,8 +24,8 @@ class ClassifierConfig:
 
     def __post_init__(self):
         check_widths("gnn_dims", self.gnn_dims)
-        check_widths("head_dims", self.head_dims)
-        if len(self.head_dims) == 0 or self.head_dims[-1] < 2:
+        check_widths("head_dims", self.head_dims, at_least=1)
+        if self.head_dims[-1] < 2:
             raise ValueError(
                 f"head_dims must end in the class count, at least 2: {self.head_dims!r}")
 
@@ -36,10 +36,7 @@ class PopulationClassifier:
     def __init__(self, config: ClassifierConfig, input_dim: int, rng: np.random.Generator):
         self.config = config
         dims = [input_dim] + list(config.gnn_dims)
-        self.gnn_layers = [
-            GraphConv(dims[i], dims[i + 1], rng, name=f"f3.conv{i}")
-            for i in range(len(dims) - 1)
-        ]
+        self.gnn_layers = stacked(GraphConv, dims, rng, "f3.conv")
         self.head = MLP([dims[-1]] + list(config.head_dims), rng, name="f3.head")
 
     def forward(self, h: Tensor, a: Tensor):

@@ -94,24 +94,27 @@ class GraphBatch:
     node rows are ``node_offsets[g]:node_offsets[g + 1]``: the offsets are the
     one record of which rows each graph pools. The arrays are read-only. A
     batch is a sequence of graphs: ``batch[g]`` is a :class:`Graph` of views.
-    A graph's nodes are its feature rows. Every graph must have a 2-D feature
-    array of real numbers, at least one row, finite entries, and as many
-    columns as graph 0 and at least one; a label that is a whole number; and
-    (u, v) pairs of whole numbers as edges, between its own nodes, each
-    undirected edge once; a ``ValueError`` names the first that does not.
-    Edges of an integer dtype are taken as they are.
+    A graph's nodes are its feature rows. Every graph must have 2-D features
+    (an array or equal-width lists) of real numbers, at least one row, finite
+    entries, and as many columns as graph 0 and at least one; a label that is
+    a whole number; and (u, v) pairs of whole numbers as edges, between its
+    own nodes, each undirected edge once; a ``ValueError`` names the first
+    that does not. Edges of an integer dtype are taken as they are.
     """
 
     def __init__(self, graphs):
         graphs = list(graphs)
         if not graphs:
             raise ValueError("GraphBatch needs at least one graph")
-        edges = []
+        edges, node_rows = [], []
         for g, graph in enumerate(graphs):
-            features = graph.features
+            try:
+                features = np.asarray(graph.features)
+            except ValueError:  # ragged: numpy makes no array of it
+                raise ValueError(f"graph {g} of the batch has ragged feature rows") from None
             try:
                 e = np.asarray(graph.edges)
-            except ValueError:  # ragged: numpy makes no array of it
+            except ValueError:
                 raise ValueError(
                     f"graph {g} of the batch has edges that are not (u, v) pairs") from None
             if features.ndim != 2:
@@ -127,14 +130,15 @@ class GraphBatch:
                 raise ValueError(f"graph {g} of the batch has edges of dtype {e.dtype}, "
                                  "not node indices")
             edges.append(e.reshape(-1, 2))
-        counts, widths = np.array([g.features.shape for g in graphs], dtype=np.intp).T
+            node_rows.append(features)
+        counts, widths = np.array([f.shape for f in node_rows], dtype=np.intp).T
         bad = np.flatnonzero(widths != widths[0])
         if bad.size:
             g = int(bad[0])
             raise ValueError(
                 f"graph {g} of the batch has {widths[g]} feature columns, graph 0 has {widths[0]}")
         self._stack(counts, np.concatenate(edges), [len(e) for e in edges],
-                    np.concatenate([g.features for g in graphs]), [g.label for g in graphs])
+                    np.concatenate(node_rows), [g.label for g in graphs])
 
     @classmethod
     def _stacked(cls, node_counts, edges, edge_counts, features, labels):

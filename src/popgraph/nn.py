@@ -10,16 +10,27 @@ from .data import check_integer
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, relu
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(max(1, fan_in))
-    return rng.uniform(-bound, bound, size=shape)
+def parameter(rng: np.random.Generator, shape, fan_in: int, name: str) -> Tensor:
+    """A trainable Tensor named ``name`` drawn from ``rng`` as U(+-1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, name=name)
 
 
-def check_widths(field: str, widths) -> None:
-    """Raise ``ValueError`` naming ``field`` and the entry unless every entry
-    of ``widths`` is a positive integer."""
+def check_widths(field: str, widths, at_least=0) -> None:
+    """Raise ``ValueError`` naming ``field``, and any entry at fault, unless ``widths``
+    is a list, tuple or 1-D array of ``at_least`` or more positive integers."""
+    listed = isinstance(widths, (list, tuple)) or isinstance(widths, np.ndarray) and widths.ndim == 1
+    if not listed or len(widths) < at_least:
+        raise ValueError(f"{field}={widths!r} is not a sequence of {at_least} or more widths")
     for i, w in enumerate(widths):
         check_integer(f"{field}[{i}]", w, 1)
+
+
+def stacked(layer, dims, rng: np.random.Generator, name: str) -> list:
+    """One ``layer(d_in, d_out, rng, name=f"{name}{i}")`` per consecutive pair of
+    ``dims``, built in order, so their parameters are drawn from ``rng`` in turn."""
+    return [layer(d_in, d_out, rng, name=f"{name}{i}")
+            for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))]
 
 
 def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,10 +57,8 @@ class Linear:
     """y = x @ W + b with uniform +-1/sqrt(fan_in) initialization."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name=""):
-        self.weight = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                             name=f"{name}.weight")
-        self.bias = Tensor(uniform_init(rng, (d_out,), d_in), requires_grad=True,
-                           name=f"{name}.bias")
+        self.weight = parameter(rng, (d_in, d_out), d_in, f"{name}.weight")
+        self.bias = parameter(rng, (d_out,), d_in, f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
@@ -60,16 +69,11 @@ class Linear:
 
 class MLP:
     """Stacked Linear layers with relu between layers (none after the last);
-    every width in ``dims``, the input's and each layer's, is a positive integer."""
+    ``dims`` holds two or more positive integers, the input's and each layer's width."""
 
     def __init__(self, dims, rng: np.random.Generator, name=""):
-        if len(dims) < 2:
-            raise ValueError("MLP needs at least input and output dims")
-        check_widths(f"{name or 'MLP'} dims", dims)
-        self.layers = [
-            Linear(dims[i], dims[i + 1], rng, name=f"{name}.{i}")
-            for i in range(len(dims) - 1)
-        ]
+        check_widths(f"{name or 'MLP'} dims", dims, at_least=2)
+        self.layers = stacked(Linear, dims, rng, f"{name}.")
 
     def forward(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
@@ -182,16 +186,14 @@ class GraphConv:
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="conv"):
         check_widths(f"{name} dims", (d_in, d_out))
-        self.w_self = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                             name=f"{name}.w_self")
-        self.w_neigh = Tensor(uniform_init(rng, (d_in, d_out), d_in), requires_grad=True,
-                              name=f"{name}.w_neigh")
-        self.bias = Tensor(uniform_init(rng, (d_out,), d_in), requires_grad=True,
-                           name=f"{name}.bias")
+        self.w_self = parameter(rng, (d_in, d_out), d_in, f"{name}.w_self")
+        self.w_neigh = parameter(rng, (d_in, d_out), d_in, f"{name}.w_neigh")
+        self.bias = parameter(rng, (d_out,), d_in, f"{name}.bias")
 
     def forward(self, x: Tensor, adj: Tensor) -> Tensor:
-        if not isinstance(adj, Tensor):
-            raise TypeError(f"GraphConv takes a dense adjacency Tensor, not {type(adj).__name__}")
+        for arg, kind in ((x, "node-row"), (adj, "dense adjacency")):
+            if not isinstance(arg, Tensor):
+                raise TypeError(f"GraphConv takes a {kind} Tensor, not {type(arg).__name__}")
         n = x.shape[0]
         if adj.shape != (n, n):
             raise ShapeError(f"adjacency of shape {adj.shape} for {n} node rows")

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch
-from .nn import GraphConv, add_matmul, check_widths, conv_backward, conv_forward
+from .nn import GraphConv, add_matmul, check_widths, conv_backward, conv_forward, stacked
 from .tensor import ShapeError, Tensor, _accumulate, _record
 
 
@@ -97,9 +97,7 @@ class NodeLevelConfig:
     pooling: str = "mean"
 
     def __post_init__(self):
-        if len(self.layer_dims) == 0:
-            raise ValueError("layer_dims must be non-empty")
-        check_widths("layer_dims", self.layer_dims)
+        check_widths("layer_dims", self.layer_dims, at_least=1)
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}")
 
@@ -113,11 +111,7 @@ class NodeLevelModule:
 
     def __init__(self, config: NodeLevelConfig, input_dim: int, rng: np.random.Generator):
         self.config = config
-        dims = [input_dim] + list(config.layer_dims)
-        self.layers = [
-            GraphConv(dims[i], dims[i + 1], rng, name=f"f1.conv{i}")
-            for i in range(len(dims) - 1)
-        ]
+        self.layers = stacked(GraphConv, [input_dim, *config.layer_dims], rng, "f1.conv")
 
     def forward(self, batch: GraphBatch) -> Tensor:
         d_in = self.layers[0].w_self.shape[0]

@@ -694,6 +694,19 @@ def test_batch_rejects_features_that_are_not_2d(shape):
             GraphBatch(batch)
 
 
+def test_batch_takes_features_given_as_a_list_of_rows():
+    batch = GraphBatch([Graph([], [[1.0], [2.0]], 0), Graph([(0, 1)], [[3], [4]], 1)])
+    assert batch.features.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+    assert batch.features.dtype == np.float64
+
+
+def test_batch_rejects_ragged_feature_rows():
+    # ragged: numpy makes no array of them, and its message names no graph
+    graphs = [Graph([(0, 1)], np.ones((2, 1)), 0), Graph([], [[1.0], [2.0, 3.0]], 1)]
+    with pytest.raises(ValueError, match="graph 1 of the batch has ragged feature rows"):
+        GraphBatch(graphs)
+
+
 def test_batch_rejects_feature_width_other_than_graph_0s():
     graphs = [Graph([(0, 1)], np.ones((2, 2)), 0), Graph([], np.ones((3, 2)), 1),
               Graph([], np.ones((2, 3)), 0), Graph([], np.ones((2, 1)), 1)]

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from popgraph import nn
 from popgraph import tensor as T
+from popgraph.classifier import ClassifierConfig
 from popgraph.data import Graph, GraphBatch
 from popgraph.latent_graph import LatentGraphParams
 from popgraph.nn import MLP, GraphConv, add_matmul
+from popgraph.node_level import NodeLevelConfig
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 
@@ -84,6 +87,12 @@ def test_graph_conv_rejects_a_sparse_adjacency():
     batch = single_graph_batch([(0, 1)], np.zeros((3, 2)))
     with pytest.raises(TypeError, match="dense adjacency Tensor"):
         layer.forward(Tensor(batch.features), batch.adjacency)
+
+
+def test_graph_conv_rejects_node_rows_that_are_not_a_tensor():
+    layer = GraphConv(2, 2, np.random.default_rng(2))
+    with pytest.raises(TypeError, match="GraphConv takes a node-row Tensor, not ndarray"):
+        layer.forward(np.ones((2, 2)), Tensor(np.eye(2)))
 
 
 def test_graph_conv_nan_pre_activation_gives_zero():
@@ -281,5 +290,63 @@ def test_mlp_rejects_a_width_that_is_not_a_positive_integer(dims, entry):
 
 @pytest.mark.parametrize("dims", [[], [4]])
 def test_mlp_rejects_fewer_than_two_dims(dims):
-    with pytest.raises(ValueError, match="MLP needs at least input and output dims"):
+    with pytest.raises(ValueError, match=r"MLP dims=\[.*\] is not .* of 2 or more widths"):
         MLP(dims, np.random.default_rng(0))
+
+
+# Every layer or config declared by widths: (a builder from a width list, the
+# field its errors name, a valid list of the fewest widths it takes, the
+# malformed cases that do not apply). GraphConv's list is its (d_in, d_out)
+# pair, so a bare int or a shorter list is not a call it can be given; with no
+# gnn_dims the classifier is its head alone, so no gnn_dims list is too short.
+WIDTH_DECLARATIONS = {
+    "MLP": (lambda dims: MLP(dims, np.random.default_rng(0)), "MLP dims", [3, 3], ()),
+    "GraphConv": (lambda dims: GraphConv(*dims, np.random.default_rng(0)), "conv dims", [3, 3],
+                  ("bare_int", "too_short")),
+    "LatentGraphParams": (lambda dims: LatentGraphParams(dims, np.random.default_rng(0)),
+                          "g dims", [3, 3], ()),
+    "NodeLevelConfig.layer_dims": (lambda dims: NodeLevelConfig(layer_dims=dims),
+                                   "layer_dims", [3], ()),
+    "ClassifierConfig.gnn_dims": (lambda dims: ClassifierConfig(gnn_dims=dims, head_dims=[2]),
+                                  "gnn_dims", [3], ("too_short",)),
+    "ClassifierConfig.head_dims": (lambda dims: ClassifierConfig(gnn_dims=[4], head_dims=dims),
+                                   "head_dims", [3], ()),
+}
+
+# Each malformed width list, made from a valid list ``ok``.
+MALFORMED_WIDTHS = {
+    "bare_int": lambda ok: 3,
+    "string": lambda ok: "33",
+    "2d_array": lambda ok: np.array([ok, ok]),
+    "ragged": lambda ok: [ok, ok[:-1]],
+    "too_short": lambda ok: ok[:-1],
+    "zero": lambda ok: ok[:-1] + [0],
+    "true": lambda ok: ok[:-1] + [True],
+}
+
+
+@pytest.mark.parametrize("build,field,widths", [
+    pytest.param(build, field, make(ok), id=f"{target}-{case}")
+    for target, (build, field, ok, inapplicable) in WIDTH_DECLARATIONS.items()
+    for case, make in MALFORMED_WIDTHS.items() if case not in inapplicable])
+def test_every_width_declaration_rejects_a_malformed_list_naming_its_field(build, field, widths):
+    with pytest.raises(ValueError, match="^" + re.escape(field)):
+        build(widths)
+
+
+@pytest.mark.parametrize("layer,names", [(nn.Linear, ("weight", "bias")),
+                                         (GraphConv, ("w_self", "w_neigh", "bias"))])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_layers_draw_their_parameters_in_order_from_the_generator(layer, names, seed):
+    """A model's parameters are a function of its seed: each layer draws
+    every array from ``rng`` in a fixed order, U(+-1/sqrt(d_in)), and no more."""
+    d_in, d_out = 3, 4
+    rng, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+    built = layer(d_in, d_out, rng, name="l")
+    bound = 1.0 / np.sqrt(d_in)
+    for name, param in zip(names, built.parameters(), strict=True):
+        expected = fresh.uniform(-bound, bound, size=param.shape)
+        assert param.name == f"l.{name}" and param.requires_grad
+        assert param.shape == ((d_out,) if name == "bias" else (d_in, d_out))
+        np.testing.assert_array_equal(param.data, expected)
+    assert rng.random() == fresh.random()

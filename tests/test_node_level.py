@@ -195,7 +195,7 @@ def test_config_accepts_numpy_integer_widths():
     config = NodeLevelConfig(layer_dims=np.array([2, 3]))
     module = NodeLevelModule(config, 3, np.random.default_rng(0))
     assert [layer.w_self.shape for layer in module.layers] == [(3, 2), (2, 3)]
-    with pytest.raises(ValueError, match="layer_dims must be non-empty"):
+    with pytest.raises(ValueError, match=r"layer_dims=array\(\[\].* of 1 or more widths"):
         NodeLevelConfig(layer_dims=np.array([], dtype=int))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import whole_numbers
 from .nn import MLP, GraphConv, check_widths, stacked
-from .tensor import ShapeError, Tensor, exp, log_softmax
+from .tensor import ShapeError, Tensor, check_tensor, exp, log_softmax
 
 
 @dataclass
@@ -57,8 +57,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     Raises ``ShapeError`` naming the shape of logits that are not 2-D, and
     ``ValueError`` for logits of no rows, naming the shape of labels that are
     not one per row, and naming the first index whose label is not a whole
-    number (NaN and infinite included).
+    number (NaN and infinite included), and ``TypeError`` for logits that are
+    not a Tensor.
     """
+    check_tensor("logits", logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, not shape {logits.shape}")
     n, c = logits.shape

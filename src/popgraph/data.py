@@ -50,13 +50,26 @@ def check_integer(name: str, value, minimum=None) -> None:
     check_real(name, value, minimum)
 
 
+def _is_whole(entry) -> bool:
+    """Whether an entry, or every entry of a row, is a whole number; a string is not."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return bool(np.all(np.asarray(entry).astype(np.intp) == entry))
+    except (TypeError, ValueError):
+        return False
+
+
 def whole_numbers(values, message) -> np.ndarray:
     """``values`` as ``np.intp``. Raises ``ValueError(message(i))`` for the
     first index ``i`` along the first axis whose entry, or any entry of whose
     row, is not a whole number (NaN and inf included)."""
     values = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
-        whole = values.astype(np.intp)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to arbitrary integers
+            whole = values.astype(np.intp)
+    except (TypeError, ValueError):  # an entry that is no number: find its row alone
+        raise ValueError(message(next(i for i, row in enumerate(values)
+                                      if not _is_whole(row)))) from None
     bad = whole != values
     bad = np.flatnonzero(bad.any(axis=1) if bad.ndim == 2 else bad)
     if bad.size:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .data import check_integer, check_real
 from .latent_graph import ROW_BLOCK, row_blocks
-from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, exp, log, log_softmax
+from .tensor import (FactoredGrad, ShapeError, Tensor, _accumulate, _record, check_tensor, exp,
+                     log, log_softmax)
 
 ASSIGN_SIGMA = 0.6  # smoothing width of the degree soft assignment
 # exp(x) is exactly 0.0 in float64 for x <= -745.14. The bin nearest a degree
@@ -98,9 +99,10 @@ def degree_histogram(a_p: Tensor) -> Tensor:
 
     The degree of node i sums row i of ``a_p`` over its entries strictly
     above 0.5. Raises ``ShapeError`` naming the shape of an ``a_p`` that is not
-    a square matrix, and ``ValueError`` when ``a_p`` is empty or holds a NaN or an
-    infinity.
+    a square matrix, ``ValueError`` when ``a_p`` is empty or holds a NaN or an
+    infinity, and ``TypeError`` when it is not a Tensor.
     """
+    check_tensor("a_p", a_p)
     if a_p.ndim != 2 or a_p.shape[0] != a_p.shape[1]:
         raise ShapeError(f"degree_histogram needs a square adjacency, not shape {a_p.shape}")
     n = a_p.shape[0]

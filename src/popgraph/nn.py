@@ -1,10 +1,11 @@
 """Parameter containers, and the graph-convolution arithmetic, shared by the model modules."""
 
+import os
 import weakref
+from concurrent import futures
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
 
 from .data import check_integer
 from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, relu
@@ -33,24 +34,54 @@ def stacked(layer, dims, rng: np.random.Generator, name: str) -> list:
             for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))]
 
 
-def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out += a @ b`` in ``out``'s own memory, as one BLAS dgemm with beta 1.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    ``out`` must be a C-ordered float64 array. BLAS computes
-    ``out.T += b.T @ a.T`` on the Fortran-ordered transposes, so C-ordered
-    operands and ``out`` are not copied, and there is no temporary product and
-    no separate sum pass. An operand of other strides is copied by the call.
+
+# Whether lane 1 of :func:`run_lanes` runs on a worker thread: when the
+# process may use two or more CPUs. Otherwise both lanes run in turn on the
+# caller, with the same results.
+LANE_WORKER = _usable_cpus() >= 2
+
+_worker = []  # the worker thread's executor, once the first two-lane run has made it
+os.register_at_fork(after_in_child=_worker.clear)  # the thread does not survive fork
+
+
+def run_lanes(lane):
+    """``(lane(0), lane(1))``, with lane 0 on the calling thread and lane 1
+    at the same time on one worker thread, or in turn on the caller when
+    ``LANE_WORKER`` is false.
+
+    The caller waits for lane 1 before it returns or raises; lane 0's
+    exception is raised before lane 1's. Two lanes overlap only in numpy's
+    and scipy's calls that release the GIL, such as ``np.matmul``, sparse
+    products and elementwise passes over large arrays. Each lane must write
+    only its own outputs.
     """
-    if out.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_matmul: {out.shape} += {a.shape} @ {b.shape}")
-    if not out.flags.c_contiguous:
-        raise ValueError("add_matmul: out must be C-contiguous")
-    if out.size == 0:
-        return out
-    c = dgemm(1.0, b.T, a.T, beta=1.0, c=out.T, overwrite_c=True)
-    if not np.shares_memory(c, out):
-        raise ValueError(f"add_matmul: BLAS copied the {out.dtype} output instead of updating it")
-    return out
+    if not LANE_WORKER:
+        return lane(0), lane(1)
+    if not _worker:
+        _worker.append(futures.ThreadPoolExecutor(1, thread_name_prefix="popgraph-lane"))
+    second = _worker[0].submit(lane, 1)
+    try:
+        first = lane(0)
+    finally:
+        futures.wait([second])
+    return first, second.result()
+
+
+def deal(sizes) -> tuple:
+    """Two lists of indices into ``sizes``: each index in turn goes to the
+    lane whose sizes sum to less so far, lane 0 on a tie."""
+    lanes, loads = ([], []), [0, 0]
+    for i, size in enumerate(sizes):
+        lane = int(loads[1] < loads[0])
+        lanes[lane].append(i)
+        loads[lane] += size
+    return lanes
 
 
 class Linear:
@@ -90,14 +121,12 @@ def conv_forward(x, ax, w_self, w_neigh, bias) -> np.ndarray:
     """relu(x W_self + ax W_neigh + b) for a set of node rows, ``ax`` their
     aggregated neighbours A x: the forward of one graph-convolution layer.
 
-    The output is one fresh buffer filled with the bias, into which BLAS adds
-    both projections with beta 1 (:func:`add_matmul`). relu maps a NaN
-    pre-activation to 0, as ``tensor.relu`` does.
+    The sum is taken as ((x W_self) + b) + (A x) W_neigh, in one fresh buffer.
+    relu maps a NaN pre-activation to 0, as ``tensor.relu`` does.
     """
-    y = np.empty((x.shape[0], bias.shape[0]))
-    y[...] = bias
-    add_matmul(y, x, w_self)
-    add_matmul(y, ax, w_neigh)
+    y = x @ w_self
+    y += bias
+    y += ax @ w_neigh
     np.fmax(y, 0.0, out=y)
     return y
 
@@ -211,9 +240,10 @@ class GraphConv:
             for p, grad in zip(params, (g_w_self, ax.T @ g, g_bias)):
                 _accumulate(p, grad)
             g_ax = g @ w_neigh.T
-            if x.requires_grad:  # BLAS adds g W_self^T into C-ordered A^T g_ax
+            if x.requires_grad:
                 g_x = (g_ax.T @ adj.data).T if csr is None else csr.T @ g_ax
-                _accumulate(x, add_matmul(np.ascontiguousarray(g_x), g, w_self.T))
+                g_x += g @ w_self.T
+                _accumulate(x, g_x)
             _accumulate(adj, FactoredGrad(outer=[(g_ax, x.data)]))
 
         return _record(y, (x,) + params + (adj,), backward)

@@ -12,20 +12,24 @@ whole graphs of at most ``NODE_BLOCK`` node rows, built when f1 first runs on
 the batch and freed with it. Forward, every layer runs on one block's rows,
 and the block's 0/1 rows sum each graph's node rows (mean pooling then scales
 each sum by 1 / node count). Backward, each graph's gradient, scaled alike,
-is repeated over its node rows, and each block's layers are undone in turn,
-adding into one gradient per parameter. So the temporaries of both passes are
-block-sized; only what the op keeps of each block adds up to the batch: each
-layer's input rows, and the last layer's relu sign as a bool mask. A lower
-layer's relu sign is read from the next layer's input. The first layer's
-neighbour sums are a constant of the batch, kept in the plan. Every other
-layer's neighbour sums A x are not kept: the block adjacency is symmetric, so
-the backward takes W_neigh's gradient as x^T (A g), and the same A g gives
-the input gradient (A g) W_neigh^T + g W_self^T, with no further sparse
-product. On 1024 graphs of 10-30 nodes (20,777 node rows, widths 32, 32) the
-op keeps 6.0 MB from forward to backward (``tracemalloc``). The layer
-arithmetic, :func:`nn.conv_forward` and the relu, self and bias part of the
-backward, :func:`nn.conv_backward`, is the one ``nn.GraphConv`` runs over
-f3's population graph.
+is repeated over its node rows, and each block's layers are undone in turn.
+Blocks share nothing until the parameter gradients are summed, so both passes
+deal them by row count to the two lanes of :func:`nn.run_lanes`: each lane
+writes its own blocks' rows of the output, what the op keeps of them and
+their parameter gradients, which are then added in block order. So the result
+is the same bit for bit on one lane or two. The temporaries of both passes
+are block-sized; only what the op keeps of each block adds up to the batch:
+each layer's input rows, and the last layer's relu sign as a bool mask. A
+lower layer's relu sign is read from the next layer's input. The first
+layer's neighbour sums are a constant of the batch, kept in the plan. Every
+other layer's neighbour sums A x are not kept: the block adjacency is
+symmetric, so the backward takes W_neigh's gradient as x^T (A g), and the
+same A g gives the input gradient (A g) W_neigh^T + g W_self^T, with no
+further sparse product. On 1024 graphs of 10-30 nodes (20,777 node rows,
+widths 32, 32) the op keeps 6.0 MB from forward to backward
+(``tracemalloc``). The layer arithmetic, :func:`nn.conv_forward` and the
+relu, self and bias part of the backward, :func:`nn.conv_backward`, is the
+one ``nn.GraphConv`` runs over f3's population graph.
 """
 
 import weakref
@@ -36,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch
-from .nn import GraphConv, add_matmul, check_widths, conv_backward, conv_forward, stacked
+from .nn import (GraphConv, check_widths, conv_backward, conv_forward, deal, run_lanes,
+                 stacked)
 from .tensor import ShapeError, Tensor, _accumulate, _record
 
 
@@ -124,34 +129,50 @@ class NodeLevelModule:
         scale = 1.0 / counts[:, None] if self.config.pooling == "mean" else 1.0  # 1 is exact
         h = np.empty((len(batch), weights[-1][2].shape[0]))
         blocks = node_blocks(batch)
-        saved = []  # per block, each layer's input rows and the last layer's relu sign
-        for block in blocks:
-            x = batch.features[block.rows]
-            inputs = []
-            for i, (w_self, w_neigh, bias) in enumerate(weights):
-                ax = block.adjacency @ x if i else block.aggregated
-                inputs.append(x)
-                x = conv_forward(x, ax, w_self, w_neigh, bias)
-            h[block.graphs] = block.membership @ x
-            saved.append((inputs, x > 0.0))
+        lanes = deal([block.rows.stop - block.rows.start for block in blocks])
+        saved = [None] * len(blocks)  # per block, each layer's input rows and the last relu sign
+
+        def forward_lane(lane):
+            for j in lanes[lane]:
+                block = blocks[j]
+                x = batch.features[block.rows]
+                inputs = []
+                for i, (w_self, w_neigh, bias) in enumerate(weights):
+                    ax = block.adjacency @ x if i else block.aggregated
+                    inputs.append(x)
+                    x = conv_forward(x, ax, w_self, w_neigh, bias)
+                h[block.graphs] = block.membership @ x
+                saved[j] = (inputs, x > 0.0)
+
+        run_lanes(forward_lane)
         h *= scale
 
         def backward(g_h):
             g_h = g_h * scale
-            for block, (inputs, top_mask) in zip(blocks, saved):
-                g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
-                for i in reversed(range(len(weights))):
-                    x = inputs[i]
-                    mask = inputs[i + 1] > 0.0 if i + 1 < len(inputs) else top_mask
-                    g, g_w_self, g_bias = conv_backward(g, x, mask)
-                    if i:  # the adjacency is symmetric: A g is A^T g, and (A x)^T g is x^T A g
-                        w_self, w_neigh, _ = weights[i]
-                        ag = block.adjacency @ g
-                        g_w_neigh = x.T @ ag
-                        g = add_matmul(ag @ w_neigh.T, g, w_self.T)
-                    else:
-                        g_w_neigh = block.aggregated.T @ g
-                    for p, grad in zip(layer_params[i], (g_w_self, g_w_neigh, g_bias)):
+            grads = [None] * len(blocks)  # per block, each layer's parameter gradients
+
+            def backward_lane(lane):
+                for j in lanes[lane]:
+                    block, (inputs, top_mask) = blocks[j], saved[j]
+                    g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
+                    grads[j] = [None] * len(weights)
+                    for i in reversed(range(len(weights))):
+                        x = inputs[i]
+                        mask = inputs[i + 1] > 0.0 if i + 1 < len(inputs) else top_mask
+                        g, g_w_self, g_bias = conv_backward(g, x, mask)
+                        if i:  # the adjacency is symmetric: A g is A^T g, and (A x)^T g is x^T A g
+                            w_self, w_neigh, _ = weights[i]
+                            ag = block.adjacency @ g
+                            g_w_neigh = x.T @ ag
+                            g = ag @ w_neigh.T + g @ w_self.T
+                        else:
+                            g_w_neigh = block.aggregated.T @ g
+                        grads[j][i] = (g_w_self, g_w_neigh, g_bias)
+
+            run_lanes(backward_lane)
+            for block_grads in grads:  # in block order, as one lane would add them
+                for params, layer_grads in zip(layer_params, block_grads):
+                    for p, grad in zip(params, layer_grads):
                         _accumulate(p, grad)
 
         return _record(h, self.parameters(), backward)

@@ -111,6 +111,12 @@ class Tensor:
                 node.grad = np.zeros_like(node.data)
 
 
+def check_tensor(name: str, value) -> None:
+    """Raise ``TypeError`` naming ``name`` and the type given unless ``value`` is a Tensor."""
+    if not isinstance(value, Tensor):
+        raise TypeError(f"{name} must be a Tensor, not {type(value).__name__}")
+
+
 class Tape:
     """Topologically ordered record of the operations below one root.
 

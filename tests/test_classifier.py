@@ -130,7 +130,9 @@ def test_cross_entropy_rejects_bad_labels():
     ([0, 1.5], "label 1.5 at index 1 is not a whole number"),
     ([1, np.nan], "label nan at index 1 is not a whole number"),
     ([np.inf, 0], "label inf at index 0 is not a whole number"),
-], ids=["fractions", "fraction_after_an_integer", "nan", "inf"])
+    (["a", "b"], "label a at index 0 is not a whole number"),
+    ([1, None], "label None at index 1 is not a whole number"),
+], ids=["fractions", "fraction_after_an_integer", "nan", "inf", "strings", "none"])
 def test_cross_entropy_rejects_a_label_that_is_not_a_whole_number(labels, entry):
     with pytest.raises(ValueError, match=entry):
         cross_entropy(Tensor([[5.0, 0.0], [0.0, 5.0]]), labels)

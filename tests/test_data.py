@@ -468,7 +468,9 @@ def test_batch_preserves_edge_counts_and_offsets():
     ([1, 1.5], "graph 1 of the batch has label 1.5, not a whole number"),
     ([0, np.nan], "graph 1 of the batch has label nan, not a whole number"),
     ([-np.inf, 0], "graph 0 of the batch has label -inf, not a whole number"),
-], ids=["fractions", "fraction_after_an_integer", "nan", "inf"])
+    (["a", 1], "graph 0 of the batch has label a, not a whole number"),
+    ([0, None], "graph 1 of the batch has label None, not a whole number"),
+], ids=["fractions", "fraction_after_an_integer", "nan", "inf", "string", "none"])
 def test_batch_rejects_a_label_that_is_not_a_whole_number(labels, entry):
     graphs = [Graph([(0, 1)], np.ones((3, 2)), labels[0]),
               Graph([], np.ones((2, 2)), labels[1])]

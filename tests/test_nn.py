@@ -10,7 +10,7 @@ from popgraph import tensor as T
 from popgraph.classifier import ClassifierConfig
 from popgraph.data import Graph, GraphBatch
 from popgraph.latent_graph import LatentGraphParams
-from popgraph.nn import MLP, GraphConv, add_matmul
+from popgraph.nn import MLP, GraphConv, conv_forward
 from popgraph.node_level import NodeLevelConfig
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
@@ -241,39 +241,19 @@ def matmul_operands(rng, layout):
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
-def test_add_matmul_accumulates_in_place(layout):
+def test_conv_forward_sums_both_projections_and_the_bias(layout):
     rng = np.random.default_rng(15)
-    a, b = matmul_operands(rng, layout)
-    out = rng.normal(size=(6, 4))
-    expected = out + a @ b
-    assert add_matmul(out, a, b) is out
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    x, w_self = matmul_operands(rng, layout)
+    ax, w_neigh = matmul_operands(rng, layout)
+    bias = rng.normal(size=4)
+    y = conv_forward(x, ax, w_self, w_neigh, bias)
+    np.testing.assert_array_equal(y, np.maximum((x @ w_self + bias) + ax @ w_neigh, 0.0))
 
 
-def test_add_matmul_writes_into_a_row_block():
-    rng = np.random.default_rng(16)
-    base = rng.normal(size=(10, 4))
-    out = base[2:8]  # a C-contiguous view: the sum must land in ``base``
-    a, b = matmul_operands(rng, "contiguous")
-    expected = out + a @ b
-    add_matmul(out, a, b)
-    np.testing.assert_allclose(base[2:8], expected, rtol=0, atol=1e-12)
-
-
-def test_add_matmul_rejects_an_output_it_cannot_update():
-    rng = np.random.default_rng(17)
-    a, b = matmul_operands(rng, "contiguous")
-    with pytest.raises(ValueError, match="C-contiguous"):
-        add_matmul(np.zeros((4, 6)).T, a, b)
-    with pytest.raises(ValueError, match="copied the float32 output"):
-        add_matmul(np.zeros((6, 4), dtype=np.float32), a, b)
-    with pytest.raises(ValueError, match="add_matmul"):
-        add_matmul(np.zeros((6, 3)), a, b)
-
-
-def test_add_matmul_of_no_rows_is_a_no_op():
-    out = np.zeros((0, 4))
-    assert add_matmul(out, np.zeros((0, 5)), np.ones((5, 4))) is out
+def test_conv_forward_of_no_rows_has_no_rows():
+    y = conv_forward(np.zeros((0, 5)), np.zeros((0, 5)), np.ones((5, 4)), np.ones((5, 4)),
+                     np.ones(4))
+    assert y.shape == (0, 4)
 
 
 @pytest.mark.parametrize("dims,entry", [([4, 0, 2], r"g dims\[1\]=0 is below 1"),

@@ -14,6 +14,18 @@ from popgraph.node_level import NodeLevelConfig, NodeLevelModule
 from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: LatentGraphParams([3, 2], np.random.default_rng(0)).forward(np.ones((4, 3))), "h"),
+    (lambda: LatentGraphParams([3, 2], np.random.default_rng(0)).init_threshold(np.ones((4, 3))),
+     "h"),
+    (lambda: cross_entropy(np.zeros((2, 2)), [0, 1]), "logits"),
+    (lambda: degree_loss(np.eye(4), TargetDistribution.for_support(4)), "a_p"),
+], ids=["latent_graph_forward", "init_threshold", "cross_entropy", "degree_loss"])
+def test_an_array_given_for_a_tensor_is_a_type_error_naming_the_argument(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a Tensor, not ndarray$"):
+        call()
+
+
 def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     out = a @ Tensor(np.eye(2))

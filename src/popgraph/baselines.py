@@ -10,7 +10,7 @@ The WL subtree kernel is computed in its explicit feature-map form
 (Shervashidze et al., JMLR 2011): one sparse count matrix Phi, graphs x
 compressed labels of every refinement round, and the gram ``Phi Phi^T``.
 
-Every builder works in blocks of ``latent_graph.ROW_BLOCK`` rows, writing
+Every builder works in blocks of ``nn.ROW_BLOCK`` rows, writing
 each block's rows of the N x N result in place, and their mirror where it is
 needed. A builder thus holds its result, its N x N input where it has one
 (the gram of ``knn_from_gram``, the distances of ``dynamic_knn_population``)
@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import GraphBatch, check_integer, check_real
-from .latent_graph import _require_finite_rows, pairwise_distances, row_blocks
+from .latent_graph import _require_finite_rows, pairwise_distances
+from .nn import row_blocks
 from .tensor import ShapeError
 
 WL_DEFAULT_ITERATIONS = 3

@@ -14,9 +14,9 @@ mean.
 autograd op. A bin ``ASSIGN_REACH`` or more away from a node's degree gets
 an assignment of exactly 0.0 in float64, so each node scores only the
 2 * ASSIGN_REACH + 1 bins around its degree, clipped to 0..N-1. The degrees
-are summed over blocks of ``latent_graph.ROW_BLOCK`` adjacency rows, one pass
-with no N x N temporary and no mask kept; the rest of the forward and the
-backward are O(N * window). The adjacency's gradient, [a > 0.5] g 1^T for the
+are summed over blocks of ``nn.ROW_BLOCK`` adjacency rows, one pass with no
+N x N temporary and no mask kept; the rest of the forward and the backward
+are O(N * window). The adjacency's gradient, [a > 0.5] g 1^T for the
 degrees' gradient g, is sent as its threshold and g (``tensor.FactoredGrad``),
 not as an N x N array.
 """
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .data import check_integer, check_real
-from .latent_graph import ROW_BLOCK, row_blocks
+from .nn import ROW_BLOCK, row_blocks
 from .tensor import (FactoredGrad, ShapeError, Tensor, _accumulate, _record, check_tensor, exp,
                      log, log_softmax)
 

@@ -32,18 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MLP, deal, run_lanes
+from .nn import MLP, ROW_BLOCK, deal, row_blocks, run_lanes
 from .tensor import ShapeError, Tensor, _accumulate, _record, check_tensor
 
-# Rows per block of every N x N pass: f2's, NDDL's degrees and the baselines'.
-# One 64 x N float64 buffer is 512 KB at N = 1024.
-ROW_BLOCK = 64
 _STRICT_LOWER = np.tri(ROW_BLOCK, k=-1, dtype=bool)
-
-
-def row_blocks(n: int) -> list:
-    """The ``(r0, r1)`` row blocks of an n-row array, ``ROW_BLOCK`` rows each, in order."""
-    return [(r0, min(r0 + ROW_BLOCK, n)) for r0 in range(0, n, ROW_BLOCK)]
 
 
 def _require_finite_rows(x: np.ndarray, what: str = "embedding") -> None:
@@ -172,9 +164,9 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
     a = np.empty((n, n))
     blocks = [None] * len(spans)  # the upper distance blocks, kept for the backward
 
-    def forward_lane(lane):
+    def forward_lane(indices):
         chain = np.empty(min(n, ROW_BLOCK) * n)
-        for j in lanes[lane]:
+        for j in indices:
             i0, i1 = spans[j]
             b, w = i1 - i0, n - i0
             d = blocks[j] = _distance_block(x, minus2x, norms, i0, i1, np.empty((b, w)), chain)
@@ -189,7 +181,7 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
             a[i0:i1, i0:] = e
             a[i1:, i0:i1] = e[:, b:].T
 
-    run_lanes(forward_lane)
+    run_lanes(forward_lane, lanes)
 
     def backward(g):
         # columns: S/d @ x, then the row sums of S/d against a column of ones
@@ -200,14 +192,14 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
         uv = np.concatenate([np.empty((n, 0))] + us + vs, axis=1)
         vu = np.concatenate([np.empty((n, 0))] + vs + us, axis=1)
 
-        def backward_lane(lane):
+        def backward_lane(indices):
             acc = np.zeros((n, k + 1))
             rows = min(n, ROW_BLOCK)
             sym = np.empty(rows * n)
             columns = np.empty(rows * n)
             slope = np.empty(rows * n)  # also holds the masks
             d_theta = d_t = np.float64(0.0)
-            for j in lanes[lane]:
+            for j in indices:
                 (i0, i1), d = spans[j], blocks[j]
                 b, w = d.shape
                 s = sym[:b * w].reshape(b, w)
@@ -240,7 +232,7 @@ def logistic_edge_weights(z: Tensor, t_raw: Tensor, theta: Tensor) -> Tensor:
                 acc[i0:] += s.T @ xa[i0:i1]
             return acc, d_theta, d_t
 
-        (acc, d_theta, d_t), (acc_1, d_theta_1, d_t_1) = run_lanes(backward_lane)
+        (acc, d_theta, d_t), (acc_1, d_theta_1, d_t_1) = run_lanes(backward_lane, lanes)
         acc += acc_1
         _accumulate(theta, d_theta + d_theta_1)
         _accumulate(t_raw, -t * (d_t + d_t_1))

@@ -41,6 +41,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Rows per block of every N x N pass: f2's blocks, NDDL's degrees and the
+# baselines', and the fewest rows of each of f3's dense product blocks. One
+# 64 x N float64 buffer is 512 KB at N = 1024.
+ROW_BLOCK = 64
+
+
+def row_blocks(n: int, rows: int = ROW_BLOCK) -> list:
+    """The ``(r0, r1)`` row blocks of an n-row array, ``rows`` rows each, in order."""
+    return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
 # Whether lane 1 of :func:`run_lanes` runs on a worker thread: when the
 # process may use two or more CPUs. Otherwise both lanes run in turn on the
 # caller, with the same results.
@@ -50,10 +61,12 @@ _worker = []  # the worker thread's executor, once the first two-lane run has ma
 os.register_at_fork(after_in_child=_worker.clear)  # the thread does not survive fork
 
 
-def run_lanes(lane):
-    """``(lane(0), lane(1))``, with lane 0 on the calling thread and lane 1
-    at the same time on one worker thread, or in turn on the caller when
-    ``LANE_WORKER`` is false.
+def run_lanes(lane, lanes):
+    """``(lane(lanes[0]), lane(lanes[1]))`` for the two index lists of
+    :func:`deal`, with lane 0 on the calling thread and lane 1 at the same
+    time on one worker thread. Lane 1 runs in turn on the caller instead
+    when ``LANE_WORKER`` is false or its list is empty, so an empty lane
+    costs no hand-off to the worker.
 
     The caller waits for lane 1 before it returns or raises; lane 0's
     exception is raised before lane 1's. Two lanes overlap only in numpy's
@@ -61,16 +74,17 @@ def run_lanes(lane):
     products and elementwise passes over large arrays. Each lane must write
     only its own outputs.
     """
-    if not LANE_WORKER:
-        return lane(0), lane(1)
+    first, second = lanes
+    if not (LANE_WORKER and second):
+        return lane(first), lane(second)
     if not _worker:
         _worker.append(futures.ThreadPoolExecutor(1, thread_name_prefix="popgraph-lane"))
-    second = _worker[0].submit(lane, 1)
+    pending = _worker[0].submit(lane, second)
     try:
-        first = lane(0)
+        result = lane(first)
     finally:
-        futures.wait([second])
-    return first, second.result()
+        futures.wait([pending])
+    return result, pending.result()
 
 
 def deal(sizes) -> tuple:
@@ -208,9 +222,16 @@ class GraphConv:
       (f2's learned graph), and a dense constant, such as the learned graph
       evaluated with gradients off, which gives the same output bit for bit.
       A needed gradient, g_ax x^T, is sent as its two n x d_in factors
-      (``tensor.FactoredGrad``), never as an n x n array. A^T g_ax runs
-      only when ``x`` needs a gradient, as (g_ax^T A)^T, which took 1.8 ms
-      against 3.2 ms for A^T g_ax at n = 1024, d_in = 32 (one BLAS thread).
+      (``tensor.FactoredGrad``), never as an n x n array. Both products
+      run on the two lanes of :func:`run_lanes`, one half of A's rows
+      each, or one block when n is at most ``ROW_BLOCK``: A x by rows of
+      A, and, only when ``x`` needs a gradient, A^T g_ax as (g_ax^T A)^T,
+      by columns of A. BLAS writes each block into its slice of an array
+      the caller made, the same bit for bit as that slice of the whole
+      product. At n = 1024, d_in = 32 the two took 2.0 ms in halves on two
+      CPUs, 2.5-2.6 ms in blocks of ``ROW_BLOCK`` rows, whose every product
+      packs the whole n x d_in operand again, and 3.4-3.6 ms whole (one
+      BLAS thread, medians of 30).
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name="conv"):
@@ -231,8 +252,20 @@ class GraphConv:
             raise ShapeError(f"node rows of shape {x.shape} for input width {d_in}")
         params = (self.w_self, self.w_neigh, self.bias)
         w_self, w_neigh, bias = (p.data for p in params)
+        a = adj.data
         csr = None if adj.requires_grad else constant_csr(adj)
-        ax = adj.data @ x.data if csr is None else csr @ x.data
+        if csr is None:
+            spans = row_blocks(n, max(ROW_BLOCK, (n + 1) // 2))  # a half per lane
+            lanes = deal([r1 - r0 for r0, r1 in spans])
+            ax = np.empty((n, d_in))
+
+            def ax_lane(indices):  # rows r0:r1 of A x
+                for r0, r1 in (spans[j] for j in indices):
+                    np.matmul(a[r0:r1], x.data, out=ax[r0:r1])
+
+            run_lanes(ax_lane, lanes)
+        else:
+            ax = csr @ x.data
         y = conv_forward(x.data, ax, w_self, w_neigh, bias)
 
         def backward(g):
@@ -241,7 +274,17 @@ class GraphConv:
                 _accumulate(p, grad)
             g_ax = g @ w_neigh.T
             if x.requires_grad:
-                g_x = (g_ax.T @ adj.data).T if csr is None else csr.T @ g_ax
+                if csr is None:
+                    g_xt = np.empty((d_in, n))
+
+                    def g_xt_lane(indices):  # columns r0:r1 of g_ax^T A
+                        for r0, r1 in (spans[j] for j in indices):
+                            np.matmul(g_ax.T, a[:, r0:r1], out=g_xt[:, r0:r1])
+
+                    run_lanes(g_xt_lane, lanes)
+                    g_x = g_xt.T
+                else:
+                    g_x = csr.T @ g_ax
                 g_x += g @ w_self.T
                 _accumulate(x, g_x)
             _accumulate(adj, FactoredGrad(outer=[(g_ax, x.data)]))

@@ -132,8 +132,8 @@ class NodeLevelModule:
         lanes = deal([block.rows.stop - block.rows.start for block in blocks])
         saved = [None] * len(blocks)  # per block, each layer's input rows and the last relu sign
 
-        def forward_lane(lane):
-            for j in lanes[lane]:
+        def forward_lane(indices):
+            for j in indices:
                 block = blocks[j]
                 x = batch.features[block.rows]
                 inputs = []
@@ -144,15 +144,15 @@ class NodeLevelModule:
                 h[block.graphs] = block.membership @ x
                 saved[j] = (inputs, x > 0.0)
 
-        run_lanes(forward_lane)
+        run_lanes(forward_lane, lanes)
         h *= scale
 
         def backward(g_h):
             g_h = g_h * scale
             grads = [None] * len(blocks)  # per block, each layer's parameter gradients
 
-            def backward_lane(lane):
-                for j in lanes[lane]:
+            def backward_lane(indices):
+                for j in indices:
                     block, (inputs, top_mask) = blocks[j], saved[j]
                     g = np.repeat(g_h[block.graphs], counts[block.graphs], axis=0)
                     grads[j] = [None] * len(weights)
@@ -169,7 +169,7 @@ class NodeLevelModule:
                             g_w_neigh = block.aggregated.T @ g
                         grads[j][i] = (g_w_self, g_w_neigh, g_bias)
 
-            run_lanes(backward_lane)
+            run_lanes(backward_lane, lanes)
             for block_grads in grads:  # in block order, as one lane would add them
                 for params, layer_grads in zip(layer_params, block_grads):
                     for p, grad in zip(params, layer_grads):

@@ -6,7 +6,7 @@ import pytest
 
 from popgraph.baselines import dynamic_knn_population, knn_from_gram, random_population, wl_gram
 from popgraph.data import Graph, GraphBatch, SyntheticSpec, make_synthetic_dataset
-from popgraph.latent_graph import ROW_BLOCK
+from popgraph.nn import ROW_BLOCK
 from popgraph.tensor import ShapeError
 
 # three row blocks, the last one ragged

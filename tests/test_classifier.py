@@ -7,7 +7,8 @@ import pytest
 from popgraph import nn
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
-from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams
+from popgraph.latent_graph import LatentGraphParams
+from popgraph.nn import ROW_BLOCK
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 

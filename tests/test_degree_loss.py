@@ -15,12 +15,8 @@ from popgraph.degree_loss import (
     total_loss,
 )
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
-from popgraph.latent_graph import (
-    ROW_BLOCK,
-    LatentGraphParams,
-    logistic_edge_weights,
-    pairwise_distances,
-)
+from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
+from popgraph.nn import ROW_BLOCK
 from popgraph.tensor import ShapeError, Tensor, exp, finite_difference_check, log
 
 

@@ -1,4 +1,4 @@
-"""The two lanes of ``nn.run_lanes``, and the f1 and f2 ops that run on them."""
+"""The two lanes of ``nn.run_lanes``, and the f1, f2 and f3 ops that run on them."""
 
 import os
 import signal
@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from popgraph import nn, node_level
 from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
 from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
 from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
-from popgraph.latent_graph import ROW_BLOCK, LatentGraphParams, row_blocks
+from popgraph.latent_graph import LatentGraphParams
+from popgraph.nn import ROW_BLOCK, row_blocks
 from popgraph.node_level import NodeLevelConfig, NodeLevelModule, node_blocks
 
 
@@ -23,11 +25,11 @@ def test_run_lanes_returns_each_lanes_result_in_lane_order(monkeypatch, worker):
     monkeypatch.setattr(nn, "LANE_WORKER", worker)
     threads = {}
 
-    def lane(i):
-        threads[i] = threading.get_ident()
-        return 10 * i
+    def lane(indices):
+        threads[indices[0]] = threading.get_ident()
+        return 10 * indices[0]
 
-    assert nn.run_lanes(lane) == (0, 10)
+    assert nn.run_lanes(lane, ([0], [1])) == (0, 10)
     assert threads[0] == threading.get_ident()
     assert (threads[1] != threads[0]) is worker
 
@@ -36,16 +38,16 @@ def test_run_lanes_waits_for_lane_1_before_it_raises_lane_0s_error(monkeypatch):
     monkeypatch.setattr(nn, "LANE_WORKER", True)
     started, finished = threading.Event(), []
 
-    def lane(i):
-        if i == 0:
+    def lane(indices):
+        if indices == [0]:
             started.wait(10.0)
             raise KeyError("lane 0")
         started.set()
         time.sleep(0.05)
-        finished.append(i)
+        finished.extend(indices)
 
     with pytest.raises(KeyError, match="lane 0"):
-        nn.run_lanes(lane)
+        nn.run_lanes(lane, ([0], [1]))
     assert finished == [1]
 
 
@@ -53,12 +55,42 @@ def test_run_lanes_waits_for_lane_1_before_it_raises_lane_0s_error(monkeypatch):
 def test_run_lanes_raises_lane_1s_error(monkeypatch, worker):
     monkeypatch.setattr(nn, "LANE_WORKER", worker)
 
-    def lane(i):
-        if i:
+    def lane(indices):
+        if indices == [1]:
             raise KeyError("lane 1")
 
     with pytest.raises(KeyError, match="lane 1"):
-        nn.run_lanes(lane)
+        nn.run_lanes(lane, ([0], [1]))
+
+
+class StubExecutor:
+    """Runs each submitted call at once on the caller, and records its arguments."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_lanes_hands_lane_1_to_the_worker_only_when_it_has_indices(monkeypatch):
+    monkeypatch.setattr(nn, "LANE_WORKER", True)
+    stub = StubExecutor()
+    monkeypatch.setattr(nn, "_worker", [stub])
+    ran = []
+
+    def lane(indices):
+        ran.append((indices, threading.get_ident()))
+        return len(indices)
+
+    assert nn.run_lanes(lane, ([0, 1], [])) == (2, 0)
+    assert stub.submitted == []
+    assert ran == [([0, 1], threading.get_ident()), ([], threading.get_ident())]
+    assert nn.run_lanes(lane, ([0], [1])) == (1, 1)
+    assert stub.submitted == [([1],)]
 
 
 def test_usable_cpus_fall_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
@@ -76,7 +108,7 @@ def test_deal_gives_each_size_to_the_lane_with_less_so_far():
 
 @pytest.fixture
 def lane_batch(monkeypatch):
-    """140 graphs: three f2 row blocks and four f1 node blocks, each last block ragged."""
+    """140 graphs: three f2 and f3 row blocks and four f1 node blocks, each last block ragged."""
     monkeypatch.setattr(node_level, "NODE_BLOCK", 300)
     spec = SyntheticSpec(classes=2, graphs_per_class=70, nodes_min=5, nodes_max=9,
                          topology="ambiguous_features", feature_dim=3, noise_sigma=1.0, seed=3)
@@ -93,7 +125,7 @@ def full_step(batch):
     rng = np.random.default_rng(0)
     f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[8, 8]), batch.features.shape[1], rng)
     f2 = LatentGraphParams([8, 8, 4], rng)
-    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[8], head_dims=[4, 2]), 8, rng)
+    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[8, 8], head_dims=[4, 2]), 8, rng)
     target = TargetDistribution.for_support(len(batch))
     f2.init_threshold(f1.forward(batch))
     h = f1.forward(batch)
@@ -118,7 +150,7 @@ def test_a_step_is_the_same_bit_for_bit_with_and_without_the_worker(monkeypatch,
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(a_2, a)
     assert loss_2 == loss
-    assert len(grads_2) == len(grads) == 21
+    assert len(grads_2) == len(grads) == 24
     for g_2, g in zip(grads_2, grads):
         np.testing.assert_array_equal(g_2, g)
 

@@ -11,8 +11,8 @@ from scipy.special import expit
 
 import popgraph
 from popgraph.degree_loss import degree_histogram
-from popgraph.latent_graph import (ROW_BLOCK, LatentGraphParams, logistic_edge_weights,
-                                   pairwise_distances)
+from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights, pairwise_distances
+from popgraph.nn import ROW_BLOCK
 from popgraph.tensor import ShapeError, Tensor, finite_difference_check
 
 

@@ -1,5 +1,6 @@
 import gc
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -152,6 +153,33 @@ def test_graph_conv_matches_unfused_chain(x_leaf, adj_kind):
         np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
     assert all(p._backward is None for p in layer.forward(x, adj)._parents)  # one tape entry
     assert (adj in nn._csr_copies) == (adj_kind == "dense_constant")  # the branch taken
+
+
+@pytest.mark.parametrize("worker", [False, True], ids=["caller_only", "worker"])
+@pytest.mark.parametrize("adj_leaf", [False, True], ids=["constant", "leaf"])
+def test_dense_route_on_the_lanes_gives_the_whole_products_bit_for_bit(monkeypatch, worker,
+                                                                       adj_leaf):
+    monkeypatch.setattr(nn, "LANE_WORKER", worker)
+    rng = np.random.default_rng(21)
+    n, d_in, d_out = 2 * nn.ROW_BLOCK + 5, 8, 16  # three row blocks, the last one ragged
+    layer = GraphConv(d_in, d_out, rng)
+    a = rng.random((n, n))  # dense and asymmetric: A^T g_ax is not A g_ax
+    x = Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
+    adj = Tensor(a, requires_grad=adj_leaf)
+    mix = rng.normal(size=(n, d_out))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two lanes' Python code then interleaves finely
+    try:
+        out = layer.forward(x, adj)
+        (out * Tensor(mix)).sum().backward()
+    finally:
+        sys.setswitchinterval(interval)
+    assert nn._csr_copies.get(adj, (a, None))[1] is None  # the dense route
+    w_self, w_neigh, bias = (p.data for p in layer.parameters())
+    np.testing.assert_array_equal(out.data, conv_forward(x.data, a @ x.data, w_self, w_neigh, bias))
+    g = mix * (out.data > 0.0).astype(np.float64)
+    g_ax = g @ w_neigh.T
+    np.testing.assert_array_equal(x.grad, (g_ax.T @ a).T + g @ w_self.T)
 
 
 def test_constant_adjacency_given_another_array_is_aggregated_over_it():

@@ -23,7 +23,7 @@ class ClassifierConfig:
     head_dims: list  # fully-connected sizes, ending in the class count C
 
     def __post_init__(self):
-        check_widths("gnn_dims", self.gnn_dims)
+        check_widths("gnn_dims", self.gnn_dims, at_least=1)
         check_widths("head_dims", self.head_dims, at_least=1)
         if self.head_dims[-1] < 2:
             raise ValueError(

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import check_integer
-from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, relu
+from .tensor import FactoredGrad, ShapeError, Tensor, _accumulate, _record, check_tensor, relu
 
 
 def parameter(rng: np.random.Generator, shape, fan_in: int, name: str) -> Tensor:
@@ -241,15 +241,14 @@ class GraphConv:
         self.bias = parameter(rng, (d_out,), d_in, f"{name}.bias")
 
     def forward(self, x: Tensor, adj: Tensor) -> Tensor:
-        for arg, kind in ((x, "node-row"), (adj, "dense adjacency")):
-            if not isinstance(arg, Tensor):
-                raise TypeError(f"GraphConv takes a {kind} Tensor, not {type(arg).__name__}")
-        n = x.shape[0]
-        if adj.shape != (n, n):
-            raise ShapeError(f"adjacency of shape {adj.shape} for {n} node rows")
+        check_tensor("x", x)
+        check_tensor("adj", adj)
         d_in = self.w_self.shape[0]
         if x.ndim != 2 or x.shape[1] != d_in:
             raise ShapeError(f"node rows of shape {x.shape} for input width {d_in}")
+        n = x.shape[0]
+        if adj.shape != (n, n):
+            raise ShapeError(f"adjacency of shape {adj.shape} for {n} node rows")
         params = (self.w_self, self.w_neigh, self.bias)
         w_self, w_neigh, bias = (p.data for p in params)
         a = adj.data

@@ -151,6 +151,7 @@ def test_cross_entropy_rejects_zero_rows():
 
 
 @pytest.mark.parametrize("gnn_dims,head_dims,entry", [
+    ([], [2], r"gnn_dims=\[\] is not a sequence of 1 or more widths"),
     ([0], [2], r"gnn_dims\[0\]=0 is below 1"),
     ([4, 2.5], [2], r"gnn_dims\[1\]=2.5 is not an integer"),
     ([4], [0], r"head_dims\[0\]=0 is below 1"),

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from popgraph import nn, node_level
-from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.classifier import ClassifierConfig
 from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
-from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
-from popgraph.latent_graph import LatentGraphParams
+from popgraph.model import GiGConfig, GiGModel
 from popgraph.nn import ROW_BLOCK, row_blocks
-from popgraph.node_level import NodeLevelConfig, NodeLevelModule, node_blocks
+from popgraph.node_level import NodeLevelConfig, node_blocks
 
 
 @pytest.mark.parametrize("worker", [False, True], ids=["caller_only", "worker"])
@@ -122,20 +121,12 @@ def lane_batch(monkeypatch):
 def full_step(batch):
     """One f1 -> f2 -> f3 + CE + NDDL step and its backward, from fixed
     parameters: (a_p, loss, every parameter's gradient)."""
-    rng = np.random.default_rng(0)
-    f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[8, 8]), batch.features.shape[1], rng)
-    f2 = LatentGraphParams([8, 8, 4], rng)
-    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[8, 8], head_dims=[4, 2]), 8, rng)
-    target = TargetDistribution.for_support(len(batch))
-    f2.init_threshold(f1.forward(batch))
-    h = f1.forward(batch)
-    a = f2.forward(h).a_p
-    _, logits = f3.forward(h, a)
-    kl, _ = degree_loss(a, target)
-    loss = total_loss(cross_entropy(logits, batch.labels), kl, 1.0)
+    config = GiGConfig(f1=NodeLevelConfig(layer_dims=[8, 8]), f2_dims=[8, 4],
+                       f3=ClassifierConfig(gnn_dims=[8, 8], head_dims=[4, 2]), alpha=1.0)
+    model = GiGModel(config, batch, np.random.default_rng(0))
+    loss, a = model.loss(batch)
     loss.backward()
-    params = f1.parameters() + f2.parameters() + f3.parameters() + target.parameters()
-    return a.data, loss.item(), [p.grad for p in params]
+    return a.data, loss.item(), [p.grad for p in model.parameters()]
 
 
 def test_a_step_is_the_same_bit_for_bit_with_and_without_the_worker(monkeypatch, lane_batch):

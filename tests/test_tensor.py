@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from popgraph import tensor as T
-from popgraph.classifier import ClassifierConfig, PopulationClassifier, cross_entropy
+from popgraph.classifier import ClassifierConfig, cross_entropy
 from popgraph.data import GraphBatch, SyntheticSpec, make_synthetic_dataset
-from popgraph.degree_loss import TargetDistribution, degree_loss, total_loss
+from popgraph.degree_loss import TargetDistribution, degree_loss
 from popgraph.latent_graph import LatentGraphParams, logistic_edge_weights
-from popgraph.node_level import NodeLevelConfig, NodeLevelModule
+from popgraph.model import GiGConfig, GiGModel
+from popgraph.nn import GraphConv
+from popgraph.node_level import NodeLevelConfig
 from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
 
 
@@ -20,7 +22,9 @@ from popgraph.tensor import ShapeError, Tape, Tensor, finite_difference_check
      "h"),
     (lambda: cross_entropy(np.zeros((2, 2)), [0, 1]), "logits"),
     (lambda: degree_loss(np.eye(4), TargetDistribution.for_support(4)), "a_p"),
-], ids=["latent_graph_forward", "init_threshold", "cross_entropy", "degree_loss"])
+    (lambda: GraphConv(2, 2, np.random.default_rng(2)).forward(np.ones((2, 2)), Tensor(np.eye(2))),
+     "x"),
+], ids=["latent_graph_forward", "init_threshold", "cross_entropy", "degree_loss", "graph_conv"])
 def test_an_array_given_for_a_tensor_is_a_type_error_naming_the_argument(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be a Tensor, not ndarray$"):
         call()
@@ -110,49 +114,41 @@ def test_tape_topological_order_and_unique_visits():
 
 
 def _training_step(graphs_per_class):
-    """Forward half of an f1 -> f2 -> f3 + NDDL step: returns a function that
-    builds (loss, a_p, h) from fixed parameters."""
+    """An f1 -> f2 -> f3 + NDDL step's forward half from fixed parameters:
+    returns a function that builds (loss, a_p)."""
     spec = SyntheticSpec(classes=2, graphs_per_class=graphs_per_class, nodes_min=3,
                          nodes_max=5, topology="ambiguous_features", feature_dim=2,
                          noise_sigma=0.5)
     batch = GraphBatch(make_synthetic_dataset(spec))
-    rng = np.random.default_rng(0)
-    f1 = NodeLevelModule(NodeLevelConfig(layer_dims=[4]), 2, rng)
-    f2 = LatentGraphParams([4, 3], rng)
-    f3 = PopulationClassifier(ClassifierConfig(gnn_dims=[4], head_dims=[2]), 4, rng)
-    target = TargetDistribution.for_support(len(batch))
-
-    def forward():
-        h = f1.forward(batch)
-        a = f2.forward(h).a_p
-        _, logits = f3.forward(h, a)
-        kl, _ = degree_loss(a, target)
-        return total_loss(cross_entropy(logits, batch.labels), kl, 1.0), a, h
-
-    return forward
+    config = GiGConfig(f1=NodeLevelConfig(layer_dims=[4]), f2_dims=[3],
+                       f3=ClassifierConfig(gnn_dims=[4], head_dims=[2]), alpha=1.0)
+    model = GiGModel(config, batch, np.random.default_rng(0))
+    return lambda: model.loss(batch)
 
 
 def test_step_tape_is_freed_without_cycle_collector():
     forward = _training_step(graphs_per_class=3)
 
     def step():
-        loss, a, h = forward()
+        loss, a = forward()
+        intermediates = [weakref.ref(t) for t in Tape.trace(loss).entries
+                         if t._backward is not None and t is not loss and t is not a]
         loss.backward()
-        return loss, a, weakref.ref(h)
+        return loss, a, intermediates
 
     gc.collect()
     gc.disable()
     try:
-        loss, a, intermediate = step()
-        assert intermediate() is not None
+        loss, a, intermediates = step()
+        assert intermediates and all(ref() is not None for ref in intermediates)
         del loss, a
-        assert intermediate() is None
+        assert all(ref() is None for ref in intermediates)
     finally:
         gc.enable()
 
 
 def test_step_tape_holds_one_population_matrix_and_only_leaf_grads(traced):
-    loss, a, _ = _training_step(graphs_per_class=512)()
+    loss, a = _training_step(graphs_per_class=512)()
     n = a.shape[0]
     tape = Tape.trace(loss)
     square = [t for t in tape.entries if t.shape == (n, n)]

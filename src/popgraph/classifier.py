@@ -57,8 +57,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     Raises ``ShapeError`` naming the shape of logits that are not 2-D, and
     ``ValueError`` for logits of no rows, naming the shape of labels that are
     not one per row, and naming the first index whose label is not a whole
-    number (NaN and infinite included), and ``TypeError`` for logits that are
-    not a Tensor.
+    number (NaN and infinite included) or is outside [0, C) for C classes, and
+    ``TypeError`` for logits that are not a Tensor.
     """
     check_tensor("logits", logits)
     if logits.ndim != 2:
@@ -71,8 +71,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError(
             f"labels of shape {values.shape} for {n} rows, expected shape {(n,)}")
     labels = whole_numbers(values, lambda i: f"label {values[i]} at index {i} is not a whole number")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"label outside [0, {c})")
+    outside = np.flatnonzero((labels < 0) | (labels >= c))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"label {labels[i]} at index {i} is outside [0, {c})")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     log_p = log_softmax(logits)

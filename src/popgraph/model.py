@@ -28,6 +28,10 @@ class GiGConfig:
     alpha: float  # NDDL's weight in the loss, at least 0
 
     def __post_init__(self):
+        for field, kind in (("f1", NodeLevelConfig), ("f3", ClassifierConfig)):
+            value = getattr(self, field)
+            if not isinstance(value, kind):
+                raise TypeError(f"{field} must be a {kind.__name__}, not {type(value).__name__}")
         check_widths("f2_dims", self.f2_dims, at_least=1)
         check_real("alpha", self.alpha, 0)
 
@@ -36,8 +40,8 @@ class GiGModel:
     """f1 -> f2 -> f3 over one batch, or f1 -> f3 over a constant ``adjacency``.
 
     The stages draw their parameters from ``rng`` in the order f1, f3, f2;
-    f2's threshold is then set from f1's output on ``batch``. NDDL's target
-    is over the degrees 0..N-1 of ``batch``'s N graphs.
+    f2's threshold is then set from f1's output on ``batch``. NDDL's target,
+    over the degrees 0..N-1 of ``batch``'s N graphs, is built only at alpha > 0.
     """
 
     def __init__(self, config: GiGConfig, batch: GraphBatch, rng: np.random.Generator,
@@ -52,7 +56,8 @@ class GiGModel:
             check_tensor("adjacency", adjacency)
             return
         self.f2 = LatentGraphParams([width, *config.f2_dims], rng)
-        self.target = TargetDistribution.for_support(len(batch))
+        if config.alpha > 0:
+            self.target = TargetDistribution.for_support(len(batch))
         self.f2.init_threshold(self.f1.forward(batch))
 
     def _forward(self, batch: GraphBatch):
@@ -65,7 +70,7 @@ class GiGModel:
         """(scalar loss, population graph A): CE over every graph, plus alpha * NDDL of A."""
         _, logits, a = self._forward(batch)
         loss = cross_entropy(logits, batch.labels)
-        if self.f2 is not None:
+        if self.target is not None:
             kl, _ = degree_loss(a, self.target)
             loss = total_loss(loss, kl, self.config.alpha)
         return loss, a
@@ -75,8 +80,6 @@ class GiGModel:
         return self._forward(batch)[0].data
 
     def parameters(self) -> list:
-        """Every trainable Tensor: f1's, f3's, then f2's and the NDDL target's."""
-        params = self.f1.parameters() + self.f3.parameters()
-        if self.f2 is not None:
-            params += self.f2.parameters() + self.target.parameters()
-        return params
+        """Every trainable Tensor of the stages built: f1's, f3's, f2's, the NDDL target's."""
+        stages = (self.f1, self.f3, self.f2, self.target)
+        return [p for stage in stages if stage is not None for p in stage.parameters()]

@@ -1,4 +1,7 @@
-"""Parameter containers, and the graph-convolution arithmetic, shared by the model modules."""
+"""What the model modules share: parameter containers, the graph-convolution
+arithmetic, the blocks of rows (``row_blocks``) and the two lanes that run
+them (``run_lanes``, ``deal``), and the constant-CSR route (``constant_csr``)
+by which f3 multiplies a sparse fixed graph."""
 
 import os
 import weakref

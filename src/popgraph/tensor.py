@@ -19,11 +19,12 @@ order, handing each rule its output's gradient. The rules never refer to
 their own output tensor, so a finished step's tensors are freed by reference
 counting alone.
 
-Gradients are lazy and only leaves keep them. A gradient array is allocated
-by its first accumulation, not zero-filled up front, and an operation
-output's ``grad`` is dropped as soon as its rule has run. A leaf with
-``requires_grad`` that the loss reaches ends ``backward`` with a gradient
-that owns its memory, zero when nothing accumulated into it.
+Gradients are lazy and only leaves keep them. Every tensor accumulates by
+one rule: its first gradient becomes its ``grad`` and each later one makes a
+new sum, never an add in place, so one gradient may be handed to many tensors.
+An operation output's ``grad`` is dropped once its rule has run; a leaf with
+``requires_grad`` that the loss reaches ends ``backward`` with its own copy,
+zero when nothing accumulated into it.
 """
 
 import numpy as np
@@ -91,7 +92,8 @@ class Tensor:
 
         Leaf gradients are fresh on each call (no accumulation across
         separate backward calls); fan-out within one call accumulates
-        additively. Non-leaf gradients are released once their rule has run.
+        additively, and each leaf ends with its own copy. Non-leaf gradients
+        are released once their rule has run.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -107,8 +109,8 @@ class Tensor:
                 g, node.grad = node.grad, None
                 if g is not None:
                     node._backward(g)
-            elif node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
+            elif node.requires_grad:  # complete: every consumer has run
+                node.grad = np.zeros_like(node.data) if node.grad is None else np.array(node.grad)
 
 
 def check_tensor(name: str, value) -> None:
@@ -167,10 +169,10 @@ class FactoredGrad:
         self.masked = list(masked)
         self.dense = list(dense)
 
-    def extend(self, other: "FactoredGrad") -> None:
-        self.outer += other.outer
-        self.masked += other.masked
-        self.dense += other.dense
+    def __add__(self, other: "FactoredGrad") -> "FactoredGrad":
+        """Both operands' terms, in order; neither operand changes."""
+        return FactoredGrad(self.outer + other.outer, self.masked + other.masked,
+                            self.dense + other.dense)
 
     def to_dense(self, a: np.ndarray) -> np.ndarray:
         """The sum of the terms as one array, the masks taken from ``a``.
@@ -217,35 +219,23 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g) -> None:
-    """Add ``g``, an array or a :class:`FactoredGrad`, to ``t.grad``,
-    allocating it on the first accumulation.
+    """Add ``g``, an array or a :class:`FactoredGrad`, to ``t.grad``.
 
-    An op output recorded with ``factored`` appends ``g`` to its
-    ``FactoredGrad`` as terms; for any other target a ``FactoredGrad`` is first
-    made dense. ``g`` may be shared: a rule can hand one array to several
-    parents, or pass its own output gradient through. So an operation output
-    borrows ``g`` and later accumulations build a new sum instead of adding in
-    place, while a leaf copies ``g`` once and then owns, and adds into, its
-    gradient.
+    An array is first reduced to ``t``'s shape, and held as a dense term when
+    ``t`` is an op output recorded with ``factored``; for any other target a
+    ``FactoredGrad`` is made dense. Then ``g`` becomes ``t.grad``, or is added
+    to it as a new sum. ``g`` may be shared, as a rule can hand one array to
+    several parents or pass its own output gradient through, so nothing is
+    added in place.
     """
     if not t.requires_grad:
         return
-    if t._factored:
-        if t.grad is None:
-            t.grad = FactoredGrad()
-        if not isinstance(g, FactoredGrad):
-            g = FactoredGrad(dense=[_unbroadcast(g, t.data.shape)])
-        t.grad.extend(g)
-        return
     if isinstance(g, FactoredGrad):
-        g = g.to_dense(t.data)
-    g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
-        t.grad = g if t._backward is not None else np.array(g, dtype=np.float64)
-    elif t._backward is not None:
-        t.grad = t.grad + g
+        g = g if t._factored else g.to_dense(t.data)
     else:
-        t.grad += g
+        g = _unbroadcast(g, t.data.shape)
+        g = FactoredGrad(dense=[g]) if t._factored else g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:

@@ -117,8 +117,10 @@ def test_cross_entropy_matches_direct_oracle():
 
 
 def test_cross_entropy_rejects_bad_labels():
-    with pytest.raises(ValueError, match="label"):
-        cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
+    for labels, message in (([0, 2], r"^label 2 at index 1 is outside \[0, 2\)$"),
+                            ([-1, 0], r"^label -1 at index 0 is outside \[0, 2\)$")):
+        with pytest.raises(ValueError, match=message):
+            cross_entropy(Tensor(np.zeros((2, 2))), labels)
     for rows, labels, shape in ((2, [0, 1, 0], r"\(3,\)"), (4, np.zeros((4, 1)), r"\(4, 1\)"),
                                 (1, 0, r"\(\)")):
         message = rf"labels of shape {shape} for {rows} rows, expected shape \({rows},\)"

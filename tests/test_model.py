@@ -95,6 +95,40 @@ def test_config_rejects_f2_widths_and_an_alpha_out_of_range(f2_dims, alpha, matc
         GiGConfig(f1=CONFIG.f1, f2_dims=f2_dims, f3=CONFIG.f3, alpha=alpha)
 
 
+@pytest.mark.parametrize("f1,f3,message", [
+    ([4], CONFIG.f3, "^f1 must be a NodeLevelConfig, not list$"),
+    (CONFIG.f1, {"gnn_dims": [5], "head_dims": [4, 2]}, "^f3 must be a ClassifierConfig, not dict$"),
+], ids=["f1_list", "f3_dict"])
+def test_config_rejects_a_stage_config_of_another_type(f1, f3, message):
+    with pytest.raises(TypeError, match=message):
+        GiGConfig(f1=f1, f2_dims=[4], f3=f3, alpha=1.0)
+
+
+@pytest.mark.parametrize("alpha,fixed", [(0.5, False), (0.0, False), (0.5, True)],
+                         ids=["learned", "learned_alpha0", "wl_knn"])
+def test_every_listed_parameter_gets_its_own_gradient_from_each_backward(batch, alpha, fixed):
+    config = GiGConfig(f1=CONFIG.f1, f2_dims=CONFIG.f2_dims, f3=CONFIG.f3, alpha=alpha)
+    adjacency = wl_knn(batch) if fixed else None
+    model = GiGModel(config, batch, np.random.default_rng(7), adjacency=adjacency)
+    params = model.parameters()
+    sentinels = [np.full(p.shape, np.nan) for p in params]
+    for p, sentinel in zip(params, sentinels):
+        p.grad = sentinel
+    loss, a = model.loss(batch)
+    loss.backward()
+    for p in params:
+        assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, p.name
+        assert p.grad.flags.owndata and np.isfinite(p.grad).all(), p.name
+    grads = [p.grad for p in params]
+    for i, grad in enumerate(grads):
+        others = grads[i + 1:] + sentinels
+        assert not any(np.shares_memory(grad, other) for other in others), params[i].name
+    if alpha == 0:
+        assert model.target is None and not [p for p in params if p.name.startswith("target.")]
+        _, logits = model.f3.forward(model.f1.forward(batch), a)
+        assert loss.item() == cross_entropy(logits, batch.labels).item()
+
+
 def test_an_adjacency_that_is_not_a_tensor_is_a_type_error(batch):
     with pytest.raises(TypeError, match="^adjacency must be a Tensor, not ndarray$"):
         GiGModel(CONFIG, batch, np.random.default_rng(7), adjacency=np.eye(len(batch)))

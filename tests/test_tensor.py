@@ -227,6 +227,25 @@ def test_factored_grad_to_dense_sums_every_term():
                                rtol=1e-15)
 
 
+def test_factored_grad_sum_keeps_both_operands_and_every_term_in_order():
+    # the sum never looks inside a term, so labels stand in for the arrays
+    first = T.FactoredGrad(outer=["uv1"], masked=["m1"], dense=["d1", "d2"])
+    second = T.FactoredGrad(outer=["uv2", "uv3"], masked=["m2"])
+    total = first + second
+    assert (first.outer, first.masked, first.dense) == (["uv1"], ["m1"], ["d1", "d2"])
+    assert (second.outer, second.masked, second.dense) == (["uv2", "uv3"], ["m2"], [])
+    assert (total.outer, total.masked, total.dense) == (["uv1", "uv2", "uv3"], ["m1", "m2"],
+                                                        ["d1", "d2"])
+
+
+def test_a_leaf_fed_only_a_broadcast_view_owns_a_writable_gradient():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    x.sum().backward()  # tensor_sum hands x a read-only broadcast of one number
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    x.grad += 1.0
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 def test_leaf_does_not_alias_source_array():
     source = np.array([[1.0, 2.0], [3.0, 4.0]])
     leaf = Tensor(source, requires_grad=True)
